@@ -92,7 +92,7 @@ def _cmd_check(args) -> int:
     if args.rmax < 0:
         raise InputError(f"--rmax must be nonnegative, got {args.rmax}")
     rep = dimension_polynomial(pres)
-    oracle = RankOracle(pres.P, pres.m, pres.relations)
+    oracle = RankOracle(pres.relations, rep.basis)
     points = []
     mismatches = 0
     for r in itertools.product(range(args.rmax + 1), repeat=pres.P.p):

@@ -67,28 +67,26 @@ def _doubled_sizes(P: Partition) -> tuple[int, ...]:
     return tuple(2 * s for s in P.sizes)
 
 
-def _leader_arrays(G: GroebnerBasis):
-    """Per generator: packed first-leader rows and their order slacks."""
-    cached = getattr(G, "_leader_arrays_cache", None)
-    if cached is not None:
-        return cached
+def _first_leaders(G: GroebnerBasis) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """Per generator: packed first-leader rows and their order slacks.
+
+    Rows keep basis order; generators that carry no leader are absent.
+    """
     P = G.P
     by_gen: dict[int, list[int]] = {}
     for j, ld in enumerate(G.leaders):
         by_gen.setdefault(ld[0][0].gen, []).append(j)
-    q = 2 * P.n
     out = {}
     for gen, idxs in by_gen.items():
         L = np.array(
             [pack_exponents(G.leaders[j][0][0].theta, P) for j in idxs],
             dtype=np.int64,
-        ).reshape(len(idxs), q)
+        ).reshape(len(idxs), 2 * P.n)
         SL = np.array(
             [[G.c[i][j] - G.b[i][j] for i in range(P.p)] for j in idxs],
             dtype=np.int64,
         ).reshape(len(idxs), P.p)
         out[gen] = (L, SL)
-    G._leader_arrays_cache = out
     return out
 
 
@@ -108,7 +106,7 @@ def count_UVW(G: GroebnerBasis, m: int, r: Sequence[int]) -> tuple[int, int, int
     sizes2 = _doubled_sizes(P)
     V = box_vectors(sizes2, r)
     BS = block_sum_matrix(V, sizes2)
-    arrays = _leader_arrays(G)
+    arrays = _first_leaders(G)
     empty_L = np.empty((0, 2 * P.n), dtype=np.int64)
     empty_SL = np.empty((0, P.p), dtype=np.int64)
     card_v = 0
@@ -122,15 +120,12 @@ def count_UVW(G: GroebnerBasis, m: int, r: Sequence[int]) -> tuple[int, int, int
 
 
 def _omega_part(G: GroebnerBasis, m: int) -> NumericalPolynomial:
-    P = G.P
-    sizes2 = _doubled_sizes(P)
-    by_gen: dict[int, list[tuple[int, ...]]] = {k: [] for k in range(1, m + 1)}
-    for ld in G.leaders:
-        head = ld[0][0]
-        by_gen[head.gen].append(pack_exponents(head.theta, P))
-    total = NumericalPolynomial.zero(P.p)
+    sizes2 = _doubled_sizes(G.P)
+    leaders = _first_leaders(G)
+    total = NumericalPolynomial.zero(G.P.p)
     for gen in range(1, m + 1):
-        total = total + omega(IndexSet(tuple(sorted(by_gen[gen])), sizes2))
+        points = map(tuple, leaders[gen][0].tolist()) if gen in leaders else ()
+        total = total + omega(IndexSet(tuple(sorted(points)), sizes2))
     return total
 
 
@@ -172,10 +167,7 @@ def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
     """Starting bounds past which all closed-form counts are exact."""
     P = G.P
     sizes2 = _doubled_sizes(P)
-    by_gen: dict[int, list[tuple[int, ...]]] = {}
-    for ld in G.leaders:
-        head = ld[0][0]
-        by_gen.setdefault(head.gen, []).append(pack_exponents(head.theta, P))
+    leaders = _first_leaders(G)
     out = []
     cum = [0]
     for s in sizes2:
@@ -183,11 +175,9 @@ def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
     for j in range(P.p):
         c_max = max(G.c[j], default=0)
         stair = 0
-        for packs in by_gen.values():
-            width = range(cum[j], cum[j + 1])
-            stair = max(
-                stair, sum(max(a[h] for a in packs) for h in width) - sizes2[j]
-            )
+        for L, _ in leaders.values():
+            top = int(L[:, cum[j]:cum[j + 1]].max(axis=0).sum())
+            stair = max(stair, top - sizes2[j])
         out.append(1 + max(c_max, stair, 0))
     return tuple(out)
 

@@ -36,6 +36,11 @@ def _expect(cond: bool, where: str, msg: str):
         raise InputError(f"{where}: {msg}")
 
 
+def _is_int(value: Any) -> bool:
+    """JSON integer; bool is an int subclass in Python, so exclude it."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def parse_fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: booleans are not coefficients")
@@ -54,7 +59,7 @@ def _parse_vector(value: Any, n: int, where: str) -> tuple[int, ...]:
     _expect(len(value) == n, where, f"expected length {n}, got {len(value)}")
     for k, e in enumerate(value):
         _expect(
-            isinstance(e, int) and not isinstance(e, bool) and e >= 0,
+            _is_int(e) and e >= 0,
             f"{where}[{k}]",
             f"expected a nonnegative integer, got {e!r}",
         )
@@ -72,12 +77,12 @@ def parse_presentation(doc: Any) -> Presentation:
     for field in ("n", "partition", "m", "relations"):
         _expect(field in doc, "document", f"missing field {field!r}")
     n = doc["n"]
-    _expect(isinstance(n, int) and n >= 1, "n", f"expected a positive integer, got {n!r}")
+    _expect(_is_int(n) and n >= 1, "n", f"expected a positive integer, got {n!r}")
     part = doc["partition"]
     _expect(isinstance(part, list) and part, "partition", "expected a nonempty list")
     for k, s in enumerate(part):
         _expect(
-            isinstance(s, int) and s >= 1,
+            _is_int(s) and s >= 1,
             f"partition[{k}]",
             f"expected a positive integer, got {s!r}",
         )
@@ -88,7 +93,7 @@ def parse_presentation(doc: Any) -> Presentation:
     )
     P = Partition(tuple(part))
     m = doc["m"]
-    _expect(isinstance(m, int) and m >= 1, "m", f"expected a positive integer, got {m!r}")
+    _expect(_is_int(m) and m >= 1, "m", f"expected a positive integer, got {m!r}")
     rels_doc = doc["relations"]
     _expect(isinstance(rels_doc, list), "relations", "expected a list")
     relations = []
@@ -104,7 +109,7 @@ def parse_presentation(doc: Any) -> Presentation:
                 _expect(field in rec, wt, f"missing field {field!r}")
             gen = rec["gen"]
             _expect(
-                isinstance(gen, int) and 1 <= gen <= m,
+                _is_int(gen) and 1 <= gen <= m,
                 f"{wt}.gen",
                 f"index {gen!r} out of range 1..{m}",
             )

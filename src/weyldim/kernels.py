@@ -1,38 +1,19 @@
-"""Hot counting kernels: numba-compiled loops with a pure-numpy fallback.
+"""Box-counting kernels in numpy.
 
-Set WEYLDIM_DISABLE_NUMBA=1 to force the numpy path.  Both paths work on
-small nonnegative int64 data, so results are exact either way; all
-rational arithmetic lives outside this module.
+The box rows are enumerated once per bound and cached; the counts are
+chunked broadcast comparisons over small nonnegative int64 data, so
+every result is exact.  All rational arithmetic lives outside this
+module.
 """
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from math import comb, prod
 
 import numpy as np
 
-_FLAG = os.environ.get("WEYLDIM_DISABLE_NUMBA", "").strip().lower()
-_DISABLED = _FLAG in ("1", "true", "yes", "on")
-
-try:
-    if _DISABLED:
-        raise ImportError("numba disabled by WEYLDIM_DISABLE_NUMBA")
-    from numba import njit
-
-    USING_NUMBA = True
-except ImportError:
-    USING_NUMBA = False
-
-    def njit(*args, **kwargs):
-        # decorator stub so the jitted definitions still import
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
+# no compiled backend: result stamps in the benchmark harness read this
+USING_NUMBA = False
 
 
 @lru_cache(maxsize=4096)
@@ -97,29 +78,12 @@ def block_sum_matrix(V: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     return V @ ind
 
 
-@njit(cache=True)
-def _count_not_dominated_nb(V, A):
-    n_rows = V.shape[0]
-    n_pts = A.shape[0]
-    q = V.shape[1]
-    count = 0
-    for i in range(n_rows):
-        dominated = False
-        for a in range(n_pts):
-            ok = True
-            for h in range(q):
-                if V[i, h] < A[a, h]:
-                    ok = False
-                    break
-            if ok:
-                dominated = True
-                break
-        if not dominated:
-            count += 1
-    return count
-
-
-def _count_not_dominated_np(V: np.ndarray, A: np.ndarray) -> int:
+def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
+    """Rows of V that componentwise dominate no row of A."""
+    if A.shape[0] == 0:
+        return int(V.shape[0])
+    if V.shape[0] == 0:
+        return 0
     count = 0
     chunk = 1 << 16
     for lo in range(0, V.shape[0], chunk):
@@ -129,53 +93,20 @@ def _count_not_dominated_np(V: np.ndarray, A: np.ndarray) -> int:
     return count
 
 
-def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
-    """Rows of V that componentwise dominate no row of A."""
-    if A.shape[0] == 0:
-        return int(V.shape[0])
+def classify_box(V, BS, L, SL, r) -> tuple[int, int]:
+    """Split box rows into staircase complement and overshoot counts.
+
+    V: box exponent rows; BS: their blockwise sums; L: leader exponent
+    rows for one generator; SL: per-leader order slack (columns are the
+    p orders, column 0 unused); r: the order bounds.  Returns the number
+    of rows divisible by no leader, then the number of rows all of whose
+    dividing leaders overshoot some later order bound.
+    """
+    if L.shape[0] == 0:
+        return int(V.shape[0]), 0
     if V.shape[0] == 0:
-        return 0
-    if USING_NUMBA:
-        return int(_count_not_dominated_nb(V, A))
-    return _count_not_dominated_np(V, A)
-
-
-@njit(cache=True)
-def _classify_box_nb(V, BS, L, SL, r):
-    n_rows = V.shape[0]
-    n_lead = L.shape[0]
-    q = V.shape[1]
-    p = BS.shape[1]
-    card_v = 0
-    card_vp = 0
-    for i in range(n_rows):
-        any_div = False
-        all_viol = True
-        for g in range(n_lead):
-            divides = True
-            for h in range(q):
-                if V[i, h] < L[g, h]:
-                    divides = False
-                    break
-            if not divides:
-                continue
-            any_div = True
-            viol = False
-            for j in range(1, p):
-                if BS[i, j] + SL[g, j] > r[j]:
-                    viol = True
-                    break
-            if not viol:
-                all_viol = False
-                break
-        if not any_div:
-            card_v += 1
-        elif all_viol:
-            card_vp += 1
-    return card_v, card_vp
-
-
-def _classify_box_np(V, BS, L, SL, r):
+        return 0, 0
+    r = np.asarray(r, dtype=np.int64)
     card_v = 0
     card_vp = 0
     chunk = 1 << 15
@@ -193,23 +124,3 @@ def _classify_box_np(V, BS, L, SL, r):
         card_v += int(no_div.sum())
         card_vp += int((survives & ~no_div).sum())
     return card_v, card_vp
-
-
-def classify_box(V, BS, L, SL, r) -> tuple[int, int]:
-    """Split box rows into staircase complement and overshoot counts.
-
-    V: box exponent rows; BS: their blockwise sums; L: leader exponent
-    rows for one generator; SL: per-leader order slack (columns are the
-    p orders, column 0 unused); r: the order bounds.  Returns the number
-    of rows divisible by no leader, then the number of rows all of whose
-    dividing leaders overshoot some later order bound.
-    """
-    if L.shape[0] == 0:
-        return int(V.shape[0]), 0
-    if V.shape[0] == 0:
-        return 0, 0
-    r = np.asarray(r, dtype=np.int64)
-    if USING_NUMBA:
-        a, b = _classify_box_nb(V, BS, L, SL, r)
-        return int(a), int(b)
-    return _classify_box_np(V, BS, L, SL, r)

@@ -3,9 +3,10 @@
 naive_weyl_mul rewrites words one commutator swap at a time; enum_V_A
 counts lattice points directly; RankOracle measures dim M_r by exact
 row reduction of relation multiples.  The counted value never touches
-the closed-form or Groebner code paths; completion is consulted only
-for the truncation bound that makes the row family provably sufficient,
-and a second pass one step past that bound re-checks the count.
+the closed-form or Groebner code paths; a completed basis, supplied by
+the caller, is consulted only for the truncation bound that makes the
+row family provably sufficient, and a second pass one step past that
+bound re-checks the count.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .groebner import complete_basis, provenance_orders
+from .groebner import GroebnerBasis, complete_basis, provenance_orders
 from .kernels import box_vectors, count_not_dominated
 from .numpoly import IndexSet
 from .terms import ModuleElement, Term, act, term_key
@@ -133,36 +134,31 @@ class RankOracle:
     Rows are the relation multiples theta*g with theta bounded blockwise
     by r plus a certified slack; the span of box terms is read off an
     ordered echelon (columns outside the box eliminate first).  The
-    slack comes from the provenance orders of a completed basis, which
-    bounds the multipliers needed to write any kernel element supported
-    inside the box; a confirmation pass one step further must leave the
-    count unchanged.
+    slack is the provenance order bound of `basis`, the completion of
+    `relations`, which bounds the multipliers needed to write any kernel
+    element supported inside the box; a confirmation pass one step
+    further must leave the count unchanged.
     """
 
     def __init__(
         self,
-        P: Partition,
-        m: int,
         relations: Sequence[ModuleElement],
+        basis: GroebnerBasis,
         max_box: int = 10**4,
     ):
-        self.P = P
-        self.m = m
+        self.P = basis.P
+        self.m = basis.m
         self.relations = [g for g in relations if not g.is_zero()]
         for g in self.relations:
-            if (g.n, g.m) != (P.n, m):
+            if (g.n, g.m) != (self.P.n, self.m):
                 raise InputError("relation shape mismatch")
+        if any(len(row) != len(self.relations) for row in basis.provenance or ()):
+            raise InputError("basis was not completed from these relations")
+        self.slack = provenance_orders(basis)
         self.max_box = max_box
-        self._slack: tuple[int, ...] | None = None
         self._rows: dict[tuple[ExponentPair, int], tuple] = {}
         self._theta_cache: dict[tuple[int, ...], list[ExponentPair]] = {}
         self._tinfo: dict[Term, tuple] = {}
-
-    def _certified_slack(self) -> tuple[int, ...]:
-        if self._slack is None:
-            G = complete_basis(list(self.relations), self.P, self.m)
-            self._slack = provenance_orders(G)
-        return self._slack
 
     def _row_of(self, theta: ExponentPair, idx: int) -> tuple:
         """Integerized row theta * g_idx, cached; scaling keeps the span."""
@@ -213,7 +209,7 @@ class RankOracle:
             )
         if not self.relations:
             return card_box
-        q = self._certified_slack()
+        q = self.slack
         pivots: dict[tuple, dict] = {}
         in_box_pivots = 0
         seen: set[tuple[ExponentPair, int]] = set()
@@ -288,5 +284,5 @@ class RankOracle:
 
 def rank_dimension(q: RankQuery) -> int:
     """One-shot wrapper around RankOracle for a single grid point."""
-    oracle = RankOracle(q.P, q.m, q.relations)
+    oracle = RankOracle(q.relations, complete_basis(q.relations, q.P, q.m))
     return oracle.dimension(q.r, q.slack)

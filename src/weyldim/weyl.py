@@ -35,7 +35,9 @@ class Partition:
     def __post_init__(self):
         if not self.sizes:
             raise InputError("partition must have at least one block")
-        if any(not isinstance(s, int) or s < 1 for s in self.sizes):
+        if any(
+            not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in self.sizes
+        ):
             raise InputError(f"partition sizes must be positive integers: {self.sizes}")
 
     @property

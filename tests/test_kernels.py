@@ -1,18 +1,11 @@
-"""Counting kernels: jitted and numpy paths against slow references."""
-import os
+"""Counting kernels against slow pure-Python references."""
 import random
-import subprocess
-import sys
+from math import comb
 
 import numpy as np
 import pytest
 
 from weyldim.kernels import (
-    USING_NUMBA,
-    _classify_box_nb,
-    _classify_box_np,
-    _count_not_dominated_nb,
-    _count_not_dominated_np,
     block_sum_matrix,
     box_vectors,
     classify_box,
@@ -21,23 +14,24 @@ from weyldim.kernels import (
 
 from conftest import grid
 
-
 def ref_not_dominated(V, A):
+    points = A.tolist()
     return sum(
         1
         for v in V.tolist()
-        if not any(all(x >= y for x, y in zip(v, a)) for a in A.tolist())
+        if not any(all(x >= y for x, y in zip(v, a)) for a in points)
     )
 
 
 def ref_classify(V, BS, L, SL, r):
     card_v = card_vp = 0
     p = BS.shape[1]
+    leaders = L.tolist()
     for v, bs in zip(V.tolist(), BS.tolist()):
         divs = [
             g
-            for g in range(L.shape[0])
-            if all(x >= y for x, y in zip(v, L[g].tolist()))
+            for g, lead in enumerate(leaders)
+            if all(x >= y for x, y in zip(v, lead))
         ]
         if not divs:
             card_v += 1
@@ -48,8 +42,8 @@ def ref_classify(V, BS, L, SL, r):
     return card_v, card_vp
 
 
-def random_case(rng, q=4, p=2, rmax=4, leaders=3):
-    sizes = (2, 2) if p == 2 else (q,)
+def random_case(rng, sizes=(2, 2), rmax=4, leaders=3, slack_hi=2):
+    q, p = sum(sizes), len(sizes)
     r = tuple(rng.randint(0, rmax) for _ in range(p))
     V = box_vectors(sizes, r)
     BS = block_sum_matrix(V, sizes)
@@ -57,9 +51,20 @@ def random_case(rng, q=4, p=2, rmax=4, leaders=3):
         [[rng.randint(0, 2) for _ in range(q)] for _ in range(leaders)], dtype=np.int64
     )
     SL = np.array(
-        [[0] + [rng.randint(0, 2) for _ in range(p - 1)] for _ in range(leaders)],
+        [[0] + [rng.randint(0, slack_hi) for _ in range(p - 1)] for _ in range(leaders)],
         dtype=np.int64,
     )
+    return V, BS, L, SL, np.asarray(r, dtype=np.int64)
+
+
+def chunk_crossing_case():
+    """One box of 67,456 rows: past both chunk sizes (2^15 and 2^16)."""
+    sizes, r = (2, 2), (30, 15)
+    V = box_vectors(sizes, r)
+    assert V.shape[0] == comb(32, 2) * comb(17, 2) > 1 << 16
+    BS = block_sum_matrix(V, sizes)
+    L = np.array([[3, 1, 0, 2], [0, 5, 4, 0], [10, 0, 0, 1]], dtype=np.int64)
+    SL = np.array([[0, 3], [0, 0], [0, 9]], dtype=np.int64)
     return V, BS, L, SL, np.asarray(r, dtype=np.int64)
 
 
@@ -69,8 +74,6 @@ class TestBoxVectors:
         for r in grid(2, 0, 3):
             V = box_vectors(sizes, r)
             assert V.shape[0] == len(set(map(tuple, V.tolist())))
-            from math import comb
-
             assert V.shape[0] == comb(r[0] + 2, 2) * (r[1] + 1)
             BS = block_sum_matrix(V, sizes)
             assert (BS <= np.asarray(r)).all()
@@ -97,12 +100,16 @@ class TestBlockSums:
 class TestCountNotDominated:
     def test_paths_agree(self):
         rng = random.Random(5)
-        for _ in range(20):
-            V, _, L, _, _ = random_case(rng)
-            expect = ref_not_dominated(V, L)
-            assert count_not_dominated(V, L) == expect
-            assert int(_count_not_dominated_nb(V, L)) == expect
-            assert _count_not_dominated_np(V, L) == expect
+        for sizes in ((2, 2), (4,), (1, 1, 2)):
+            for _ in range(20):
+                V, _, L, _, _ = random_case(rng, sizes)
+                assert count_not_dominated(V, L) == ref_not_dominated(V, L)
+
+    def test_crosses_chunk_boundary(self):
+        V, _, L, _, _ = chunk_crossing_case()
+        expect = ref_not_dominated(V, L)
+        assert 0 < expect < V.shape[0]
+        assert count_not_dominated(V, L) == expect
 
     def test_trivial_shapes(self):
         V = box_vectors((2,), (2,))
@@ -114,20 +121,33 @@ class TestCountNotDominated:
 class TestClassifyBox:
     def test_paths_agree(self):
         rng = random.Random(11)
-        for _ in range(20):
-            V, BS, L, SL, r = random_case(rng)
-            expect = ref_classify(V, BS, L, SL, r)
-            assert classify_box(V, BS, L, SL, r) == expect
-            assert tuple(int(x) for x in _classify_box_nb(V, BS, L, SL, r)) == expect
-            assert _classify_box_np(V, BS, L, SL, r) == expect
+        for sizes in ((2, 2), (1, 1, 2)):
+            for _ in range(20):
+                V, BS, L, SL, r = random_case(rng, sizes)
+                expect = ref_classify(V, BS, L, SL, r)
+                assert classify_box(V, BS, L, SL, r) == expect
 
     def test_single_order(self):
         rng = random.Random(13)
         for _ in range(10):
-            V, BS, L, SL, r = random_case(rng, p=1)
-            expect = ref_classify(V, BS, L, SL, r)
-            assert classify_box(V, BS, L, SL, r) == expect
-            assert _classify_box_np(V, BS, L, SL, r) == expect
+            V, BS, L, SL, r = random_case(rng, (4,))
+            assert classify_box(V, BS, L, SL, r) == ref_classify(V, BS, L, SL, r)
+
+    def test_zero_slack(self):
+        # a box row never overshoots by itself, so nothing lands in V'
+        rng = random.Random(17)
+        for sizes in ((2, 2), (1, 1, 2)):
+            for _ in range(10):
+                V, BS, L, SL, r = random_case(rng, sizes, slack_hi=0)
+                expect = ref_classify(V, BS, L, SL, r)
+                assert expect[1] == 0
+                assert classify_box(V, BS, L, SL, r) == expect
+
+    def test_crosses_chunk_boundary(self):
+        V, BS, L, SL, r = chunk_crossing_case()
+        expect = ref_classify(V, BS, L, SL, r)
+        assert all(expect)
+        assert classify_box(V, BS, L, SL, r) == expect
 
     def test_no_leaders(self):
         V = box_vectors((2,), (2,))
@@ -135,43 +155,3 @@ class TestClassifyBox:
         L = np.empty((0, 2), dtype=np.int64)
         SL = np.empty((0, 1), dtype=np.int64)
         assert classify_box(V, BS, L, SL, np.asarray((2,))) == (V.shape[0], 0)
-
-
-class TestNumbaToggle:
-    def test_flag_reflects_environment(self):
-        disabled = os.environ.get("WEYLDIM_DISABLE_NUMBA", "").strip().lower() in (
-            "1",
-            "true",
-            "yes",
-            "on",
-        )
-        if disabled:
-            assert not USING_NUMBA
-
-    def test_disabled_subprocess_matches(self):
-        code = (
-            "import numpy as np\n"
-            "from weyldim.kernels import USING_NUMBA, box_vectors, "
-            "block_sum_matrix, classify_box, count_not_dominated\n"
-            "assert not USING_NUMBA\n"
-            "V = box_vectors((2, 2), (3, 2))\n"
-            "BS = block_sum_matrix(V, (2, 2))\n"
-            "L = np.array([[1, 0, 0, 1], [0, 2, 1, 0]], dtype=np.int64)\n"
-            "SL = np.array([[0, 1], [0, 0]], dtype=np.int64)\n"
-            "print(count_not_dominated(V, L), "
-            "*classify_box(V, BS, L, SL, np.asarray((3, 2))))\n"
-        )
-        env = dict(os.environ, WEYLDIM_DISABLE_NUMBA="1")
-        out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, env=env
-        )
-        assert out.returncode == 0, out.stderr
-        V = box_vectors((2, 2), (3, 2))
-        BS = block_sum_matrix(V, (2, 2))
-        L = np.array([[1, 0, 0, 1], [0, 2, 1, 0]], dtype=np.int64)
-        SL = np.array([[0, 1], [0, 0]], dtype=np.int64)
-        here = (
-            count_not_dominated(V, L),
-            *classify_box(V, BS, L, SL, np.asarray((3, 2))),
-        )
-        assert out.stdout.split() == [str(x) for x in here]

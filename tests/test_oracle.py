@@ -71,25 +71,29 @@ class TestEnumVA:
 class TestRankOracle:
     def test_free_module(self):
         P = Partition((1, 1))
-        oracle = RankOracle(P, 3, [])
+        oracle = RankOracle([], complete_basis([], P, m=3))
         for r in grid(2, 0, 2):
             assert oracle.dimension(r) == 3 * weyl_dimension(P, r)
 
     def test_negative_r(self):
-        oracle = RankOracle(Partition((1,)), 1, [])
+        oracle = RankOracle([], complete_basis([], Partition((1,)), m=1))
         assert oracle.dimension((-2,)) == 0
 
     def test_box_cap(self):
-        oracle = RankOracle(Partition((1,)), 1, [], max_box=10)
+        oracle = RankOracle([], complete_basis([], Partition((1,)), m=1), max_box=10)
         with pytest.raises(InputError):
             oracle.dimension((10,))
 
     def test_shape_mismatch(self):
+        empty = complete_basis([], Partition((1,)), m=1)
         with pytest.raises(InputError):
-            RankOracle(Partition((1,)), 1, [ModuleElement.basis_vector(1, 2, 1)])
-        oracle = RankOracle(Partition((1,)), 1, [])
+            RankOracle([ModuleElement.basis_vector(1, 2, 1)], empty)
+        oracle = RankOracle([], empty)
         with pytest.raises(InputError):
             oracle.dimension((1, 1))
+        pres = two_term_presentation(1, 0, 2)
+        with pytest.raises(InputError):
+            RankOracle([], complete_basis(pres.relations, pres.P, m=1))
 
     def test_worked_value(self):
         pres = two_term_presentation(1, 1, 2)
@@ -102,12 +106,13 @@ class TestRankOracle:
         P = Partition((1,))
         r1 = ModuleElement(1, 2, {(1, ((0,), (0,))): -2, (1, ((2,), (0,))): -2})
         r2 = ModuleElement(1, 2, {(1, ((0,), (1,))): -3, (1, ((2,), (1,))): 1})
-        oracle = RankOracle(P, 2, [r1, r2])
+        oracle = RankOracle([r1, r2], complete_basis([r1, r2], P, m=2))
         assert [oracle.dimension((r,)) for r in range(5)] == [1, 3, 6, 10, 15]
 
     def test_extra_slack_is_stable(self):
         pres = two_term_presentation(1, 0, 2)
-        oracle = RankOracle(pres.P, 1, pres.relations)
+        G = complete_basis(pres.relations, pres.P, m=1)
+        oracle = RankOracle(pres.relations, G)
         for r in grid(2, 0, 2):
             assert oracle.dimension(r) == oracle.dimension(r, slack=2)
 
@@ -116,6 +121,6 @@ class TestRankOracle:
         assert sample
         for pres in sample[:3]:
             G = complete_basis(pres.relations, pres.P, m=pres.m)
-            oracle = RankOracle(pres.P, pres.m, pres.relations)
+            oracle = RankOracle(pres.relations, G)
             for r in range(4):
                 assert oracle.dimension((r,)) == count_UVW(G, pres.m, (r,))[2]
