@@ -12,6 +12,7 @@ import sys
 from . import io as wio
 from .engine import (
     bernstein_polynomial,
+    count_grid,
     count_UVW,
     dimension_polynomial,
 )
@@ -93,10 +94,11 @@ def _cmd_check(args) -> int:
         raise InputError(f"--rmax must be nonnegative, got {args.rmax}")
     rep = dimension_polynomial(pres)
     oracle = RankOracle(pres.relations, rep.basis)
+    grid = list(itertools.product(range(args.rmax + 1), repeat=pres.P.p))
+    counts = count_grid(rep.basis, pres.m, grid)
     points = []
     mismatches = 0
-    for r in itertools.product(range(args.rmax + 1), repeat=pres.P.p):
-        card_u = count_UVW(rep.basis, pres.m, r)[2]
+    for r, (_, _, card_u) in zip(grid, counts):
         rank = oracle.dimension(r)
         phi_val = rep.phi.eval(r)
         must_match = all(a >= b for a, b in zip(r, rep.threshold))

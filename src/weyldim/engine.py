@@ -5,6 +5,10 @@ the box terms that survive reduction (split into staircase-complement
 and overshoot parts), and pin the unique numerical polynomial matching
 those counts for all large bounds.  Every computed polynomial is
 re-verified against explicit enumeration before it is returned.
+
+Counting goes through `count_grid`, which counts every bound a caller
+needs in one blockwise pass over weighted classes of block-simplex rows
+(see `kernels`); the full box is never built.
 """
 from __future__ import annotations
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, VerificationError
 from .groebner import GroebnerBasis, complete_basis
-from .kernels import block_sum_matrix, box_vectors, classify_box
+from .kernels import block_classes, block_sum_matrix, class_table, classify_box
 from .numpoly import (
     IndexSet,
     InvariantReport,
@@ -90,33 +94,50 @@ def _first_leaders(G: GroebnerBasis) -> dict[int, tuple[np.ndarray, np.ndarray]]
     return out
 
 
-def count_UVW(G: GroebnerBasis, m: int, r: Sequence[int]) -> tuple[int, int, int]:
-    """Exact counts (cardV, cardV', cardU) of surviving box terms.
+def count_grid(
+    G: GroebnerBasis, m: int, points: Sequence[Sequence[int]]
+) -> list[tuple[int, int, int]]:
+    """Exact counts (cardV, cardV', cardU) of surviving box terms per bound.
 
     V collects box terms divisible by no first leader; V' collects first
     leader multiples whose every dividing leader overshoots some later
-    order bound.  U is their disjoint union and spans M_r.
+    order bound.  U is their disjoint union and spans M_r.  All bounds
+    are counted in one pass: per generator, the block simplices at the
+    componentwise largest bound are grouped into classes, multiplied out
+    into one weighted table, and every bound is read off that table.
     """
     P = G.P
-    r = tuple(r)
-    if len(r) != P.p:
-        raise InputError(f"r has length {len(r)}, expected {P.p}")
-    if any(v < 0 for v in r):
-        return 0, 0, 0
+    points = [tuple(r) for r in points]
+    for r in points:
+        if len(r) != P.p:
+            raise InputError(f"r has length {len(r)}, expected {P.p}")
+    top = [max(col) for col in zip(*points)]
+    if min(top, default=-1) < 0:
+        return [(0, 0, 0)] * len(points)
     sizes2 = _doubled_sizes(P)
-    V = box_vectors(sizes2, r)
-    BS = block_sum_matrix(V, sizes2)
+    cols = np.cumsum((0,) + sizes2)
     arrays = _first_leaders(G)
     empty_L = np.empty((0, 2 * P.n), dtype=np.int64)
     empty_SL = np.empty((0, P.p), dtype=np.int64)
-    card_v = 0
-    card_vp = 0
+    card_v = [0] * len(points)
+    card_vp = [0] * len(points)
     for gen in range(1, m + 1):
         L, SL = arrays.get(gen, (empty_L, empty_SL))
-        v, vp = classify_box(V, BS, L, SL, r)
-        card_v += v
-        card_vp += vp
-    return card_v, card_vp, card_v + card_vp
+        blocks = [
+            block_classes(q, b, L[:, cols[j]:cols[j + 1]])
+            for j, (q, b) in enumerate(zip(sizes2, top))
+        ]
+        V, weights = class_table(blocks)
+        BS = block_sum_matrix(V, sizes2)
+        v, vp = classify_box(V, BS, L, SL, points, weights)
+        card_v = [a + b for a, b in zip(card_v, v.tolist())]
+        card_vp = [a + b for a, b in zip(card_vp, vp.tolist())]
+    return [(v, vp, v + vp) for v, vp in zip(card_v, card_vp)]
+
+
+def count_UVW(G: GroebnerBasis, m: int, r: Sequence[int]) -> tuple[int, int, int]:
+    """Exact counts (cardV, cardV', cardU) at one bound; see count_grid."""
+    return count_grid(G, m, [r])[0]
 
 
 def _omega_part(G: GroebnerBasis, m: int) -> NumericalPolynomial:
@@ -230,13 +251,6 @@ def dimension_polynomial(
     sizes2 = _doubled_sizes(P)
     base = _base_threshold(G)
     psi_sym = _psi_symbolic(G) if path == "symbolic" else None
-    counts_cache: dict[tuple[int, ...], tuple[int, int, int]] = {}
-
-    def counts_at(r: tuple[int, ...]) -> tuple[int, int, int]:
-        if r not in counts_cache:
-            counts_cache[r] = count_UVW(G, pres.m, r)
-        return counts_cache[r]
-
     for attempt in range(max_enlarge + 1):
         R0 = tuple(b + attempt for b in base)
         axes = [range(R0[j], R0[j] + sizes2[j] + 1) for j in range(p)]
@@ -248,15 +262,16 @@ def dimension_polynomial(
                 pt = list(corner)
                 pt[j] += bump
                 extras.append(tuple(pt))
+        sample = grid + extras
+        counts = dict(zip(sample, count_grid(G, pres.m, sample)))
         if path == "symbolic":
             psi = psi_sym
         else:
-            mono = interpolate(R0, sizes2, lambda r: counts_at(r)[1])
+            mono = interpolate(R0, sizes2, lambda r: counts[r][1])
             psi = canonicalize(mono, p)
         phi = omega_p + psi
-        sample = grid + extras
-        if all(phi.eval(r) == counts_at(r)[2] for r in sample):
-            verified = tuple((r, counts_at(r)[2]) for r in sample)
+        if all(phi.eval(r) == counts[r][2] for r in sample):
+            verified = tuple((r, counts[r][2]) for r in sample)
             break
     else:
         raise ConvergenceError(

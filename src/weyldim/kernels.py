@@ -1,9 +1,19 @@
 """Box-counting kernels in numpy.
 
-The box rows are enumerated once per bound and cached; the counts are
-chunked broadcast comparisons over small nonnegative int64 data, so
-every result is exact.  All rational arithmetic lives outside this
-module.
+The box at bound r is a product of one simplex per block, and a term
+dominates a leader exactly when each of its blocks dominates that block
+of the leader.  The engine therefore never enumerates a box: it groups
+each block simplex into classes of rows with equal coordinate sum and
+equal set of dominated leader blocks (`block_classes`), multiplies the
+classes of all blocks out into one weighted table of representative
+rows (`class_table`), and reads every bound it needs off that table in
+one `classify_box` call.  The full box (`box_vectors`) is still built,
+and cached, for the rank oracle.
+
+Every array is bounded by MAX_ROWS rows, checked from binomials before
+anything is allocated; the counts are chunked broadcast comparisons
+over small nonnegative int64 data, so every result is exact.  All
+rational arithmetic lives outside this module.
 """
 from __future__ import annotations
 
@@ -12,8 +22,25 @@ from math import comb, prod
 
 import numpy as np
 
+from .errors import InputError
+
 # no compiled backend: result stamps in the benchmark harness read this
 USING_NUMBA = False
+
+# Most rows any counting array may have: a block simplex, a full box or a
+# combined class table.  The largest the test suite and the benchmark
+# workloads build is a 490,314-row simplex (8 columns, bound 15).
+MAX_ROWS = 1 << 21
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _check_rows(rows: int, what: str) -> None:
+    if rows > MAX_ROWS:
+        raise InputError(
+            f"box counting: {what} would have {rows} rows, over the row "
+            f"budget kernels.MAX_ROWS = {MAX_ROWS}"
+        )
 
 
 @lru_cache(maxsize=4096)
@@ -23,6 +50,7 @@ def _sum_bounded(q: int, r: int) -> np.ndarray:
         out = np.empty((0, q), dtype=np.int64)
         out.flags.writeable = False
         return out
+    _check_rows(comb(r + q, q), f"the simplex of width {q} at bound {r}")
     if q == 1:
         out = np.arange(r + 1, dtype=np.int64).reshape(-1, 1)
         out.flags.writeable = False
@@ -50,10 +78,10 @@ def box_vectors(sizes: tuple[int, ...], r: tuple[int, ...]) -> np.ndarray:
         out = np.empty((0, sum(sizes)), dtype=np.int64)
         out.flags.writeable = False
         return out
+    total = prod(comb(b + q, q) for q, b in zip(sizes, r))
+    _check_rows(total, f"the box of block widths {sizes} at bound {r}")
     blocks = [_sum_bounded(q, b) for q, b in zip(sizes, r)]
     counts = [blk.shape[0] for blk in blocks]
-    total = prod(counts)
-    assert total == prod(comb(b + q, q) for q, b in zip(sizes, r))
     out = np.empty((total, sum(sizes)), dtype=np.int64)
     col = 0
     reps_after = total
@@ -78,6 +106,57 @@ def block_sum_matrix(V: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     return V @ ind
 
 
+def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Classes of the simplex {v in N^q : |v| <= r} with their sizes.
+
+    Two rows share a class when they have the same coordinate sum and
+    dominate the same rows of L (k x q).  Returns one representative row
+    per class and the number of simplex rows in each class.
+    """
+    S = _sum_bounded(q, r)
+    # bit g of a row's mask: the row dominates leader row g; built one
+    # leader and one column at a time, so every temporary is one column
+    masks = np.zeros((S.shape[0], -(-L.shape[0] // 64)), dtype=np.uint64)
+    for g, lead in enumerate(L.tolist()):
+        div = np.ones(S.shape[0], dtype=bool)
+        for c, e in enumerate(lead):
+            if e:
+                div &= S[:, c] >= e
+        masks[:, g // 64] |= div.astype(np.uint64) << np.uint64(g % 64)
+    sums = S.sum(axis=1)
+    order = np.lexsort((*masks.T, sums))
+    masks, sums = masks[order], sums[order]
+    new = np.ones(S.shape[0], dtype=bool)
+    new[1:] = (sums[1:] != sums[:-1]) | (masks[1:] != masks[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, S.shape[0]))
+    return S[order[starts]], counts
+
+
+def class_table(
+    blocks: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Product of per-block class tables as one weighted table.
+
+    blocks holds (representative rows, class sizes) per block.  Each row
+    of the result joins one class per block; its weight is the product of
+    their sizes, so the weights sum to the size of the whole box.
+    """
+    box = prod(int(counts.sum()) for _, counts in blocks)
+    if box > _INT64_MAX:
+        raise InputError(
+            f"box counting: a box of {box} terms overflows the exact int64 counts"
+        )
+    shape = tuple(len(counts) for _, counts in blocks)
+    _check_rows(prod(shape), "the combined class table")
+    idx = np.indices(shape).reshape(len(shape), -1)
+    V = np.hstack([rows[i] for (rows, _), i in zip(blocks, idx)])
+    weights = np.ones(idx.shape[1], dtype=np.int64)
+    for (_, counts), i in zip(blocks, idx):
+        weights *= counts[i]
+    return V, weights
+
+
 def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
     """Rows of V that componentwise dominate no row of A."""
     if A.shape[0] == 0:
@@ -93,34 +172,35 @@ def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
     return count
 
 
-def classify_box(V, BS, L, SL, r) -> tuple[int, int]:
-    """Split box rows into staircase complement and overshoot counts.
+def classify_box(V, BS, L, SL, points, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Split weighted box rows into staircase complement and overshoot counts.
 
-    V: box exponent rows; BS: their blockwise sums; L: leader exponent
-    rows for one generator; SL: per-leader order slack (columns are the
-    p orders, column 0 unused); r: the order bounds.  Returns the number
-    of rows divisible by no leader, then the number of rows all of whose
+    V: exponent rows, each standing for weights[i] box terms; BS: their
+    blockwise sums; L: leader exponent rows for one generator; SL:
+    per-leader order slack (columns are the p orders, column 0 unused);
+    points: the order bounds r, one per row.  At each r, only rows with
+    BS <= r are in the box.  Returns, per point, the weight of box rows
+    divisible by no leader, then the weight of box rows all of whose
     dividing leaders overshoot some later order bound.
     """
-    if L.shape[0] == 0:
-        return int(V.shape[0]), 0
-    if V.shape[0] == 0:
-        return 0, 0
-    r = np.asarray(r, dtype=np.int64)
-    card_v = 0
-    card_vp = 0
+    points = np.asarray(points, dtype=np.int64).reshape(-1, BS.shape[1])
+    weights = np.asarray(weights, dtype=np.int64)
+    card_v = np.zeros(points.shape[0], dtype=np.int64)
+    card_vp = np.zeros(points.shape[0], dtype=np.int64)
     chunk = 1 << 15
     for lo in range(0, V.shape[0], chunk):
-        part = V[lo:lo + chunk]
         bs = BS[lo:lo + chunk]
-        div = (part[:, None, :] >= L[None, :, :]).all(axis=2)
-        if BS.shape[1] > 1:
-            shifted = bs[:, None, 1:] + SL[None, :, 1:]
-            viol = (shifted > r[None, None, 1:]).any(axis=2)
-        else:
-            viol = np.zeros(div.shape, dtype=bool)
+        w = weights[lo:lo + chunk]
+        inbox = (bs[:, None, :] <= points[None, :, :]).all(axis=2)
+        div = (V[lo:lo + chunk, None, :] >= L[None, :, :]).all(axis=2)
         no_div = ~div.any(axis=1)
-        survives = (~div | viol).all(axis=1)
-        card_v += int(no_div.sum())
-        card_vp += int((survives & ~no_div).sum())
+        card_v += (w * no_div) @ inbox
+        if BS.shape[1] == 1 or no_div.all():
+            continue  # no later order to overshoot, or no divided row
+        div, inbox, w = div[~no_div], inbox[~no_div], w[~no_div]
+        # a dividing leader fits at r when no later order bound is exceeded
+        need = bs[~no_div, None, 1:] + SL[None, :, 1:]
+        for i, r in enumerate(points):
+            fits = (need <= r[1:]).all(axis=2) & div
+            card_vp[i] += w[inbox[:, i] & ~fits.any(axis=1)].sum()
     return card_v, card_vp

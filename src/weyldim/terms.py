@@ -110,6 +110,8 @@ class ModuleElement:
             if c == 0:
                 continue
             gen, theta = key
+            if type(gen) is not int:  # bool included
+                raise InputError(f"generator index must be an integer, got {gen!r}")
             if not 1 <= gen <= m:
                 raise InputError(f"generator index {gen} out of range 1..{m}")
             alpha = _check_vector(theta[0], n, "alpha")

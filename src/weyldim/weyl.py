@@ -76,7 +76,8 @@ def _check_vector(v, n: int, what: str) -> Vector:
     v = tuple(v)
     if len(v) != n:
         raise InputError(f"{what} has length {len(v)}, expected {n}")
-    if any(not isinstance(e, int) or e < 0 for e in v):
+    # exact type: bool is an int subclass and must not pass for an exponent
+    if any(type(e) is not int or e < 0 for e in v):
         raise InputError(f"{what} must consist of nonnegative integers: {v}")
     return v
 

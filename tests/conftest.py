@@ -7,6 +7,9 @@ from __future__ import annotations
 
 import itertools
 import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
 
 from hypothesis import settings
@@ -95,6 +98,29 @@ def binom_product(p: int, factors) -> MonoPoly:
 
 def grid(p: int, lo: int, hi: int):
     return [tuple(r) for r in itertools.product(range(lo, hi + 1), repeat=p)]
+
+
+CLI_MEMORY_CAP = 1 << 30  # bytes of address space for a capped CLI child
+
+
+def run_cli_capped(args: list[str]) -> subprocess.CompletedProcess:
+    """Run the weyldim CLI in a child whose address space is capped.
+
+    The cap is set in the child only, so a run that tries to allocate far
+    too much fails there, as one failed test, instead of exhausting the
+    machine.
+    """
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CLI_MEMORY_CAP, CLI_MEMORY_CAP))
+
+    return subprocess.run(
+        [sys.executable, "-m", "weyldim.cli", *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap,
+    )
 
 
 # ------------------------------------------------------------- random draws

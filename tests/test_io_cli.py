@@ -17,7 +17,7 @@ from weyldim.io import (
     presentation_doc,
 )
 
-from conftest import derivative_presentation, two_term_presentation
+from conftest import derivative_presentation, run_cli_capped, two_term_presentation
 
 EX_DOC = {
     "n": 2,
@@ -32,10 +32,31 @@ EX_DOC = {
 }
 
 
+# a (1,1) document whose phi(300, 300) is 40815901
+FAR_DOC = {
+    "n": 2,
+    "partition": [1, 1],
+    "m": 1,
+    "relations": [
+        [
+            {"gen": 1, "alpha": [1, 0], "beta": [0, 2], "coeff": "1"},
+            {"gen": 1, "alpha": [0, 1], "beta": [1, 0], "coeff": "1"},
+        ]
+    ],
+}
+
+
 @pytest.fixture
 def ex_file(tmp_path):
     path = tmp_path / "mod.json"
     path.write_text(json.dumps(EX_DOC))
+    return str(path)
+
+
+@pytest.fixture
+def far_file(tmp_path):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(FAR_DOC))
     return str(path)
 
 
@@ -257,3 +278,36 @@ class TestCli:
         b = subprocess.run(cmd, capture_output=True)
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
+
+    def test_eval_far_bound_counts_blockwise(self, far_file):
+        # the whole box at (300, 300) would take 61.6 GiB; its block
+        # simplices have 45,451 rows each
+        out = run_cli_capped(["eval", far_file, "--at=300,300"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"r": [300, 300], "dim": 40815901}
+
+    def test_eval_past_row_budget(self, far_file):
+        out = run_cli_capped(["eval", far_file, "--at=3000,3"])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: box counting:")
+        assert "row budget kernels.MAX_ROWS = 2097152" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_eval_refuses_int64_overflow(self, tmp_path):
+        # each block simplex fits the row budget, the box of ~6.3e22 terms
+        # does not fit int64
+        doc = {
+            "n": 4,
+            "partition": [1, 1, 1, 1],
+            "m": 1,
+            "relations": [
+                [{"gen": 1, "alpha": [1, 0, 0, 0], "beta": [0, 0, 0, 0], "coeff": 1}]
+            ],
+        }
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli_capped(["eval", str(path), "--at=1000,1000,1000,1000"])
+        assert out.returncode == 1
+        assert out.stderr.startswith("error: box counting:")
+        assert "overflows the exact int64 counts" in out.stderr

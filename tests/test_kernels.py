@@ -1,13 +1,21 @@
 """Counting kernels against slow pure-Python references."""
 import random
-from math import comb
+from collections import Counter
+from fractions import Fraction
+from math import comb, prod
 
 import numpy as np
 import pytest
 
+from weyldim import GroebnerBasis, InputError, ModuleElement, Partition
+from weyldim.engine import count_grid, pack_exponents
 from weyldim.kernels import (
+    MAX_ROWS,
+    _sum_bounded,
+    block_classes,
     block_sum_matrix,
     box_vectors,
+    class_table,
     classify_box,
     count_not_dominated,
 )
@@ -68,6 +76,67 @@ def chunk_crossing_case():
     return V, BS, L, SL, np.asarray(r, dtype=np.int64)
 
 
+def sub_bounds(rng, r, count):
+    """r, count random bounds below it, and one bound with a negative entry."""
+    below = [tuple(rng.randint(0, int(b)) for b in r) for _ in range(count)]
+    negative = [int(b) for b in r]
+    negative[rng.randrange(len(r))] = -1
+    return [tuple(int(b) for b in r)] + below + [tuple(negative)]
+
+
+def ref_points(sizes, L, SL, points):
+    """ref_classify on the box at each point separately."""
+    out = []
+    for r in points:
+        V = box_vectors(sizes, r)
+        out.append(ref_classify(V, block_sum_matrix(V, sizes), L, SL, r))
+    return out
+
+
+def classify_unit(V, BS, L, SL, points):
+    """classify_box with every row standing for one box term."""
+    ones = np.ones(V.shape[0], dtype=np.int64)
+    v, vp = classify_box(V, BS, L, SL, points, ones)
+    return list(zip(v.tolist(), vp.tolist()))
+
+
+def random_basis(rng, sizes, count, terms):
+    """A (not completed) basis of count random elements on generator 1.
+
+    Generator 2 carries no leader.  With one term per element every
+    first leader is also the leader in every order, so all slack is 0.
+    """
+    P = Partition(sizes)
+    elements = []
+    for _ in range(count):
+        out = {}
+        for _ in range(terms):
+            alpha = tuple(rng.randint(0, 2) for _ in range(P.n))
+            beta = tuple(rng.randint(0, 2) for _ in range(P.n))
+            out[(1, (alpha, beta))] = Fraction(rng.choice((1, -1, 2)))
+        elements.append(ModuleElement(P.n, 2, out))
+    return GroebnerBasis(elements, P, 2, certified=())
+
+
+def ref_grid(G, points):
+    """Per-point (cardV, cardV', cardU) from ref_classify over full boxes."""
+    P = G.P
+    sizes2 = tuple(2 * s for s in P.sizes)
+    L = np.array(
+        [pack_exponents(ld[0][0].theta, P) for ld in G.leaders], dtype=np.int64
+    )
+    SL = np.array(
+        [[G.c[i][j] - G.b[i][j] for i in range(P.p)] for j in range(len(G.leaders))],
+        dtype=np.int64,
+    )
+    out = []
+    for (v, vp), r in zip(ref_points(sizes2, L, SL, points), points):
+        free = prod(comb(b + q, q) for q, b in zip(sizes2, r)) if min(r) >= 0 else 0
+        # generator 2 has no leaders: all of its box is in V
+        out.append((v + free, vp, v + free + vp))
+    return out
+
+
 class TestBoxVectors:
     def test_counts_and_bounds(self):
         sizes = (2, 1)
@@ -88,6 +157,15 @@ class TestBoxVectors:
     def test_cached_arrays_frozen(self):
         V = box_vectors((1, 1), (1, 1))
         assert not V.flags.writeable
+
+    def test_row_budget(self):
+        # refused from the binomial, before anything is allocated
+        with pytest.raises(InputError, match=f"row budget kernels.MAX_ROWS = {MAX_ROWS}"):
+            box_vectors((2,), (3000,))
+        with pytest.raises(InputError, match="box counting: the box"):
+            box_vectors((1, 1), (2000, 2000))
+        with pytest.raises(InputError, match="box counting: the simplex"):
+            _sum_bounded(8, 40)
 
 
 class TestBlockSums:
@@ -124,14 +202,17 @@ class TestClassifyBox:
         for sizes in ((2, 2), (1, 1, 2)):
             for _ in range(20):
                 V, BS, L, SL, r = random_case(rng, sizes)
-                expect = ref_classify(V, BS, L, SL, r)
-                assert classify_box(V, BS, L, SL, r) == expect
+                points = sub_bounds(rng, r, 3)
+                expect = ref_points(sizes, L, SL, points)
+                assert classify_unit(V, BS, L, SL, points) == expect
 
     def test_single_order(self):
         rng = random.Random(13)
         for _ in range(10):
             V, BS, L, SL, r = random_case(rng, (4,))
-            assert classify_box(V, BS, L, SL, r) == ref_classify(V, BS, L, SL, r)
+            points = sub_bounds(rng, r, 3)
+            expect = ref_points((4,), L, SL, points)
+            assert classify_unit(V, BS, L, SL, points) == expect
 
     def test_zero_slack(self):
         # a box row never overshoots by itself, so nothing lands in V'
@@ -139,19 +220,141 @@ class TestClassifyBox:
         for sizes in ((2, 2), (1, 1, 2)):
             for _ in range(10):
                 V, BS, L, SL, r = random_case(rng, sizes, slack_hi=0)
-                expect = ref_classify(V, BS, L, SL, r)
-                assert expect[1] == 0
-                assert classify_box(V, BS, L, SL, r) == expect
+                points = sub_bounds(rng, r, 3)
+                expect = ref_points(sizes, L, SL, points)
+                assert all(vp == 0 for _, vp in expect)
+                assert classify_unit(V, BS, L, SL, points) == expect
 
     def test_crosses_chunk_boundary(self):
         V, BS, L, SL, r = chunk_crossing_case()
-        expect = ref_classify(V, BS, L, SL, r)
-        assert all(expect)
-        assert classify_box(V, BS, L, SL, r) == expect
+        points = [tuple(r.tolist()), (24, 12)]
+        expect = ref_points((2, 2), L, SL, points)
+        assert all(all(e) for e in expect)
+        assert classify_unit(V, BS, L, SL, points) == expect
 
     def test_no_leaders(self):
         V = box_vectors((2,), (2,))
         BS = block_sum_matrix(V, (2,))
         L = np.empty((0, 2), dtype=np.int64)
         SL = np.empty((0, 1), dtype=np.int64)
-        assert classify_box(V, BS, L, SL, np.asarray((2,))) == (V.shape[0], 0)
+        points = [(2,), (1,), (-1,)]
+        assert classify_unit(V, BS, L, SL, points) == [(6, 0), (3, 0), (0, 0)]
+
+    def test_weights_scale_counts(self):
+        rng = random.Random(19)
+        V, BS, L, SL, r = random_case(rng, (2, 2), rmax=3, slack_hi=3)
+        points = sub_bounds(rng, r, 4)
+        w = np.array([rng.randint(0, 5) for _ in range(V.shape[0])], dtype=np.int64)
+        v, vp = classify_box(V, BS, L, SL, points, w)
+        # the weighted count equals the unit count of the rows repeated
+        rep = np.repeat(np.arange(V.shape[0]), w)
+        assert list(zip(v.tolist(), vp.tolist())) == classify_unit(
+            V[rep], BS[rep], L, SL, points
+        )
+
+
+def class_key(v, leaders):
+    """Coordinate sum and the set of leader rows that v dominates."""
+    dominated = (
+        g for g, a in enumerate(leaders) if all(x >= y for x, y in zip(v, a))
+    )
+    return sum(v), frozenset(dominated)
+
+
+def ref_classes(q, r, L):
+    leaders = L.tolist()
+    return Counter(class_key(v, leaders) for v in _sum_bounded(q, r).tolist())
+
+
+class TestBlockClasses:
+    def check(self, q, r, L):
+        rows, counts = block_classes(q, r, L)
+        got = Counter()
+        for row, n in zip(rows.tolist(), counts.tolist()):
+            key = class_key(row, L.tolist())
+            assert key not in got  # one representative per class
+            got[key] = n
+        assert got == ref_classes(q, r, L)
+
+    @pytest.mark.parametrize("k", [0, 1, 7, 8, 9, 63, 64, 65, 130])
+    def test_matches_grouping(self, k):
+        # 8 and 64 leaders fill a packed byte and a packed word exactly
+        rng = random.Random(23 + k)
+        for q in (1, 2, 4):
+            L = np.array(
+                [[rng.randint(0, 3) for _ in range(q)] for _ in range(k)],
+                dtype=np.int64,
+            ).reshape(k, q)
+            self.check(q, rng.randint(0, 6), L)
+
+    def test_crosses_chunk_boundary(self):
+        # 45,451 simplex rows, past the 2^15-row chunk
+        L = np.array([[3, 1], [0, 200], [150, 0]], dtype=np.int64)
+        assert comb(302, 2) > 1 << 15
+        self.check(2, 300, L)
+
+
+class TestClassTable:
+    def test_product_of_classes(self):
+        L = np.array([[1, 0, 2, 1], [0, 2, 0, 0]], dtype=np.int64)
+        blocks = [block_classes(2, 4, L[:, :2]), block_classes(2, 3, L[:, 2:])]
+        V, weights = class_table(blocks)
+        assert V.shape == (len(blocks[0][0]) * len(blocks[1][0]), 4)
+        assert int(weights.sum()) == box_vectors((2, 2), (4, 3)).shape[0]
+        # every class row stands for its weight in box rows of the same kind
+        box = box_vectors((2, 2), (4, 3))
+        ref = Counter(
+            class_key(v[:2], L[:, :2].tolist()) + class_key(v[2:], L[:, 2:].tolist())
+            for v in box.tolist()
+        )
+        got = Counter()
+        for v, w in zip(V.tolist(), weights.tolist()):
+            got[class_key(v[:2], L[:, :2].tolist()) + class_key(v[2:], L[:, 2:].tolist())] += w
+        assert got == ref
+
+    def test_row_budget(self):
+        wide = (np.zeros((2000, 1), dtype=np.int64), np.ones(2000, dtype=np.int64))
+        with pytest.raises(InputError, match="combined class table"):
+            class_table([wide, wide])
+
+    def test_refuses_int64_overflow(self):
+        huge = (np.zeros((1, 1), dtype=np.int64), np.array([1 << 40], dtype=np.int64))
+        with pytest.raises(InputError, match="overflows"):
+            class_table([huge, huge])
+
+
+class TestCountGrid:
+    @pytest.mark.parametrize(
+        "sizes, count, terms, top",
+        [
+            ((2,), 4, 2, (4,)),
+            ((1, 1), 5, 2, (4, 4)),
+            ((1, 2), 12, 3, (3, 2)),
+            ((1, 1, 1), 5, 2, (3, 3, 3)),
+            ((1, 1), 70, 2, (4, 4)),
+            ((1, 1, 1), 6, 1, (3, 2, 3)),
+        ],
+        ids=["p1", "p2", "p2-12-leaders", "p3", "p2-70-leaders", "p3-zero-slack"],
+    )
+    def test_matches_reference(self, sizes, count, terms, top):
+        rng = random.Random(29 + count)
+        G = random_basis(rng, sizes, count, terms)
+        points = sub_bounds(rng, top, 8)
+        rng.shuffle(points)  # the largest bound need not come first
+        expect = ref_grid(G, points)
+        overshoots = sum(1 for _, vp, _ in expect if vp)
+        if terms == 1 or len(sizes) == 1:
+            assert overshoots == 0  # no slack, or no later order to overshoot
+        else:
+            assert overshoots >= 2
+        assert count_grid(G, 2, points) == expect
+
+    def test_only_negative_points(self):
+        G = random_basis(random.Random(31), (1, 1), 3, 2)
+        assert count_grid(G, 2, [(-1, 2), (0, -3)]) == [(0, 0, 0)] * 2
+        assert count_grid(G, 2, []) == []
+
+    def test_arity(self):
+        G = random_basis(random.Random(37), (1, 1), 2, 2)
+        with pytest.raises(InputError, match="length 1"):
+            count_grid(G, 2, [(1, 1), (1,)])

@@ -113,6 +113,12 @@ class TestModuleElement:
         with pytest.raises(InputError):
             ModuleElement(2, 1, {(1, ((0,), (0, 0))): 1})
 
+    def test_rejects_booleans(self):
+        with pytest.raises(InputError, match="generator index must be an integer"):
+            ModuleElement(1, 1, {(True, ((1,), (0,))): 1})
+        with pytest.raises(InputError, match="nonnegative integers"):
+            ModuleElement(1, 1, {(1, ((True,), (0,))): 1})
+
     def test_linear_ops(self):
         e1 = ModuleElement.basis_vector(1, 2, 1)
         e2 = ModuleElement.basis_vector(1, 2, 2)

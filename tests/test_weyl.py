@@ -98,6 +98,12 @@ class TestElement:
         with pytest.raises(InputError):
             WeylElement(1, {((-1,), (0,)): 1})
 
+    def test_constructor_rejects_booleans(self):
+        with pytest.raises(InputError, match="nonnegative integers"):
+            WeylElement.monomial(1, (True,), (False,))
+        with pytest.raises(InputError):
+            WeylElement(2, {((1, 0), (0, True)): 1})
+
     def test_linear_ops(self):
         x = WeylElement.x(0, 1)
         d = WeylElement.d(0, 1)
