@@ -94,12 +94,16 @@ def _cmd_check(args) -> int:
         raise InputError(f"--rmax must be nonnegative, got {args.rmax}")
     rep = dimension_polynomial(pres)
     oracle = RankOracle(pres.relations, rep.basis)
-    grid = list(itertools.product(range(args.rmax + 1), repeat=pres.P.p))
-    counts = count_grid(rep.basis, pres.m, grid)
+    # the oracle walks the grid lazily and refuses the first box over its
+    # cap, so only an accepted grid is ever built and counted
+    ranks = {
+        r: oracle.dimension(r)
+        for r in itertools.product(range(args.rmax + 1), repeat=pres.P.p)
+    }
+    counts = count_grid(rep.basis, pres.m, list(ranks))
     points = []
     mismatches = 0
-    for r, (_, _, card_u) in zip(grid, counts):
-        rank = oracle.dimension(r)
+    for (r, rank), (_, _, card_u) in zip(ranks.items(), counts):
         phi_val = rep.phi.eval(r)
         must_match = all(a >= b for a, b in zip(r, rep.threshold))
         ok = card_u == rank and (not must_match or phi_val == card_u)

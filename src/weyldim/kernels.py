@@ -10,10 +10,13 @@ rows (`class_table`), and reads every bound it needs off that table in
 one `classify_box` call.  The full box (`box_vectors`) is still built,
 and cached, for the rank oracle.
 
-Every array is bounded by MAX_ROWS rows, checked from binomials before
-anything is allocated; the counts are chunked broadcast comparisons
-over small nonnegative int64 data, so every result is exact.  All
-rational arithmetic lives outside this module.
+Every simplex, box and class table is bounded by MAX_CELLS int64
+cells (rows times width), checked from binomials before anything is
+allocated.  The counts are broadcast comparisons over chunks of rows,
+and a chunk shrinks as more bounds are read at once, so no temporary
+grows with the table times the bounds.  The data are small nonnegative
+int64, so every result is exact.  All rational arithmetic lives
+outside this module.
 """
 from __future__ import annotations
 
@@ -27,19 +30,20 @@ from .errors import InputError
 # no compiled backend: result stamps in the benchmark harness read this
 USING_NUMBA = False
 
-# Most rows any counting array may have: a block simplex, a full box or a
-# combined class table.  The largest the test suite and the benchmark
-# workloads build is a 490,314-row simplex (8 columns, bound 15).
-MAX_ROWS = 1 << 21
+# Most int64 cells (rows times width, 128 MiB) any counting array may
+# have: a block simplex, a full box or a combined class table.  The
+# largest the test suite and the benchmark workloads build is a
+# 490,314-row simplex of 8 columns (bound 15), 3.9 M cells.
+MAX_CELLS = 1 << 24
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _check_rows(rows: int, what: str) -> None:
-    if rows > MAX_ROWS:
+def _check_cells(rows: int, width: int, what: str) -> None:
+    if rows * width > MAX_CELLS:
         raise InputError(
-            f"box counting: {what} would have {rows} rows, over the row "
-            f"budget kernels.MAX_ROWS = {MAX_ROWS}"
+            f"box counting: {what} would have {rows} rows of {width} "
+            f"columns, over the budget kernels.MAX_CELLS = {MAX_CELLS}"
         )
 
 
@@ -50,7 +54,7 @@ def _sum_bounded(q: int, r: int) -> np.ndarray:
         out = np.empty((0, q), dtype=np.int64)
         out.flags.writeable = False
         return out
-    _check_rows(comb(r + q, q), f"the simplex of width {q} at bound {r}")
+    _check_cells(comb(r + q, q), q, f"the simplex of width {q} at bound {r}")
     if q == 1:
         out = np.arange(r + 1, dtype=np.int64).reshape(-1, 1)
         out.flags.writeable = False
@@ -79,7 +83,7 @@ def box_vectors(sizes: tuple[int, ...], r: tuple[int, ...]) -> np.ndarray:
         out.flags.writeable = False
         return out
     total = prod(comb(b + q, q) for q, b in zip(sizes, r))
-    _check_rows(total, f"the box of block widths {sizes} at bound {r}")
+    _check_cells(total, sum(sizes), f"the box of block widths {sizes} at bound {r}")
     blocks = [_sum_bounded(q, b) for q, b in zip(sizes, r)]
     counts = [blk.shape[0] for blk in blocks]
     out = np.empty((total, sum(sizes)), dtype=np.int64)
@@ -148,7 +152,8 @@ def class_table(
             f"box counting: a box of {box} terms overflows the exact int64 counts"
         )
     shape = tuple(len(counts) for _, counts in blocks)
-    _check_rows(prod(shape), "the combined class table")
+    width = sum(rows.shape[1] for rows, _ in blocks)
+    _check_cells(prod(shape), width, "the combined class table")
     idx = np.indices(shape).reshape(len(shape), -1)
     V = np.hstack([rows[i] for (rows, _), i in zip(blocks, idx)])
     weights = np.ones(idx.shape[1], dtype=np.int64)
@@ -187,7 +192,8 @@ def classify_box(V, BS, L, SL, points, weights) -> tuple[np.ndarray, np.ndarray]
     weights = np.asarray(weights, dtype=np.int64)
     card_v = np.zeros(points.shape[0], dtype=np.int64)
     card_vp = np.zeros(points.shape[0], dtype=np.int64)
-    chunk = 1 << 15
+    # rows per chunk shrink with the points, so inbox stays bounded
+    chunk = max(1, (1 << 15) // max(1, points.shape[0]))
     for lo in range(0, V.shape[0], chunk):
         bs = BS[lo:lo + chunk]
         w = weights[lo:lo + chunk]

@@ -286,16 +286,27 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {"r": [300, 300], "dim": 40815901}
 
-    def test_eval_past_row_budget(self, far_file):
-        out = run_cli_capped(["eval", far_file, "--at=3000,3"])
+    def test_eval_past_cell_budget(self, far_file):
+        out = run_cli_capped(["eval", far_file, "--at=6000,3"])
         assert out.returncode == 1
         assert out.stdout == ""
         assert out.stderr.startswith("error: box counting:")
-        assert "row budget kernels.MAX_ROWS = 2097152" in out.stderr
+        assert "budget kernels.MAX_CELLS = 16777216" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_check_stops_at_oracle_cap(self, tmp_path):
+        # the grid up to 500 per axis has 251,001 points; the oracle
+        # refuses (0, 140) and nothing past it is built or counted
+        doc = {"n": 2, "partition": [1, 1], "m": 1, "relations": []}
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli_capped(["check", str(path), "--rmax", "500"])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
+
     def test_eval_refuses_int64_overflow(self, tmp_path):
-        # each block simplex fits the row budget, the box of ~6.3e22 terms
+        # each block simplex fits the cell budget, the box of ~6.3e22 terms
         # does not fit int64
         doc = {
             "n": 4,

@@ -10,7 +10,8 @@ import pytest
 from weyldim import GroebnerBasis, InputError, ModuleElement, Partition
 from weyldim.engine import count_grid, pack_exponents
 from weyldim.kernels import (
-    MAX_ROWS,
+    MAX_CELLS,
+    _check_cells,
     _sum_bounded,
     block_classes,
     block_sum_matrix,
@@ -158,14 +159,20 @@ class TestBoxVectors:
         V = box_vectors((1, 1), (1, 1))
         assert not V.flags.writeable
 
-    def test_row_budget(self):
+    def test_cell_budget(self):
         # refused from the binomial, before anything is allocated
-        with pytest.raises(InputError, match=f"row budget kernels.MAX_ROWS = {MAX_ROWS}"):
-            box_vectors((2,), (3000,))
+        with pytest.raises(InputError, match=f"budget kernels.MAX_CELLS = {MAX_CELLS}"):
+            box_vectors((2,), (6000,))
         with pytest.raises(InputError, match="box counting: the box"):
-            box_vectors((1, 1), (2000, 2000))
+            box_vectors((1, 1), (3000, 3000))
         with pytest.raises(InputError, match="box counting: the simplex"):
             _sum_bounded(8, 40)
+
+    def test_budget_counts_cells(self):
+        # a narrow array may have more rows than a wide one
+        _check_cells(4_504_501, 2, "the simplex of width 2 at bound 3000")
+        with pytest.raises(InputError, match="2097153 rows of 8 columns"):
+            _check_cells(2_097_153, 8, "a box")
 
 
 class TestBlockSums:
@@ -240,6 +247,21 @@ class TestClassifyBox:
         points = [(2,), (1,), (-1,)]
         assert classify_unit(V, BS, L, SL, points) == [(6, 0), (3, 0), (0, 0)]
 
+    def test_more_points_than_chunk_rows(self):
+        # many points shrink a chunk to a few rows, down to a single row
+        rng = random.Random(23)
+        for sizes, count in (((2,), (1 << 15) + 3), ((1, 2), 5000)):
+            r = (3,) * len(sizes)
+            V = box_vectors(sizes, r)
+            BS = block_sum_matrix(V, sizes)
+            L = np.array([[1, 0, 1][: sum(sizes)], [0, 2, 0][: sum(sizes)]])
+            SL = np.array([[0, 1][: len(sizes)], [0, 0][: len(sizes)]])
+            distinct = sub_bounds(rng, r, 3)
+            points = [distinct[k % len(distinct)] for k in range(count)]
+            expect = ref_points(sizes, L, SL, distinct)
+            got = classify_unit(V, BS, L, SL, points)
+            assert got == [expect[k % len(distinct)] for k in range(count)]
+
     def test_weights_scale_counts(self):
         rng = random.Random(19)
         V, BS, L, SL, r = random_case(rng, (2, 2), rmax=3, slack_hi=3)
@@ -312,8 +334,8 @@ class TestClassTable:
             got[class_key(v[:2], L[:, :2].tolist()) + class_key(v[2:], L[:, 2:].tolist())] += w
         assert got == ref
 
-    def test_row_budget(self):
-        wide = (np.zeros((2000, 1), dtype=np.int64), np.ones(2000, dtype=np.int64))
+    def test_cell_budget(self):
+        wide = (np.zeros((3000, 1), dtype=np.int64), np.ones(3000, dtype=np.int64))
         with pytest.raises(InputError, match="combined class table"):
             class_table([wide, wide])
 
