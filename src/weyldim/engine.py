@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 from typing import Sequence
 
@@ -26,16 +25,13 @@ from .kernels import block_classes, block_sum_matrix, class_table, classify_box
 from .numpoly import (
     IndexSet,
     InvariantReport,
-    MonoPoly,
     NumericalPolynomial,
+    binomial_sum,
     canonicalize,
     interpolate,
     invariant_set,
-    mp_add,
-    mp_mul,
-    mp_scale,
     omega,
-    shifted_binomial,
+    shift_coeffs,
 )
 from .terms import ModuleElement, term_lcm
 from .weyl import ExponentPair, Partition, weyl_dimension
@@ -151,28 +147,27 @@ def _omega_part(G: GroebnerBasis, m: int) -> NumericalPolynomial:
 
 
 def _psi_symbolic(G: GroebnerBasis) -> NumericalPolynomial:
-    """Closed-form overshoot count when first leaders never overlap."""
+    """Closed-form overshoot count when first leaders never overlap.
+
+    Each term is a product over axes of C(t+q-c, q) or of
+    C(t+q-b, q) - C(t+q-c, q), expanded per axis by `shift_coeffs`.
+    """
     P = G.P
     p = P.p
     sizes2 = _doubled_sizes(P)
-    acc: MonoPoly = {}
     later = list(range(1, p))  # order positions 2..p, 0-based
+    terms = []
     for j in range(len(G.elements)):
+        c_f = [shift_coeffs(q, G.c[i][j]) for i, q in enumerate(sizes2)]
+        b_f = [shift_coeffs(q, G.b[i][j]) for i, q in enumerate(sizes2)]
         for size in range(1, p):
             for K in itertools.combinations(later, size):
-                term: MonoPoly = {(0,) * p: Fraction(1)}
-                for i in range(p):
-                    c_f = shifted_binomial(p, i, sizes2[i] - G.c[i][j], sizes2[i])
-                    if i in K:
-                        b_f = shifted_binomial(
-                            p, i, sizes2[i] - G.b[i][j], sizes2[i]
-                        )
-                        factor = mp_add(b_f, mp_scale(c_f, -1))
-                    else:
-                        factor = c_f
-                    term = mp_mul(term, factor)
-                acc = mp_add(acc, term)
-    return canonicalize(acc, p)
+                factors = [
+                    [x - y for x, y in zip(b_f[i], c_f[i])] if i in K else c_f[i]
+                    for i in range(p)
+                ]
+                terms.append((1, factors))
+    return binomial_sum(p, terms)
 
 
 def _symbolic_applicable(G: GroebnerBasis) -> bool:

@@ -169,11 +169,15 @@ def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
     if V.shape[0] == 0:
         return 0
     count = 0
-    chunk = 1 << 16
+    # rows per chunk shrink with the leaders, and columns are compared one
+    # at a time, so temporaries stay at 2^22 row-leader cells
+    chunk = max(1, (1 << 22) // A.shape[0])
     for lo in range(0, V.shape[0], chunk):
         part = V[lo:lo + chunk]
-        dom = (part[:, None, :] >= A[None, :, :]).all(axis=2).any(axis=1)
-        count += int((~dom).sum())
+        dom = np.ones((part.shape[0], A.shape[0]), dtype=bool)
+        for x in range(A.shape[1]):
+            dom &= part[:, x, None] >= A[None, :, x]
+        count += int((~dom.any(axis=1)).sum())
     return count
 
 

@@ -4,6 +4,13 @@ Canonical form: sum of a_i * prod_j C(t_j + i_j, i_j) with integer
 coefficients a_i, unique for integer-valued polynomials.  Conversions go
 through exact evaluation on integer grids followed by iterated finite
 differences; no floating point anywhere.
+
+The staircase polynomial `omega` takes two integer steps.  The
+block-graded K-polynomial numerator of S/(x^A) comes from the colon
+recursion K(I + (x^g)) = K(I) - t^deg(g) K(I : x^g) of Bayer-Stillman
+and Bigatti, and each of its terms t^b is turned into binomial-basis
+coefficients directly through C(t + q - b, q) = sum_i (-1)^(q-i)
+C(b, q-i) C(t + i, i), so the cost grows polynomially with |A|.
 """
 from __future__ import annotations
 
@@ -12,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence
+from operator import add, le, sub
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, VerificationError
 
@@ -106,9 +114,9 @@ class NumericalPolynomial:
         clean: dict[Index, int] = {}
         for k, c in coeffs.items():
             k = tuple(k)
-            if len(k) != p or any(not isinstance(e, int) or e < 0 for e in k):
+            if len(k) != p or any(type(e) is not int or e < 0 for e in k):
                 raise InputError(f"bad basis index {k} for p={p}")
-            if not isinstance(c, int):
+            if type(c) is not int:
                 raise InputError(f"basis coefficients must be integers, got {c!r}")
             if c:
                 clean[k] = clean.get(k, 0) + c
@@ -151,6 +159,8 @@ class NumericalPolynomial:
         r = tuple(r)
         if len(r) != self.p:
             raise InputError(f"point has length {len(r)}, expected {self.p}")
+        if any(type(t) is not int for t in r):
+            raise InputError(f"evaluation point must hold integers, got {r}")
         total = 0
         for k, c in self.coeffs.items():
             v = c
@@ -175,19 +185,57 @@ class NumericalPolynomial:
     def degree_data(self) -> tuple[int, tuple[int, ...], MonoPoly]:
         """Total degree, per-variable degrees, and the top homogeneous part.
 
-        The zero polynomial reports degree -1.
+        The zero polynomial reports degree -1.  Read off the basis indices:
+        B[k] = prod C(t_j + k_j, k_j) has the single top monomial
+        t^k / k!, and distinct indices give distinct top monomials.
         """
-        mono = self.monomial_view()
-        if not mono:
+        if not self.coeffs:
             return -1, (-1,) * self.p, {}
-        d = max(sum(k) for k in mono)
-        per = tuple(max(k[i] for k in mono) for i in range(self.p))
-        top = {k: c for k, c in mono.items() if sum(k) == d}
+        d = max(sum(k) for k in self.coeffs)
+        per = tuple(max(k[i] for k in self.coeffs) for i in range(self.p))
+        top = {}
+        for k, c in self.coeffs.items():
+            if sum(k) == d:
+                den = 1
+                for e in k:
+                    den *= factorial(e)
+                top[k] = Fraction(c, den)
         return d, per, top
 
     def __repr__(self):
         bits = [f"{c}*B{list(k)}" for k, c in sorted(self.coeffs.items())]
         return "NumericalPolynomial(" + (" + ".join(bits) or "0") + ")"
+
+
+def shift_coeffs(q: int, b: int) -> tuple[int, ...]:
+    """Binomial-basis coefficients of C(t + q - b, q) in one variable.
+
+    Entry i multiplies C(t + i, i):
+    C(t + q - b, q) = sum_i (-1)^(q-i) C(b, q-i) C(t + i, i), any integer b.
+    """
+    return tuple((-1) ** (q - i) * binom_int(b, q - i) for i in range(q + 1))
+
+
+def binomial_sum(
+    p: int, terms: Iterable[tuple[int, Sequence[Sequence[int]]]]
+) -> NumericalPolynomial:
+    """Sum of w * prod_j (sum_i f_j[i] C(t_j + i, i)) over (w, (f_1, ..., f_p)).
+
+    Each term is a tensor product of per-axis integer coefficient vectors,
+    so the sum lands in canonical form without leaving the integers.
+    """
+    acc: dict[Index, int] = {}
+    for w, factors in terms:
+        if not w:
+            continue
+        nonzero = [[(i, c) for i, c in enumerate(f) if c] for f in factors]
+        for combo in itertools.product(*nonzero):
+            c = w
+            for _, x in combo:
+                c *= x
+            k = tuple(i for i, _ in combo)
+            acc[k] = acc.get(k, 0) + c
+    return NumericalPolynomial(p, acc)
 
 
 def canonicalize(mono: MonoPoly, p: int) -> NumericalPolynomial:
@@ -256,14 +304,16 @@ def interpolate(
     return out
 
 
-def minimize(points: Sequence[Index]) -> tuple[Index, ...]:
-    """Minimal elements of a finite set under the componentwise order."""
-    pts = sorted(set(tuple(q) for q in points))
-    out = []
-    for a in pts:
-        if any(b != a and all(x <= y for x, y in zip(b, a)) for b in pts):
-            continue
-        out.append(a)
+def minimize(points: Iterable[Index]) -> tuple[Index, ...]:
+    """Minimal elements of a finite set under the componentwise order, sorted.
+
+    A point below another comes first in lexicographic order, so each
+    point need only be compared with the minimal elements kept so far.
+    """
+    out: list[Index] = []
+    for a in sorted(set(map(tuple, points))):
+        if not any(all(map(le, b, a)) for b in out):
+            out.append(a)
     return tuple(out)
 
 
@@ -275,11 +325,11 @@ class IndexSet:
     partition: tuple[int, ...]
 
     def __post_init__(self):
-        q = sum(self.partition)
-        if any(s < 1 for s in self.partition):
+        if any(type(s) is not int or s < 1 for s in self.partition):
             raise InputError(f"bad coordinate partition {self.partition}")
+        q = sum(self.partition)
         for a in self.points:
-            if len(a) != q or any(not isinstance(e, int) or e < 0 for e in a):
+            if len(a) != q or any(type(e) is not int or e < 0 for e in a):
                 raise InputError(f"bad lattice point {a} for q={q}")
 
     @property
@@ -299,36 +349,84 @@ class IndexSet:
         return tuple(out)
 
 
+def _colon(prefix: tuple[Index, ...], g: Index) -> tuple[Index, ...] | None:
+    """Minimal generators of (x^prefix) : x^g, or None when that is (x^prefix).
+
+    The colon is generated by h - min(h, g); it equals the ideal itself
+    exactly when g shares no coordinate with any point of the prefix.
+    """
+    if not any(any(map(min, h, g)) for h in prefix):
+        return None
+    return minimize(tuple(map(sub, h, map(min, h, g))) for h in prefix)
+
+
+def k_numerator(
+    points: tuple[Index, ...], blocks: Sequence[tuple[int, int]]
+) -> dict[Index, int]:
+    """Block-graded K-polynomial numerator of S/(x^a : a in points).
+
+    Maps block degrees b to the integer coefficient of t^b in
+    sum over subsets sigma of (-1)^|sigma| t^deg(lcm sigma), without
+    walking the subsets.  For minimized, sorted points g_1..g_k the loop
+    runs K(g_1..g_i) = K(g_1..g_{i-1}) - t^deg(g_i) K((g_1..g_{i-1}) : g_i)
+    from K() = 1, so pairwise disjoint supports give prod (1 - t^deg(g)).
+    Colon ideals are computed on an explicit stack, memoized on their
+    minimized generator sets, so no Python recursion limit applies.
+    """
+    p = len(blocks)
+    zero = (0,) * p
+
+    def deg(a: Index) -> Index:
+        return tuple(sum(a[x:y]) for x, y in blocks)
+
+    memo: dict[tuple[Index, ...], dict[Index, int]] = {}
+    pending: dict[tuple[Index, ...], list] = {}
+    stack = [points]
+    while stack:
+        S = stack[-1]
+        if S in memo:
+            stack.pop()
+            continue
+        colons = pending.pop(S, None)
+        if colons is None:
+            colons = [_colon(S[:i], g) for i, g in enumerate(S)]
+            missing = [c for c in colons if c is not None and c not in memo]
+            if missing:
+                pending[S] = colons
+                stack.extend(missing)
+                continue
+        K = {zero: 1}
+        for g, c in zip(S, colons):
+            shift = deg(g)
+            nxt = dict(K)
+            for b, w in (K if c is None else memo[c]).items():
+                key = tuple(map(add, b, shift))
+                nxt[key] = nxt.get(key, 0) - w
+            K = {b: w for b, w in nxt.items() if w}
+        memo[S] = K
+        stack.pop()
+    return memo[points]
+
+
 def omega(A: IndexSet) -> NumericalPolynomial:
     """Counting polynomial of lattice points avoiding the staircase of A.
 
     For large r it equals the number of v in N^q with blockwise coordinate
-    sums at most r_j that dominate no point of A.  Computed by
-    inclusion-exclusion over subsets of the minimized A, assembled
-    exactly and converted to canonical form.
+    sums at most r_j that dominate no point of A.  The block-graded
+    K-polynomial numerator sum_b w_b t^b of S/(x^A) comes from the colon
+    recursion in `k_numerator`; each t^b contributes
+    w_b * prod_j C(t_j + q_j - b_j, q_j), whose binomial-basis
+    coefficients are integers read off `shift_coeffs`.
     """
-    p = A.p
-    pts = minimize(A.points)
-    blocks = A.blocks()
     sizes = A.partition
-    # group subsets by their blockwise shift vector; signs accumulate
-    shift_weights: dict[Index, int] = {(0,) * p: 1}
-    for size in range(1, len(pts) + 1):
-        sign = (-1) ** size
-        for sigma in itertools.combinations(pts, size):
-            bar = tuple(max(a[h] for a in sigma) for h in range(A.q))
-            b = tuple(sum(bar[x:y]) for x, y in blocks)
-            shift_weights[b] = shift_weights.get(b, 0) + sign
-    acc: MonoPoly = {}
-    for b, w in shift_weights.items():
-        if w == 0:
-            continue
-        term = {(0,) * p: Fraction(w)}
-        for axis in range(p):
-            q_j = sizes[axis]
-            term = mp_mul(term, shifted_binomial(p, axis, q_j - b[axis], q_j))
-        acc = mp_add(acc, term)
-    poly = canonicalize(acc, p)
+    weights = k_numerator(minimize(A.points), A.blocks())
+    poly = binomial_sum(
+        A.p,
+        (
+            (w, [shift_coeffs(q_j, b_j) for q_j, b_j in zip(sizes, b)])
+            for b, w in weights.items()
+        ),
+    )
     d, per, _ = poly.degree_data()
     if d > A.q or any(e > s for e, s in zip(per, sizes)):
         raise VerificationError("counting polynomial exceeds its degree bounds")

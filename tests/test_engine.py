@@ -20,10 +20,12 @@ from weyldim import (
     is_holonomic,
     weyl_dimension,
 )
+from weyldim.engine import _symbolic_applicable
 from weyldim.numpoly import mp_add, mp_scale
 
 from conftest import (
     binom_product,
+    corpus_presentations,
     derivative_presentation,
     extend_with,
     grid,
@@ -120,10 +122,19 @@ class TestDimensionPolynomial:
             dimension_polynomial(derivative_presentation(), psi_path="fast")
 
     def test_forced_interpolation_agrees(self):
-        pres = two_term_presentation(1, 1, 2)
-        a = dimension_polynomial(pres)
-        b = dimension_polynomial(pres, psi_path="interpolation")
-        assert a.phi == b.phi
+        cases = [("two-term", two_term_presentation(1, 1, 2))]
+        cases += corpus_presentations()
+        checked = 0
+        for label, pres in cases:
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            if not _symbolic_applicable(G):
+                continue
+            a = dimension_polynomial(pres, psi_path="symbolic")
+            b = dimension_polynomial(pres, psi_path="interpolation")
+            assert a.psi_part == b.psi_part, label
+            assert a.phi == b.phi, label
+            checked += 1
+        assert checked >= 10
 
     def test_invariants_attached(self):
         rep = dimension_polynomial(two_term_presentation(1, 1, 2))

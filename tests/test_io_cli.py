@@ -279,6 +279,19 @@ class TestCli:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("args", [["--help"], ["dimpoly", "{file}"]])
+    def test_module_entry_point(self, ex_file, args):
+        args = [a.format(file=ex_file) for a in args]
+        via_pkg = subprocess.run(
+            [sys.executable, "-m", "weyldim", *args], capture_output=True
+        )
+        via_cli = subprocess.run(
+            [sys.executable, "-m", "weyldim.cli", *args], capture_output=True
+        )
+        assert via_pkg.returncode == via_cli.returncode == 0, via_pkg.stderr
+        assert via_pkg.stdout == via_cli.stdout
+        assert via_pkg.stdout
+
     def test_eval_far_bound_counts_blockwise(self, far_file):
         # the whole box at (300, 300) would take 61.6 GiB; its block
         # simplices have 45,451 rows each

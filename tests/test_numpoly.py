@@ -1,5 +1,6 @@
 """Numerical polynomials: binomial basis, interpolation, counting, invariants."""
 import itertools
+import sys
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,23 @@ from weyldim import (
     InputError,
     NumericalPolynomial,
     canonicalize,
+    enum_V_A,
     interpolate,
     invariant_set,
     minimize,
     omega,
 )
-from weyldim.numpoly import binom_int, mp_eval, mp_mul, shifted_binomial
+from weyldim.numpoly import (
+    MonoPoly,
+    binom_int,
+    binomial_sum,
+    k_numerator,
+    mp_add,
+    mp_eval,
+    mp_mul,
+    shift_coeffs,
+    shifted_binomial,
+)
 
 from conftest import binom_product, grid
 
@@ -28,6 +40,52 @@ def num_polys(p: int, deg: int = 3, coeff: int = 5):
         st.just(p),
         st.dictionaries(idx, st.integers(-coeff, coeff), max_size=4),
     )
+
+
+def ref_shift_weights(A: IndexSet) -> dict:
+    """Sum of (-1)^|sigma| t^blockdeg(lcm sigma) over all 2^k subsets."""
+    pts = minimize(A.points)
+    shift_weights: dict = {(0,) * A.p: 1}
+    for size in range(1, len(pts) + 1):
+        sign = (-1) ** size
+        for sigma in itertools.combinations(pts, size):
+            bar = tuple(max(a[h] for a in sigma) for h in range(A.q))
+            b = tuple(sum(bar[x:y]) for x, y in A.blocks())
+            shift_weights[b] = shift_weights.get(b, 0) + sign
+    return shift_weights
+
+
+def ref_omega(A: IndexSet) -> NumericalPolynomial:
+    """Staircase polynomial by inclusion-exclusion over all 2^k subsets.
+
+    Exponential in the number of minimal points; kept as the reference
+    for `omega` and assembled through rational monomial polynomials.
+    """
+    p = A.p
+    sizes = A.partition
+    acc: MonoPoly = {}
+    for b, w in ref_shift_weights(A).items():
+        if w == 0:
+            continue
+        term = {(0,) * p: Fraction(w)}
+        for axis in range(p):
+            q_j = sizes[axis]
+            term = mp_mul(term, shifted_binomial(p, axis, q_j - b[axis], q_j))
+        acc = mp_add(acc, term)
+    return canonicalize(acc, p)
+
+
+@st.composite
+def index_sets(draw):
+    """Multi-block point sets with duplicates and non-minimal points."""
+    part = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3)))
+    point = st.tuples(*([st.integers(0, 3)] * sum(part)))
+    pts = draw(st.lists(point, max_size=6))
+    if pts:
+        bump = st.tuples(*([st.integers(0, 2)] * sum(part)))
+        for a in draw(st.lists(st.sampled_from(pts), max_size=3)):
+            pts += [a, tuple(x + y for x, y in zip(a, draw(bump)))]
+    return IndexSet(tuple(pts), part)
 
 
 class TestBinomInt:
@@ -59,6 +117,17 @@ class TestNumericalPolynomial:
         with pytest.raises(InputError):
             NumericalPolynomial(1, {(1,): Fraction(1, 2)})
 
+    def test_rejects_booleans_and_floats(self):
+        for coeffs in ({(True,): 1}, {(1.0,): 1}, {(1,): True}, {(1,): 2.0}):
+            with pytest.raises(InputError):
+                NumericalPolynomial(1, coeffs)
+
+    def test_eval_rejects_booleans_and_floats(self):
+        f = NumericalPolynomial(1, {(1,): 2})
+        for r in ((2.5,), (True,), (2.0,)):
+            with pytest.raises(InputError):
+                f.eval(r)
+
     def test_eval(self):
         # C(t1+2,2) * C(t2+1,1)
         f = NumericalPolynomial(2, {(2, 1): 1})
@@ -78,6 +147,17 @@ class TestNumericalPolynomial:
         assert d == 3
         assert per == (2, 1)
         assert top == {(2, 1): Fraction(1)}
+
+    @given(num_polys(3))
+    def test_degree_data_matches_monomial_view(self, f):
+        mono = f.monomial_view()
+        if not mono:
+            assert f.degree_data() == (-1, (-1, -1, -1), {})
+            return
+        d = max(sum(k) for k in mono)
+        per = tuple(max(k[i] for k in mono) for i in range(3))
+        top = {k: c for k, c in mono.items() if sum(k) == d}
+        assert f.degree_data() == (d, per, top)
 
     @given(num_polys(2))
     def test_monomial_view_consistent(self, f):
@@ -131,6 +211,20 @@ class TestShiftedBinomial:
         assert mp_eval(poly, (9, 1, 7)) == binom_int(3, 2)
 
 
+class TestShiftCoeffs:
+    @given(st.integers(0, 5), st.integers(-6, 10), st.integers(-8, 8))
+    def test_pointwise(self, q, b, t):
+        coeffs = shift_coeffs(q, b)
+        f = NumericalPolynomial(1, {(i,): c for i, c in enumerate(coeffs)})
+        assert f.eval((t,)) == binom_int(t + q - b, q)
+
+    def test_binomial_sum_is_tensor_product(self):
+        f = binomial_sum(2, [(3, [shift_coeffs(2, 5), shift_coeffs(1, 2)])])
+        for r in grid(2, -2, 4):
+            assert f.eval(r) == 3 * binom_int(r[0] - 3, 2) * binom_int(r[1] - 1, 1)
+        assert binomial_sum(2, [(0, [(1,), (1,)])]).is_zero()
+
+
 class TestMinimize:
     def test_fixed(self):
         pts = [(1, 1), (0, 2), (2, 0), (2, 2), (1, 1)]
@@ -180,6 +274,58 @@ class TestOmega:
             IndexSet(((1,),), (1, 1))
         with pytest.raises(InputError):
             IndexSet(((-1, 0),), (1, 1))
+
+    def test_index_set_rejects_booleans_and_floats(self):
+        for points, partition in (
+            (((True, False),), (True, 1)),
+            (((True, 0),), (1, 1)),
+            (((1, 0),), (True, 1)),
+            (((1.0, 0),), (1, 1)),
+            (((1, 0),), (2.0,)),
+        ):
+            with pytest.raises(InputError):
+                IndexSet(points, partition)
+
+    def test_matches_reference_on_fixed_sets(self):
+        for A in (
+            IndexSet((), (2, 1)),
+            IndexSet(((0, 0, 0),), (2, 1)),
+            IndexSet(((0, 0, 0), (1, 2, 0)), (2, 1)),
+            IndexSet(((1, 2, 0), (1, 2, 0), (3, 2, 1), (0, 1, 1)), (2, 1)),
+            IndexSet(((1, 0, 2, 0), (0, 3, 0, 1), (2, 2, 0, 0)), (4,)),
+        ):
+            assert omega(A) == ref_omega(A), A
+
+    @given(index_sets())
+    def test_matches_reference(self, A):
+        assert omega(A) == ref_omega(A)
+
+    @given(index_sets())
+    def test_numerator_matches_subset_sum(self, A):
+        expect = {b: w for b, w in ref_shift_weights(A).items() if w}
+        assert k_numerator(minimize(A.points), A.blocks()) == expect
+
+    def test_level_set_antichain(self):
+        # all 56 points of {|a| = 3} in N^6 are minimal: 2^56 subsets
+        pts = tuple(a for a in itertools.product(range(4), repeat=6) if sum(a) == 3)
+        A = IndexSet(pts, (2, 2, 2))
+        f = omega(A)
+        # every lcm has block degree at most 6, so r_j >= 6 - 2 is exact
+        for r in ((4, 4, 4), (5, 4, 6), (6, 6, 5)):
+            assert f.eval(r) == enum_V_A(A, r), r
+
+    def test_antichain_past_recursion_limit(self):
+        # {|a| = K} in N^3 with more minimal points than Python frames
+        K = 0
+        while (K + 2) * (K + 1) // 2 <= sys.getrecursionlimit():
+            K += 1
+        pts = tuple(a for a in itertools.product(range(K + 1), repeat=3) if sum(a) == K)
+        A = IndexSet(pts, (1, 1, 1))
+        f = omega(A)
+        # lcm coordinates reach K, so r_j >= K - 1 is exact; there the
+        # survivors are exactly the points with |v| < K
+        for r in ((K - 1, K - 1, K - 1), (K, K + 1, K - 1)):
+            assert f.eval(r) == enum_V_A(A, r) == (K + 2) * (K + 1) * K // 6, r
 
 
 class TestInvariants:
