@@ -1,6 +1,6 @@
 """Command line interface.
 
-Exit codes: 0 success, 1 input error, 2 engine/oracle mismatch,
+Exit codes: 0 success, 1 input or usage error, 2 engine/oracle mismatch,
 3 non-convergence of an iterative procedure.
 """
 from __future__ import annotations
@@ -21,12 +21,21 @@ from .groebner import complete_basis
 from .oracle import RankOracle
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse ends a usage error with exit 2, which the exit codes above
+    reserve for a mismatch; report it as an input error instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _add_file(sub):
     sub.add_argument("file", help="presentation document (JSON)")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="weyldim",
         description="Dimension polynomials of modules over Weyl algebras",
     )
@@ -157,8 +166,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,13 +1,19 @@
 """Groebner bases of A_n^m submodules under several simultaneous orders.
 
 Reduction eliminates the greatest eligible term under the head order while
-respecting order caps taken from the tail orders.  Completion runs staged
-from the last order down to the first; every nonzero reduced S-element is
-inserted and re-opens the pair queues of its stage and all later stages.
+respecting order caps taken from the tail orders.  It works in place on
+one term dict, with each reducer's leader data built once and each term's
+order data once per call.  The caps move as the remainder changes, but
+only downwards, so a term found ineligible never needs a second look (see
+`multi_reduce`).  Completion runs staged from the last order down to the
+first; every nonzero reduced S-element is inserted and re-opens the pair
+queues of its stage and all later stages.  The finished basis is
+certified stage by stage with `is_groebner`.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import eq, le, sub
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, WeylDimError, ZeroElementError
@@ -24,7 +30,7 @@ from .terms import (
     term_key,
     term_lcm,
 )
-from .weyl import ExponentPair, Partition, WeylElement
+from .weyl import ExponentPair, Partition, Vector, WeylElement, mono_mul
 
 
 class OrderSequence(NamedTuple):
@@ -50,24 +56,62 @@ def full_sequence(p: int) -> OrderSequence:
     return suffix_sequence(1, p)
 
 
-def _eligible(
-    w: Term,
-    g: ModuleElement,
-    seq: OrderSequence,
-    caps: Sequence[int],
-    P: Partition,
-) -> ExponentPair | None:
-    """Quotient theta if g can eliminate w within the tail order caps."""
-    q = term_divides(leader_term(g, seq.head, P), w)
-    if q is None:
-        return None
-    if seq.tail:
-        qbo = block_orders(q, P)
-        for pos, i in enumerate(seq.tail):
-            gi = block_orders(leader_term(g, i, P).theta, P)[i - 1]
-            if qbo[i - 1] + gi > caps[pos]:
-                return None
-    return q
+class _Reducer(NamedTuple):
+    """What a reduction step needs of a reducer g under one order sequence."""
+
+    gen: int  # the head leader's generator and exponents
+    alpha: Vector
+    beta: Vector
+    coeff: Fraction  # the head leader's coefficient
+    key: tuple  # the head leader's term key under the head order
+    # per tail order i: ord_i of g's i-th leader minus ord_i of its head
+    # leader, so theta * g stays within cap_i exactly when the term theta
+    # * head leader has ord_i + slack_i <= cap_i
+    slack: tuple[int, ...]
+
+
+def _reducer(g: ModuleElement, seq: OrderSequence, P: Partition) -> _Reducer:
+    """Reducer data of g, kept with g's leaders so it is built once."""
+    memo_key = ("reducer", P.sizes, seq)
+    hit = g._memo.get(memo_key)
+    if hit is not None:
+        return hit
+    head, c = leader(g, seq.head, P)
+    hbo = block_orders(head.theta, P)
+    slack = tuple(
+        block_orders(leader_term(g, i, P).theta, P)[i - 1] - hbo[i - 1]
+        for i in seq.tail
+    )
+    out = g._memo[memo_key] = _Reducer(
+        head.gen, *head.theta, c, term_key(seq.head, head, P), slack
+    )
+    return out
+
+
+def _term_orders(t: Term, seq: OrderSequence, P: Partition) -> tuple[tuple, tuple]:
+    """The head-order key of t, and ord_i(t) for each tail order i."""
+    key = term_key(seq.head, t, P)
+    # a head-order key starts with ord_head, then the other blockwise
+    # orders by ascending block index (see `terms.monomial_key`)
+    return key, tuple(key[i if i < seq.head else i - 1] for i in seq.tail)
+
+
+def _caps(tails) -> list[int]:
+    """Greatest ord_i over the given terms, per tail order: the order caps."""
+    return [max(col) for col in zip(*tails)]
+
+
+def _eligible(w: Term, tail: tuple, r: _Reducer, caps: Sequence[int]) -> bool:
+    """Whether r's head leader divides w and theta * r fits the caps.
+
+    tail holds ord_i(w) for each tail order i.
+    """
+    return (
+        w.gen == r.gen
+        and all(map(le, r.alpha, w.theta.alpha))
+        and all(map(le, r.beta, w.theta.beta))
+        and all(b + s <= cap for b, s, cap in zip(tail, r.slack, caps))
+    )
 
 
 def is_reduced(
@@ -79,10 +123,10 @@ def is_reduced(
         return True
     if g.is_zero():
         raise ZeroElementError("reduction against the zero element")
-    caps = [
-        block_orders(leader_term(f, i, P).theta, P)[i - 1] for i in seq.tail
-    ]
-    return all(_eligible(w, g, seq, caps, P) is None for w in f.terms)
+    r = _reducer(g, seq, P)
+    tails = {w: _term_orders(w, seq, P)[1] for w in f.terms}
+    caps = _caps(tails.values())
+    return not any(_eligible(w, tail, r, caps) for w, tail in tails.items())
 
 
 def multi_reduce(
@@ -97,6 +141,18 @@ def multi_reduce(
     head order, using the reducer with the greatest head leader (smallest
     list position on ties).  The identity f = sum Q_i g_i + remainder
     holds exactly.
+
+    The remainder is kept as one term dict and reduced in place: a step
+    subtracts factor * theta * g term by term.  Eligibility depends on the
+    caps, the greatest ord_i over the current remainder for each tail
+    order i, and the caps move as terms are removed, so each step looks
+    again from the greatest remaining term.  The caps only fall, though:
+    every term of theta * g has ord_i <= ord_i(theta) + ord_i of g's i-th
+    leader, which an eligible step keeps within cap_i.  And every term a
+    step adds lies below the eliminated term under the head order.  So a
+    term once found ineligible stays so and is never touched again; each
+    step takes the greatest term not yet found ineligible, which is the
+    term a full rescan would pick.
     """
     seq.check(P.p)
     if any(g.is_zero() for g in G):
@@ -104,35 +160,61 @@ def multi_reduce(
     n, m = f.n, f.m
     for g in G:
         f._check_compat(g)
-    quotients = [WeylElement.zero(n) for _ in G]
-    work = f
-    while not work.is_zero():
-        caps = [
-            block_orders(leader_term(work, i, P).theta, P)[i - 1] for i in seq.tail
-        ]
-        chosen = None
-        for w in sorted(
-            work.terms, key=lambda t: term_key(seq.head, t, P), reverse=True
-        ):
-            cands = []
-            for idx, g in enumerate(G):
-                q = _eligible(w, g, seq, caps, P)
-                if q is not None:
-                    lk = term_key(seq.head, leader_term(g, seq.head, P), P)
-                    cands.append((lk, -idx, idx, q))
-            if cands:
-                _, _, idx, q = max(cands)
-                chosen = (w, idx, q)
+    # reducers by generator, greatest head leader first, then by position
+    by_gen: dict[int, list[tuple[int, _Reducer]]] = {}
+    for idx, r in sorted(
+        enumerate(_reducer(g, seq, P) for g in G),
+        key=lambda ir: ir[1].key,
+        reverse=True,  # stable: equal head leaders stay in list order
+    ):
+        by_gen.setdefault(r.gen, []).append((idx, r))
+    quotients: list[dict[ExponentPair, Fraction]] = [{} for _ in G]
+    work = dict(f.terms)
+    orders = {t: _term_orders(t, seq, P) for t in work}  # per call, never shared
+    caps = _caps(tail for _, tail in orders.values())
+    pending = set(work)  # terms not yet found ineligible
+    while pending:
+        w = max(pending, key=lambda t: orders[t][0])
+        pending.remove(w)
+        for idx, r in by_gen.get(w.gen, ()):
+            if _eligible(w, orders[w][1], r, caps):
                 break
-        if chosen is None:
-            break
-        w, idx, q = chosen
-        g = G[idx]
-        factor = work.terms[w] / leader(g, seq.head, P)[1]
-        step = WeylElement.monomial(n, q.alpha, q.beta, factor)
-        quotients[idx] = quotients[idx] + step
-        work = work - act(step, g)
-    return work, quotients
+        else:
+            continue  # stays in the remainder for good
+        q = ExponentPair(
+            tuple(map(sub, w.theta.alpha, r.alpha)),
+            tuple(map(sub, w.theta.beta, r.beta)),
+        )
+        factor = work[w] / r.coeff
+        # each eliminated term lies below the last, so q is new for idx
+        quotients[idx][q] = factor
+        lowered = False
+        neg = -factor
+        for (gen, theta), cg in G[idx].terms.items():
+            c = neg * cg
+            for key, wt in mono_mul(q, theta):
+                t = Term(gen, key)
+                d = c if wt == 1 else c * wt
+                s = work.get(t)
+                if s is None:
+                    work[t] = d
+                    pending.add(t)
+                    if t not in orders:
+                        orders[t] = _term_orders(t, seq, P)
+                    continue
+                s += d
+                if s:
+                    work[t] = s
+                else:
+                    del work[t]
+                    pending.discard(t)
+                    lowered = lowered or any(map(eq, orders[t][1], caps))
+        if lowered and work:
+            caps = _caps(orders[t][1] for t in work)
+    return (
+        ModuleElement._trusted(n, m, work),
+        [WeylElement._trusted(n, qd) for qd in quotients],
+    )
 
 
 def s_element(

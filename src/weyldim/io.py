@@ -71,7 +71,11 @@ def parse_presentation(doc: Any) -> Presentation:
     if isinstance(doc, (str, bytes)):
         try:
             doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except RecursionError:
+            raise InputError("invalid JSON: nested too deeply") from None
+        except ValueError as exc:
+            # JSONDecodeError, bytes that are not UTF-8, and integers past
+            # the interpreter's digit limit
             raise InputError(f"invalid JSON: {exc}") from None
     _expect(isinstance(doc, dict), "document", "expected a JSON object")
     for field in ("n", "partition", "m", "relations"):
@@ -129,6 +133,8 @@ def load_presentation(path: str) -> Presentation:
             text = fh.read()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: not UTF-8 text ({exc})") from None
     return parse_presentation(text)
 
 

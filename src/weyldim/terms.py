@@ -21,7 +21,6 @@ from .weyl import (
     _check_vector,
     block_orders,
     mono_mul,
-    vadd,
     vsub,
 )
 
@@ -93,9 +92,18 @@ def term_lcm(u: Term, v: Term) -> Term | None:
 
 
 class ModuleElement:
-    """A finite rational combination of terms of A_n^m."""
+    """A finite rational combination of terms of A_n^m.
 
-    __slots__ = ("n", "m", "terms", "_leaders")
+    The public constructor validates and merges its input.  Internally
+    built elements go through `_trusted`, which wraps a dict that is
+    already clean: every key a `Term` whose generator and exponents are in
+    range, every value a nonzero `Fraction`.  Arithmetic on valid elements
+    keeps that invariant, so it skips the checks.
+    """
+
+    # _memo holds data derived from the terms on demand: leaders per
+    # (partition, order), and the reduction module's reducer data
+    __slots__ = ("n", "m", "terms", "_memo")
 
     def __init__(self, n: int, m: int, terms: Mapping[Term, Fraction] | Iterable):
         if m < 1:
@@ -125,7 +133,17 @@ class ModuleElement:
         self.n = n
         self.m = m
         self.terms = clean
-        self._leaders: dict = {}
+        self._memo: dict = {}
+
+    @classmethod
+    def _trusted(cls, n: int, m: int, terms: dict[Term, Fraction]) -> "ModuleElement":
+        """Wrap a clean term dict (see the class docstring) without checks."""
+        self = object.__new__(cls)
+        self.n = n
+        self.m = m
+        self.terms = terms
+        self._memo = {}
+        return self
 
     @classmethod
     def zero(cls, n: int, m: int) -> "ModuleElement":
@@ -164,24 +182,38 @@ class ModuleElement:
         self._check_compat(other)
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            s = acc.get(k, Fraction(0)) + c
-            if s == 0:
-                acc.pop(k, None)
-            else:
+            s = acc.get(k)
+            s = c if s is None else s + c
+            if s:
                 acc[k] = s
-        return ModuleElement(self.n, self.m, acc)
+            else:
+                del acc[k]
+        return ModuleElement._trusted(self.n, self.m, acc)
 
     def __neg__(self) -> "ModuleElement":
-        return ModuleElement(self.n, self.m, {k: -c for k, c in self.terms.items()})
+        return ModuleElement._trusted(
+            self.n, self.m, {k: -c for k, c in self.terms.items()}
+        )
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        return self + (-other)
+        self._check_compat(other)
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            s = acc.get(k)
+            s = -c if s is None else s - c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return ModuleElement._trusted(self.n, self.m, acc)
 
     def scale(self, c) -> "ModuleElement":
         c = Fraction(c)
         if c == 0:
             return ModuleElement.zero(self.n, self.m)
-        return ModuleElement(self.n, self.m, {k: c * v for k, v in self.terms.items()})
+        return ModuleElement._trusted(
+            self.n, self.m, {k: c * v for k, v in self.terms.items()}
+        )
 
     def coeff(self, t: Term) -> Fraction:
         return self.terms.get(t, Fraction(0))
@@ -208,12 +240,12 @@ def leader(f: ModuleElement, i: int, P: Partition) -> tuple[Term, Fraction]:
     if f.is_zero():
         raise ZeroElementError("leader of the zero element is undefined")
     cache_key = (P.sizes, i)
-    hit = f._leaders.get(cache_key)
+    hit = f._memo.get(cache_key)
     if hit is not None:
         return hit
     best = max(f.terms, key=lambda t: term_key(i, t, P))
     out = (best, f.terms[best])
-    f._leaders[cache_key] = out
+    f._memo[cache_key] = out
     return out
 
 
@@ -235,12 +267,13 @@ def act(D: WeylElement, f: ModuleElement) -> ModuleElement:
             c = cd * cf
             for key, w in mono_mul(theta_d, theta_f):
                 t = Term(gen, key)
-                s = acc.get(t, Fraction(0)) + c * w
-                if s == 0:
-                    acc.pop(t, None)
-                else:
+                s = acc.get(t)
+                s = c * w if s is None else s + c * w
+                if s:
                     acc[t] = s
-    return ModuleElement(f.n, f.m, acc)
+                else:
+                    del acc[t]
+    return ModuleElement._trusted(f.n, f.m, acc)
 
 
 def mono_act(theta: ExponentPair, gen_shift: Term) -> list[tuple[Term, int]]:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
+from operator import add, sub
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, ZeroElementError
@@ -82,10 +83,6 @@ def _check_vector(v, n: int, what: str) -> Vector:
     return v
 
 
-def vadd(a: Vector, b: Vector) -> Vector:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vector, b: Vector) -> Vector:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -128,16 +125,26 @@ def _normal_order(beta: Vector, gamma: Vector) -> tuple[tuple[Vector, int], ...]
 def mono_mul(t1: ExponentPair, t2: ExponentPair) -> list[tuple[ExponentPair, int]]:
     """Product of two normal monomials as a normal-form expansion."""
     (a1, b1), (a2, b2) = t1, t2
-    out = []
-    for k, c in _normal_order(b1, a2):
-        alpha = vadd(a1, vsub(a2, k))
-        beta = vadd(vsub(b1, k), b2)
-        out.append((ExponentPair(alpha, beta), c))
-    return out
+    alpha = tuple(map(add, a1, a2))
+    beta = tuple(map(add, b1, b2))
+    swaps = _normal_order(b1, a2)
+    if len(swaps) == 1:  # only k = 0: the d's of t1 meet none of t2's x's
+        return [(ExponentPair(alpha, beta), 1)]
+    return [
+        (ExponentPair(tuple(map(sub, alpha, k)), tuple(map(sub, beta, k))), c)
+        for k, c in swaps
+    ]
 
 
 class WeylElement:
-    """A finite rational combination of normal monomials in A_n."""
+    """A finite rational combination of normal monomials in A_n.
+
+    The public constructor validates and merges its input.  Internally
+    built elements go through `_trusted`, which wraps a dict that is
+    already clean: every key an `ExponentPair` of two length-n vectors of
+    nonnegative ints, every value a nonzero `Fraction`.  Arithmetic on
+    valid elements keeps that invariant, so it skips the checks.
+    """
 
     __slots__ = ("n", "terms")
 
@@ -161,6 +168,14 @@ class WeylElement:
                 clean[k] = c
         self.n = n
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[ExponentPair, Fraction]) -> "WeylElement":
+        """Wrap a clean term dict (see the class docstring) without checks."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
 
     @classmethod
     def zero(cls, n: int) -> "WeylElement":
@@ -202,24 +217,34 @@ class WeylElement:
         self._check_compat(other)
         acc = dict(self.terms)
         for k, c in other.terms.items():
-            s = acc.get(k, Fraction(0)) + c
-            if s == 0:
-                acc.pop(k, None)
-            else:
+            s = acc.get(k)
+            s = c if s is None else s + c
+            if s:
                 acc[k] = s
-        return WeylElement(self.n, acc)
+            else:
+                del acc[k]
+        return WeylElement._trusted(self.n, acc)
 
     def __neg__(self) -> "WeylElement":
-        return WeylElement(self.n, {k: -c for k, c in self.terms.items()})
+        return WeylElement._trusted(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "WeylElement") -> "WeylElement":
-        return self + (-other)
+        self._check_compat(other)
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            s = acc.get(k)
+            s = -c if s is None else s - c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return WeylElement._trusted(self.n, acc)
 
     def scale(self, c) -> "WeylElement":
         c = Fraction(c)
         if c == 0:
             return WeylElement.zero(self.n)
-        return WeylElement(self.n, {k: c * v for k, v in self.terms.items()})
+        return WeylElement._trusted(self.n, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, WeylElement):
@@ -253,12 +278,13 @@ def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
         for t2, c2 in d2.terms.items():
             c12 = c1 * c2
             for key, w in mono_mul(t1, t2):
-                s = acc.get(key, Fraction(0)) + c12 * w
-                if s == 0:
-                    acc.pop(key, None)
-                else:
+                s = acc.get(key)
+                s = c12 * w if s is None else s + c12 * w
+                if s:
                     acc[key] = s
-    return WeylElement(d1.n, acc)
+                else:
+                    del acc[key]
+    return WeylElement._trusted(d1.n, acc)
 
 
 def element_orders(D: WeylElement, P: Partition) -> tuple[int, Vector]:

@@ -1,8 +1,11 @@
 """Multi-order reduction, S-elements, completion, and provenance."""
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weyldim import (
     GroebnerBasis,
@@ -26,9 +29,114 @@ from weyldim import (
     s_element,
     suffix_sequence,
 )
-from weyldim.terms import gamma_divides
+from weyldim import groebner
+from weyldim.terms import block_orders, gamma_divides, leader_term, term_divides, term_key
 
-from conftest import derivative_presentation, random_module_element, worked_pair
+from conftest import (
+    _dense_presentation,
+    corpus_presentations,
+    derivative_presentation,
+    random_module_element,
+    worked_pair,
+)
+from test_terms import module_elements
+
+
+# --------------------------------------------------------- reference reduction
+
+
+def ref_eligible(w, g, seq, caps, P):
+    """Quotient theta if g can eliminate w within the tail order caps."""
+    q = term_divides(leader_term(g, seq.head, P), w)
+    if q is None:
+        return None
+    if seq.tail:
+        qbo = block_orders(q, P)
+        for pos, i in enumerate(seq.tail):
+            gi = block_orders(leader_term(g, i, P).theta, P)[i - 1]
+            if qbo[i - 1] + gi > caps[pos]:
+                return None
+    return q
+
+
+def ref_multi_reduce(f, G, seq, P):
+    """Reduction by whole-element arithmetic, rescanning every term per step.
+
+    Each step sorts the remainder under the head order, takes the first
+    term some reducer can eliminate (the reducer with the greatest head
+    leader, smallest list position on ties) and subtracts that multiple.
+    """
+    seq.check(P.p)
+    n = f.n
+    quotients = [WeylElement.zero(n) for _ in G]
+    work = f
+    while not work.is_zero():
+        caps = [
+            block_orders(leader_term(work, i, P).theta, P)[i - 1] for i in seq.tail
+        ]
+        chosen = None
+        for w in sorted(
+            work.terms, key=lambda t: term_key(seq.head, t, P), reverse=True
+        ):
+            cands = []
+            for idx, g in enumerate(G):
+                q = ref_eligible(w, g, seq, caps, P)
+                if q is not None:
+                    lk = term_key(seq.head, leader_term(g, seq.head, P), P)
+                    cands.append((lk, -idx, idx, q))
+            if cands:
+                _, _, idx, q = max(cands)
+                chosen = (w, idx, q)
+                break
+        if chosen is None:
+            break
+        w, idx, q = chosen
+        g = G[idx]
+        factor = work.terms[w] / leader(g, seq.head, P)[1]
+        step = WeylElement.monomial(n, q.alpha, q.beta, factor)
+        quotients[idx] = quotients[idx] + step
+        work = work - act(step, g)
+    return work, quotients
+
+
+def order_sequences(p):
+    """Every valid sequence for p orders: any head, any ordered tail."""
+    out = []
+    for head in range(1, p + 1):
+        rest = [i for i in range(1, p + 1) if i != head]
+        for k in range(len(rest) + 1):
+            for tail in itertools.permutations(rest, k):
+                out.append(OrderSequence(head, tail))
+    return out
+
+
+@st.composite
+def reduction_cases(draw):
+    """(f, reducers, seq, P) with duplicates and equal head leaders mixed in."""
+    P = Partition(draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 1, 1)])))
+    n, m = P.n, draw(st.integers(1, 2))
+    seq = draw(st.sampled_from(order_sequences(P.p)))
+    nonzero = module_elements(n, m).filter(lambda g: not g.is_zero())
+    G = draw(st.lists(nonzero, min_size=1, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        g = draw(st.sampled_from(G))
+        kind = draw(st.sampled_from(["duplicate", "scaled", "tail"]))
+        if kind == "scaled":
+            g = g.scale(draw(st.sampled_from([2, -1, Fraction(1, 3)])))
+        elif kind == "tail":
+            # same head leader, other coefficients below it
+            head = leader_term(g, seq.head, P)
+            others = [t for t in g.terms if t != head]
+            if others:
+                t = draw(st.sampled_from(others))
+                g = g + ModuleElement(n, m, {t: g.terms[t]})
+        G.insert(draw(st.integers(0, len(G))), g)
+    f = draw(module_elements(n, m, terms=4))
+    for g in draw(st.lists(st.sampled_from(G), max_size=2)):
+        D = draw(module_elements(n, 1, terms=2))
+        D = WeylElement(n, {theta: c for (_, theta), c in D.terms.items()})
+        f = f + act(D, g)
+    return f, G, seq, P
 
 
 class TestSequences:
@@ -79,6 +187,59 @@ class TestReduction:
         rem, quots = multi_reduce(h1, [h1], full_sequence(2), P)
         assert rem.is_zero()
         assert quots[0] == WeylElement.one(2)
+
+
+class TestAgainstReference:
+    @given(reduction_cases())
+    def test_same_remainder_and_quotients(self, case):
+        f, G, seq, P = case
+        rem, quots = multi_reduce(f, G, seq, P)
+        ref_rem, ref_quots = ref_multi_reduce(f, G, seq, P)
+        assert rem == ref_rem
+        assert quots == ref_quots
+        for g in G:
+            assert is_reduced(rem, g, seq, P)
+
+    def test_equal_head_leaders_take_the_first(self):
+        P, h1, h2, _ = worked_pair()
+        G = [h2, h1.scale(3), h1, h1.scale(-1)]
+        rem, quots = multi_reduce(h1, G, full_sequence(2), P)
+        assert rem.is_zero()
+        assert quots[1] == WeylElement.one(2).scale(Fraction(1, 3))
+        assert quots[2].is_zero() and quots[3].is_zero()
+        assert (rem, quots) == ref_multi_reduce(h1, G, full_sequence(2), P)
+
+    def test_caps_fall_when_a_term_leaves(self):
+        # eliminating x1 x2 drops the ord_2 cap from 1 to 0, and then
+        # x1 + d2 may no longer eliminate x1 (theta * d2 would reach ord_2 1)
+        P = Partition((1, 1))
+        w = ModuleElement.single(2, 1, 1, (1, 1), (0, 0))
+        x1 = ModuleElement.single(2, 1, 1, (1, 0), (0, 0))
+        g2 = x1 + ModuleElement.single(2, 1, 1, (0, 0), (0, 1))
+        G = [w, g2]
+        rem, quots = multi_reduce(w + x1, G, full_sequence(2), P)
+        assert rem == x1
+        assert quots == [WeylElement.one(2), WeylElement.zero(2)]
+        assert (rem, quots) == ref_multi_reduce(w + x1, G, full_sequence(2), P)
+
+    def test_completion_of_corpus(self, monkeypatch):
+        # every reduction run while completing (and certifying) real
+        # presentations agrees with the reference
+        calls = []
+
+        def both(f, G, seq, P):
+            out = fast(f, G, seq, P)
+            assert out == ref_multi_reduce(f, G, seq, P)
+            calls.append(out[0].is_zero())
+            return out
+
+        fast = groebner.multi_reduce
+        monkeypatch.setattr(groebner, "multi_reduce", both)
+        cases = [pres for _, pres in corpus_presentations()]
+        cases.append(_dense_presentation(7, (1, 1, 1)))
+        for pres in cases:
+            complete_basis(pres.relations, pres.P, m=pres.m)
+        assert len(calls) > 100 and not all(calls)
 
 
 class TestSElement:

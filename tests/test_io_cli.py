@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weyldim import InputError, Partition, dimension_polynomial
 from weyldim.cli import _COMMANDS, main
@@ -335,3 +337,109 @@ class TestCli:
         assert out.returncode == 1
         assert out.stderr.startswith("error: box counting:")
         assert "overflows the exact int64 counts" in out.stderr
+
+    @pytest.mark.parametrize(
+        "payload,message",
+        [
+            (b'{"n": 1, "partition": [1], "m": 1, "relations": [], "x": "\xff"}', "not UTF-8"),
+            (b"[" * 200_000 + b"]" * 200_000, "nested too deeply"),
+            (b'{"n": ' + b"9" * 5000 + b', "partition": [1], "m": 1, "relations": []}', "digits"),
+        ],
+        ids=["non-utf8", "deep-nesting", "long-integer"],
+    )
+    def test_malformed_file_is_an_input_error(self, tmp_path, payload, message):
+        path = tmp_path / "bad.json"
+        path.write_bytes(payload)
+        out = run_cli_capped(["gb", str(path)])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: ")
+        assert message in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[], ["bogus"], ["eval", "{file}"], ["check", "{file}", "--rmax", "x"], ["gb"]],
+        ids=["no-command", "unknown-command", "eval-without-at", "bad-rmax", "no-file"],
+    )
+    def test_usage_error_exits_1(self, capsys, ex_file, argv):
+        assert main([a.format(file=ex_file) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: weyldim")
+        assert "error: weyldim" in err
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            main(["--help"])
+        assert done.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: weyldim")
+
+
+# small well-formed documents, each possibly with one value replaced by
+# arbitrary JSON or one field dropped
+json_leaf = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(allow_nan=False), st.text(max_size=4)
+)
+json_any = st.recursive(
+    json_leaf,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _slots(node):
+    """(container, key) for every value inside a parsed document."""
+    keys = node.keys() if isinstance(node, dict) else range(len(node))
+    for k in keys:
+        yield node, k
+        if isinstance(node[k], (dict, list)):
+            yield from _slots(node[k])
+
+
+@st.composite
+def fuzz_documents(draw):
+    n = draw(st.integers(1, 2))
+    # exponents up to 1: with exponents up to 2, completing two two-term
+    # relations on n = 2 can take over a minute
+    vec = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    record = st.fixed_dictionaries(
+        {
+            "gen": st.integers(1, 2),
+            "alpha": vec,
+            "beta": vec,
+            "coeff": st.sampled_from([1, -1, 2, "1/2", "-3/4"]),
+        }
+    )
+    doc = {
+        "n": n,
+        "partition": draw(st.sampled_from([[n], [1] * n])),
+        "m": draw(st.integers(1, 2)),
+        "relations": draw(st.lists(st.lists(record, min_size=1, max_size=2), max_size=2)),
+    }
+    change = draw(st.sampled_from(["none", "replace", "drop"]))
+    if change != "none":
+        node, key = draw(st.sampled_from(list(_slots(doc))))
+        if change == "replace":
+            node[key] = draw(json_any)
+        else:
+            del node[key]
+    return json.dumps(doc).encode()
+
+
+class TestCliFuzz:
+    """Every document and byte string ends in an exit code, never an exception."""
+
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        payload=st.one_of(fuzz_documents(), st.binary(max_size=40)),
+        argv=st.sampled_from(
+            [["gb"], ["dimpoly"], ["eval", "--at=1,1"], ["eval", "--at=2"], ["eval", "--at=x"]]
+        ),
+    )
+    def test_exit_code_contract(self, capsys, tmp_path, payload, argv):
+        path = tmp_path / "fuzz.json"
+        path.write_bytes(payload)
+        code = main([argv[0], str(path), *argv[1:]])
+        assert code in (0, 1, 2, 3)
+        # these commands print only a finished result
+        assert (capsys.readouterr().out != "") == (code == 0)

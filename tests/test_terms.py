@@ -2,7 +2,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from weyldim import (
@@ -206,3 +206,54 @@ class TestAction:
         u = leader_term(h1, 1, P)
         v = leader_term(act(D, h1), 1, P)
         assert v == t(u.gen, (1, 2), (2, 1))
+
+
+def assert_canonical(x):
+    """No zero coefficient, only Fractions, and what the public
+    constructor would build from the same dict."""
+    assert all(type(c) is Fraction and c != 0 for c in x.terms.values())
+    if isinstance(x, ModuleElement):
+        assert all(type(k) is Term and type(k.theta) is ExponentPair for k in x.terms)
+        again = ModuleElement(x.n, x.m, dict(x.terms))
+    else:
+        assert all(type(k) is ExponentPair for k in x.terms)
+        again = WeylElement(x.n, dict(x.terms))
+    assert again == x
+    assert again.terms == x.terms
+
+
+class TestTrustedArithmetic:
+    """Results built through `_trusted` stay canonical."""
+
+    scalars = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+    @given(module_elements(2, 2, terms=4), module_elements(2, 2, terms=4), scalars)
+    def test_module_operations(self, f, g, c):
+        # f - f and f + (-f) cancel every term
+        for out in (f + g, f - g, f - f, f + (-f), -f, f.scale(c), g.scale(0)):
+            assert_canonical(out)
+        assert (f - f).is_zero() and (f + (-f)).is_zero()
+        assert f - g == f + (-g)
+
+    @given(weyl_elements(2, terms=4), weyl_elements(2, terms=4), scalars)
+    @example(  # (x1 + x2)(x2 - x1): the two x1 x2 terms cancel
+        WeylElement(2, {((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): 1}),
+        WeylElement(2, {((0, 1), (0, 0)): 1, ((1, 0), (0, 0)): -1}),
+        Fraction(1),
+    )
+    def test_weyl_operations(self, a, b, c):
+        for out in (a + b, a - b, a - a, -a, a.scale(c), a * b, b * a, a * b - b * a):
+            assert_canonical(out)
+        assert a - b == a + (-b)
+
+    @given(weyl_elements(2, terms=4), module_elements(2, 2, terms=4))
+    @example(  # (x1 + x2)(x2 - x1) e1: the two x1 x2 e1 terms cancel
+        WeylElement(2, {((1, 0), (0, 0)): 1, ((0, 1), (0, 0)): 1}),
+        ModuleElement(2, 2, {(1, ((0, 1), (0, 0))): 1, (1, ((1, 0), (0, 0))): -1}),
+    )
+    def test_action(self, D, f):
+        assert_canonical(act(D, f))
+        # acting twice is acting by the square, so every term cancels
+        diff = act(D * D, f) - act(D, act(D, f))
+        assert_canonical(diff)
+        assert diff.is_zero()
