@@ -155,6 +155,8 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+_PARSER = build_parser()
+
 _COMMANDS = {
     "gb": _cmd_gb,
     "dimpoly": _cmd_dimpoly,
@@ -167,7 +169,7 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _PARSER.parse_args(argv)
         return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -27,7 +27,6 @@ from .numpoly import (
     InvariantReport,
     NumericalPolynomial,
     binomial_sum,
-    canonicalize,
     interpolate,
     invariant_set,
     omega,
@@ -262,8 +261,7 @@ def dimension_polynomial(
         if path == "symbolic":
             psi = psi_sym
         else:
-            mono = interpolate(R0, sizes2, lambda r: counts[r][1])
-            psi = canonicalize(mono, p)
+            psi = interpolate(R0, sizes2, lambda r: counts[r][1])
         phi = omega_p + psi
         if all(phi.eval(r) == counts[r][2] for r in sample):
             verified = tuple((r, counts[r][2]) for r in sample)

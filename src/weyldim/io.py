@@ -12,14 +12,17 @@ Input format (one JSON object):
       ]
     }
 
-Coefficients are integer or "num/den" strings (plain JSON integers are
-also accepted).  Duplicate (gen, alpha, beta) records within a relation
-are summed.  All output is emitted with sorted keys and a fixed element
-order, so equal inputs produce byte-identical output.
+Coefficients are integer or "num/den" strings: an optional sign, ASCII
+digits, and optionally "/" and digits, surrounding whitespace ignored
+(plain JSON integers are also accepted).  Duplicate (gen, alpha, beta)
+records within a relation are summed.  All output is emitted with
+sorted keys and a fixed element order, so equal inputs produce
+byte-identical output.
 """
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from typing import Any
 
@@ -41,14 +44,24 @@ def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_fraction(value: Any, where: str) -> Fraction:
     if isinstance(value, bool):
         raise InputError(f"{where}: booleans are not coefficients")
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        text = value.strip()
+        # Fraction(str) also takes decimals, exponents and underscores;
+        # an exponent like "1e100000000" would expand without bound
+        if not _RATIONAL.fullmatch(text):
+            raise InputError(
+                f"{where}: bad rational {value!r} (expected an integer or 'num/den')"
+            )
         try:
-            return Fraction(value.strip())
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"{where}: bad rational {value!r} ({exc})") from None
     raise InputError(f"{where}: coefficient must be an integer or 'num/den' string")

@@ -1,16 +1,24 @@
 """Numerical polynomials in p variables over the binomial basis.
 
 Canonical form: sum of a_i * prod_j C(t_j + i_j, i_j) with integer
-coefficients a_i, unique for integer-valued polynomials.  Conversions go
-through exact evaluation on integer grids followed by iterated finite
-differences; no floating point anywhere.
+coefficients a_i, unique for integer-valued polynomials.  Every
+polynomial is built in this form, from counts to phi, on one integer
+path: `binomial_sum` adds tensor products of per-axis integer
+coefficient vectors, and each producer supplies those vectors through
+`shift_coeffs`, C(t + q - b, q) = sum_i (-1)^(q-i) C(b, q-i) C(t + i, i).
+No floating point anywhere, and no rational arithmetic on the way.
 
-The staircase polynomial `omega` takes two integer steps.  The
-block-graded K-polynomial numerator of S/(x^A) comes from the colon
-recursion K(I + (x^g)) = K(I) - t^deg(g) K(I : x^g) of Bayer-Stillman
-and Bigatti, and each of its terms t^b is turned into binomial-basis
-coefficients directly through C(t + q - b, q) = sum_i (-1)^(q-i)
-C(b, q-i) C(t + i, i), so the cost grows polynomially with |A|.
+The staircase polynomial `omega` takes the block-graded K-polynomial
+numerator of S/(x^A) from the colon recursion
+K(I + (x^g)) = K(I) - t^deg(g) K(I : x^g) of Bayer-Stillman and Bigatti
+and expands each term t^b as prod_j C(t_j + q_j - b_j, q_j), so the
+cost grows polynomially with |A|.  `interpolate` takes exact forward
+differences of integer samples and expands the Newton series the same
+way.
+
+Rational monomial coefficients appear only where output asks for them:
+`monomial_view` (the `monomial` field of a report), `degree_data` and
+the invariants.
 """
 from __future__ import annotations
 
@@ -18,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from operator import add, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -38,75 +46,10 @@ def binom_int(t: int, k: int) -> int:
     return num // factorial(k)
 
 
-def mp_add(a: MonoPoly, b: MonoPoly) -> MonoPoly:
-    out = dict(a)
-    for k, c in b.items():
-        s = out.get(k, Fraction(0)) + c
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return out
-
-
-def mp_scale(a: MonoPoly, c) -> MonoPoly:
-    c = Fraction(c)
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in a.items()}
-
-
-def mp_mul(a: MonoPoly, b: MonoPoly) -> MonoPoly:
-    out: MonoPoly = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = tuple(x + y for x, y in zip(ka, kb))
-            s = out.get(k, Fraction(0)) + ca * cb
-            if s == 0:
-                out.pop(k, None)
-            else:
-                out[k] = s
-    return out
-
-
-def mp_eval(a: MonoPoly, r: Sequence[int]) -> Fraction:
-    total = Fraction(0)
-    for k, c in a.items():
-        v = c
-        for e, t in zip(k, r):
-            v *= Fraction(t) ** e
-        total += v
-    return total
-
-
-@lru_cache(maxsize=None)
-def _shifted_binomial_1d(shift: int, k: int) -> tuple[tuple[int, Fraction], ...]:
-    """Monomial coefficients of C(t + shift, k) as a polynomial in t."""
-    poly = {0: Fraction(1)}
-    for j in range(k):
-        # multiply by (t + shift - j)
-        nxt: dict[int, Fraction] = {}
-        for e, c in poly.items():
-            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + c
-            nxt[e] = nxt.get(e, Fraction(0)) + c * (shift - j)
-        poly = nxt
-    inv = Fraction(1, factorial(k))
-    return tuple((e, c * inv) for e, c in sorted(poly.items()))
-
-
-def shifted_binomial(p: int, axis: int, shift: int, k: int) -> MonoPoly:
-    """C(t_axis + shift, k) as a p-variate monomial polynomial."""
-    out: MonoPoly = {}
-    for e, c in _shifted_binomial_1d(shift, k):
-        idx = tuple(e if j == axis else 0 for j in range(p))
-        out[idx] = c
-    return out
-
-
 class NumericalPolynomial:
     """Integer-valued polynomial stored by its binomial-basis coefficients."""
 
-    __slots__ = ("p", "coeffs", "_mono")
+    __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Mapping[Index, int]):
         if p < 1:
@@ -122,7 +65,6 @@ class NumericalPolynomial:
                 clean[k] = clean.get(k, 0) + c
         self.p = p
         self.coeffs = {k: c for k, c in clean.items() if c}
-        self._mono = None
 
     @classmethod
     def zero(cls, p: int) -> "NumericalPolynomial":
@@ -170,17 +112,15 @@ class NumericalPolynomial:
         return total
 
     def monomial_view(self) -> MonoPoly:
-        """The same polynomial with rational monomial coefficients."""
-        if self._mono is None:
-            acc: MonoPoly = {}
-            for k, c in self.coeffs.items():
-                term = {(0,) * self.p: Fraction(c)}
-                for axis, i in enumerate(k):
-                    if i:
-                        term = mp_mul(term, shifted_binomial(self.p, axis, i, i))
-                acc = mp_add(acc, term)
-            self._mono = acc
-        return dict(self._mono)
+        """The same polynomial with rational monomial coefficients.
+
+        The output view of the `monomial` report field: each B[k] expands
+        as the tensor product of the per-axis monomial coefficients of
+        C(t_j + k_j, k_j).
+        """
+        return _tensor_sum(
+            (c, [_binomial_monomials(i) for i in k]) for k, c in self.coeffs.items()
+        )
 
     def degree_data(self) -> tuple[int, tuple[int, ...], MonoPoly]:
         """Total degree, per-variable degrees, and the top homogeneous part.
@@ -216,15 +156,13 @@ def shift_coeffs(q: int, b: int) -> tuple[int, ...]:
     return tuple((-1) ** (q - i) * binom_int(b, q - i) for i in range(q + 1))
 
 
-def binomial_sum(
-    p: int, terms: Iterable[tuple[int, Sequence[Sequence[int]]]]
-) -> NumericalPolynomial:
-    """Sum of w * prod_j (sum_i f_j[i] C(t_j + i, i)) over (w, (f_1, ..., f_p)).
+def _tensor_sum(terms: Iterable[tuple[int, Sequence[Sequence]]]) -> dict:
+    """Sum of w * (f_1 x ... x f_p) over (w, (f_1, ..., f_p)), zeros dropped.
 
-    Each term is a tensor product of per-axis integer coefficient vectors,
-    so the sum lands in canonical form without leaving the integers.
+    Entry k of the sum collects w * prod_j f_j[k_j]; the factors may hold
+    integers or fractions.
     """
-    acc: dict[Index, int] = {}
+    acc: dict = {}
     for w, factors in terms:
         if not w:
             continue
@@ -235,54 +173,47 @@ def binomial_sum(
                 c *= x
             k = tuple(i for i, _ in combo)
             acc[k] = acc.get(k, 0) + c
-    return NumericalPolynomial(p, acc)
+    return {k: c for k, c in acc.items() if c}
 
 
-def canonicalize(mono: MonoPoly, p: int) -> NumericalPolynomial:
-    """Canonical binomial form of an integer-valued monomial polynomial."""
-    if not mono:
-        return NumericalPolynomial.zero(p)
-    for k in mono:
-        if len(k) != p:
-            raise InputError(f"monomial index {k} has wrong arity for p={p}")
-    degs = tuple(max(k[i] for k in mono) for i in range(p))
-    # backward differences at (-1, ..., -1) pick out each coefficient
-    values: dict[Index, Fraction] = {}
-    for off in itertools.product(*(range(d + 1) for d in degs)):
-        point = tuple(-1 - o for o in off)
-        values[off] = mp_eval(mono, point)
-    coeffs: dict[Index, int] = {}
-    for k in itertools.product(*(range(d + 1) for d in degs)):
-        total = Fraction(0)
-        for s in itertools.product(*(range(e + 1) for e in k)):
-            sign = (-1) ** sum(s)
-            w = 1
-            for ke, se in zip(k, s):
-                w *= comb(ke, se)
-            total += sign * w * values[s]
-        if total.denominator != 1:
-            raise InputError(
-                f"not integer-valued: basis coefficient at {k} is {total}"
-            )
-        if total:
-            coeffs[k] = int(total)
-    return NumericalPolynomial(p, coeffs)
+def binomial_sum(
+    p: int, terms: Iterable[tuple[int, Sequence[Sequence[int]]]]
+) -> NumericalPolynomial:
+    """Sum of w * prod_j (sum_i f_j[i] C(t_j + i, i)) over (w, (f_1, ..., f_p)).
+
+    Each term is a tensor product of per-axis integer coefficient vectors,
+    so the sum lands in canonical form without leaving the integers.
+    """
+    return NumericalPolynomial(p, _tensor_sum(terms))
+
+
+@lru_cache(maxsize=None)
+def _binomial_monomials(k: int) -> tuple[Fraction, ...]:
+    """Monomial coefficients of C(t + k, k) = (t + 1)...(t + k) / k!, by degree."""
+    poly = [1]
+    for j in range(1, k + 1):
+        # multiply by (t + j)
+        poly = [j * a + b for a, b in zip(poly + [0], [0] + poly)]
+    return tuple(Fraction(c, factorial(k)) for c in poly)
 
 
 def interpolate(
     base: Sequence[int], degs: Sequence[int], f: Callable[[Index], int]
-) -> MonoPoly:
-    """Monomial form of the polynomial matching f on the Newton grid.
+) -> NumericalPolynomial:
+    """The numerical polynomial matching integer-valued f on the Newton grid.
 
     Samples f at base + offsets, offsets ranging over prod(degs_j + 1)
-    points, and assembles the multivariate Newton expansion exactly.
+    points, and takes iterated forward differences D^k f(base) in place.
+    Each multiplies prod_j C(t_j - base_j, k_j), whose binomial-basis
+    coefficients are `shift_coeffs(k_j, k_j + base_j)`, so the Newton
+    expansion lands in canonical form without leaving the integers.
     """
     base = tuple(base)
     degs = tuple(degs)
     p = len(base)
-    vals: dict[Index, Fraction] = {}
+    vals: dict[Index, int] = {}
     for off in itertools.product(*(range(d + 1) for d in degs)):
-        vals[off] = Fraction(f(tuple(b + o for b, o in zip(base, off))))
+        vals[off] = f(tuple(b + o for b, o in zip(base, off)))
     # iterated forward differences, in place, one axis at a time
     for axis in range(p):
         others = [range(d + 1) for i, d in enumerate(degs) if i != axis]
@@ -292,16 +223,13 @@ def interpolate(
                     off = rest[:axis] + (j,) + rest[axis:]
                     below = rest[:axis] + (j - 1,) + rest[axis:]
                     vals[off] = vals[off] - vals[below]
-    out: MonoPoly = {}
-    for off, c in vals.items():
-        if c == 0:
-            continue
-        term = {(0,) * p: c}
-        for axis, k in enumerate(off):
-            if k:
-                term = mp_mul(term, shifted_binomial(p, axis, -base[axis], k))
-        out = mp_add(out, term)
-    return out
+    return binomial_sum(
+        p,
+        (
+            (c, [shift_coeffs(k, k + b) for k, b in zip(off, base)])
+            for off, c in vals.items()
+        ),
+    )
 
 
 def minimize(points: Iterable[Index]) -> tuple[Index, ...]:

@@ -10,7 +10,6 @@ bound re-checks the count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from typing import Sequence
@@ -18,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .groebner import GroebnerBasis, complete_basis, provenance_orders
+from .groebner import GroebnerBasis, provenance_orders
 from .kernels import box_vectors, count_not_dominated
 from .numpoly import IndexSet
 from .terms import ModuleElement, Term, act, term_key
@@ -115,17 +114,6 @@ def _unpack_row(row, P: Partition) -> ExponentPair:
             beta[a + k] = int(row[col + w + k])
         col += 2 * w
     return ExponentPair(tuple(alpha), tuple(beta))
-
-
-@dataclass
-class RankQuery:
-    """One dimension request: a presentation, bounds r, extra slack."""
-
-    P: Partition
-    m: int
-    relations: tuple[ModuleElement, ...]
-    r: tuple[int, ...]
-    slack: int = 0
 
 
 class RankOracle:
@@ -280,9 +268,3 @@ class RankOracle:
                     nxt = {k: v // g for k, v in nxt.items()}
             row = nxt
         return 0
-
-
-def rank_dimension(q: RankQuery) -> int:
-    """One-shot wrapper around RankOracle for a single grid point."""
-    oracle = RankOracle(q.relations, complete_basis(q.relations, q.P, q.m))
-    return oracle.dimension(q.r, q.slack)

@@ -253,10 +253,6 @@ def leader_term(f: ModuleElement, i: int, P: Partition) -> Term:
     return leader(f, i, P)[0]
 
 
-def leading_coeff(f: ModuleElement, i: int, P: Partition) -> Fraction:
-    return leader(f, i, P)[1]
-
-
 def act(D: WeylElement, f: ModuleElement) -> ModuleElement:
     """Module action of an algebra element, componentwise on generators."""
     if D.n != f.n:
@@ -274,12 +270,6 @@ def act(D: WeylElement, f: ModuleElement) -> ModuleElement:
                 else:
                     del acc[t]
     return ModuleElement._trusted(f.n, f.m, acc)
-
-
-def mono_act(theta: ExponentPair, gen_shift: Term) -> list[tuple[Term, int]]:
-    """theta acting on a single term, expanded with integer weights."""
-    gen, tau = gen_shift
-    return [(Term(gen, key), w) for key, w in mono_mul(theta, tau)]
 
 
 def rho(f: ModuleElement, P: Partition) -> GammaTerm:

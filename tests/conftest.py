@@ -11,12 +11,17 @@ import resource
 import subprocess
 import sys
 from fractions import Fraction
+from functools import lru_cache
+from math import comb, factorial
+from typing import Sequence
 
 from hypothesis import settings
 
 from weyldim import (
     IndexSet,
+    InputError,
     ModuleElement,
+    NumericalPolynomial,
     Partition,
     Presentation,
     WeylElement,
@@ -24,11 +29,160 @@ from weyldim import (
     count_UVW,
     minimize,
 )
-from weyldim.numpoly import MonoPoly, mp_mul, shifted_binomial
+from weyldim.numpoly import Index, MonoPoly
 from weyldim.terms import act
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+
+
+# ------------------------------------------- rational monomial references
+#
+# The library builds every numerical polynomial in the integer binomial
+# basis.  These rational monomial-form helpers are the independent
+# references the tests compare it against.
+
+
+def mp_add(a: MonoPoly, b: MonoPoly) -> MonoPoly:
+    out = dict(a)
+    for k, c in b.items():
+        s = out.get(k, Fraction(0)) + c
+        if s == 0:
+            out.pop(k, None)
+        else:
+            out[k] = s
+    return out
+
+
+def mp_scale(a: MonoPoly, c) -> MonoPoly:
+    c = Fraction(c)
+    if c == 0:
+        return {}
+    return {k: c * v for k, v in a.items()}
+
+
+def mp_mul(a: MonoPoly, b: MonoPoly) -> MonoPoly:
+    out: MonoPoly = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(x + y for x, y in zip(ka, kb))
+            s = out.get(k, Fraction(0)) + ca * cb
+            if s == 0:
+                out.pop(k, None)
+            else:
+                out[k] = s
+    return out
+
+
+def mp_eval(a: MonoPoly, r: Sequence[int]) -> Fraction:
+    total = Fraction(0)
+    for k, c in a.items():
+        v = c
+        for e, t in zip(k, r):
+            v *= Fraction(t) ** e
+        total += v
+    return total
+
+
+@lru_cache(maxsize=None)
+def _shifted_binomial_1d(shift: int, k: int) -> tuple[tuple[int, Fraction], ...]:
+    """Monomial coefficients of C(t + shift, k) as a polynomial in t."""
+    poly = {0: Fraction(1)}
+    for j in range(k):
+        # multiply by (t + shift - j)
+        nxt: dict[int, Fraction] = {}
+        for e, c in poly.items():
+            nxt[e + 1] = nxt.get(e + 1, Fraction(0)) + c
+            nxt[e] = nxt.get(e, Fraction(0)) + c * (shift - j)
+        poly = nxt
+    inv = Fraction(1, factorial(k))
+    return tuple((e, c * inv) for e, c in sorted(poly.items()))
+
+
+def shifted_binomial(p: int, axis: int, shift: int, k: int) -> MonoPoly:
+    """C(t_axis + shift, k) as a p-variate monomial polynomial."""
+    out: MonoPoly = {}
+    for e, c in _shifted_binomial_1d(shift, k):
+        idx = tuple(e if j == axis else 0 for j in range(p))
+        out[idx] = c
+    return out
+
+
+def canonicalize(mono: MonoPoly, p: int) -> NumericalPolynomial:
+    """Canonical binomial form of an integer-valued monomial polynomial."""
+    if not mono:
+        return NumericalPolynomial.zero(p)
+    for k in mono:
+        if len(k) != p:
+            raise InputError(f"monomial index {k} has wrong arity for p={p}")
+    degs = tuple(max(k[i] for k in mono) for i in range(p))
+    # backward differences at (-1, ..., -1) pick out each coefficient
+    values: dict[Index, Fraction] = {}
+    for off in itertools.product(*(range(d + 1) for d in degs)):
+        point = tuple(-1 - o for o in off)
+        values[off] = mp_eval(mono, point)
+    coeffs: dict[Index, int] = {}
+    for k in itertools.product(*(range(d + 1) for d in degs)):
+        total = Fraction(0)
+        for s in itertools.product(*(range(e + 1) for e in k)):
+            sign = (-1) ** sum(s)
+            w = 1
+            for ke, se in zip(k, s):
+                w *= comb(ke, se)
+            total += sign * w * values[s]
+        if total.denominator != 1:
+            raise InputError(
+                f"not integer-valued: basis coefficient at {k} is {total}"
+            )
+        if total:
+            coeffs[k] = int(total)
+    return NumericalPolynomial(p, coeffs)
+
+
+def ref_interpolate(base: Sequence[int], degs: Sequence[int], f) -> MonoPoly:
+    """Monomial form of the polynomial matching f on the Newton grid.
+
+    Samples f at base + offsets, offsets ranging over prod(degs_j + 1)
+    points, and assembles the multivariate Newton expansion in rational
+    monomial form.
+    """
+    base = tuple(base)
+    degs = tuple(degs)
+    p = len(base)
+    vals: dict[Index, Fraction] = {}
+    for off in itertools.product(*(range(d + 1) for d in degs)):
+        vals[off] = Fraction(f(tuple(b + o for b, o in zip(base, off))))
+    # iterated forward differences, in place, one axis at a time
+    for axis in range(p):
+        others = [range(d + 1) for i, d in enumerate(degs) if i != axis]
+        for k in range(1, degs[axis] + 1):
+            for j in range(degs[axis], k - 1, -1):
+                for rest in itertools.product(*others):
+                    off = rest[:axis] + (j,) + rest[axis:]
+                    below = rest[:axis] + (j - 1,) + rest[axis:]
+                    vals[off] = vals[off] - vals[below]
+    out: MonoPoly = {}
+    for off, c in vals.items():
+        if c == 0:
+            continue
+        term = {(0,) * p: c}
+        for axis, k in enumerate(off):
+            if k:
+                term = mp_mul(term, shifted_binomial(p, axis, -base[axis], k))
+        out = mp_add(out, term)
+    return out
+
+
+def ref_monomial_view(f: NumericalPolynomial) -> MonoPoly:
+    """Monomial form of f, built one shifted-binomial factor at a time."""
+    acc: MonoPoly = {}
+    for k, c in f.coeffs.items():
+        term = {(0,) * f.p: Fraction(c)}
+        for axis, i in enumerate(k):
+            if i:
+                term = mp_mul(term, shifted_binomial(f.p, axis, i, i))
+        acc = mp_add(acc, term)
+    return acc
 
 
 # ---------------------------------------------------------------- fixed cases

@@ -15,9 +15,12 @@ from fractions import Fraction
 
 from conftest import (
     binom_product,
+    canonicalize,
     corpus_presentations,
     derivative_presentation,
     extend_with,
+    mp_add,
+    mp_scale,
     random_index_sets,
     random_weyl,
     two_term_presentation,
@@ -45,7 +48,6 @@ from weyldim import (
     s_element,
     weyl_mul,
 )
-from weyldim.numpoly import canonicalize, mp_add, mp_scale
 
 Reports = list[tuple[str, Presentation, DimensionReport]]
 

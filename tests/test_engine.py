@@ -12,7 +12,6 @@ from weyldim import (
     WeylElement,
     bernstein_inequality_check,
     bernstein_polynomial,
-    canonicalize,
     complete_basis,
     count_UVW,
     dimension_polynomial,
@@ -21,14 +20,16 @@ from weyldim import (
     weyl_dimension,
 )
 from weyldim.engine import _symbolic_applicable
-from weyldim.numpoly import mp_add, mp_scale
 
 from conftest import (
     binom_product,
+    canonicalize,
     corpus_presentations,
     derivative_presentation,
     extend_with,
     grid,
+    mp_add,
+    mp_scale,
     two_term_presentation,
 )
 

@@ -2,6 +2,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weyldim import InputError, Partition, dimension_polynomial
+from weyldim import cli
 from weyldim.cli import _COMMANDS, main
 from weyldim.io import (
     dumps,
@@ -69,7 +71,10 @@ class TestParseFraction:
         assert parse_fraction(" 5 ", "x") == Fraction(5)
 
     def test_rejected_forms(self):
-        for bad in (True, False, 1.5, None, "1/0", "a/b", [1]):
+        for bad in (
+            True, False, 1.5, None, "1/0", "a/b", [1],
+            "1.5", "1e3", "1_000", "1e100000000", "9" * 5000,
+        ):
             with pytest.raises(InputError):
                 parse_fraction(bad, "x")
 
@@ -367,6 +372,25 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("usage: weyldim")
         assert "error: weyldim" in err
+
+    def test_exponent_coefficient_rejected_at_once(self, capsys, tmp_path):
+        doc = dict(EX_DOC)
+        rec = {"gen": 1, "alpha": [1, 0], "beta": [0, 1], "coeff": "1e100000000"}
+        doc["relations"] = [[rec]]
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        t0 = time.perf_counter()
+        assert main(["gb", str(path)]) == 1
+        assert time.perf_counter() - t0 < 5.0
+        err = capsys.readouterr().err
+        assert "relations[0][0].coeff" in err
+
+    def test_parser_built_once(self, capsys, monkeypatch, ex_file):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
+        assert main(["gb", ex_file]) == 0
+        assert main(["gb", ex_file]) == 0
+        assert built == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as done:

@@ -1,6 +1,7 @@
 """Numerical polynomials: binomial basis, interpolation, counting, invariants."""
 import itertools
 import sys
+from operator import le
 from fractions import Fraction
 
 import pytest
@@ -11,26 +12,25 @@ from weyldim import (
     IndexSet,
     InputError,
     NumericalPolynomial,
-    canonicalize,
     enum_V_A,
     interpolate,
     invariant_set,
     minimize,
     omega,
 )
-from weyldim.numpoly import (
-    MonoPoly,
-    binom_int,
-    binomial_sum,
-    k_numerator,
+from weyldim.numpoly import MonoPoly, binom_int, binomial_sum, k_numerator, shift_coeffs
+
+from conftest import (
+    binom_product,
+    canonicalize,
+    grid,
     mp_add,
     mp_eval,
     mp_mul,
-    shift_coeffs,
+    ref_interpolate,
+    ref_monomial_view,
     shifted_binomial,
 )
-
-from conftest import binom_product, grid
 
 
 def num_polys(p: int, deg: int = 3, coeff: int = 5):
@@ -169,6 +169,10 @@ class TestNumericalPolynomial:
     def test_canonicalize_round_trip(self, f):
         assert canonicalize(f.monomial_view(), 2) == f
 
+    @given(st.integers(1, 3).flatmap(lambda p: num_polys(p, deg=4)))
+    def test_monomial_view_matches_reference(self, f):
+        assert f.monomial_view() == ref_monomial_view(f)
+
     @given(num_polys(1, deg=4), num_polys(1, deg=4))
     def test_ring_ops(self, f, g):
         for r in range(-3, 4):
@@ -193,11 +197,22 @@ class TestInterpolate:
             return int(mp_eval(target, r))
 
         out = interpolate((3, 2), (2, 2), f)
-        assert canonicalize(out, 2) == canonicalize(target, 2)
+        assert out == canonicalize(target, 2)
 
     def test_base_offsets(self):
         out = interpolate((5,), (1,), lambda r: 3 * r[0] + 1)
-        assert canonicalize(out, 1) == NumericalPolynomial(1, {(1,): 3, (0,): -2})
+        assert out == NumericalPolynomial(1, {(1,): 3, (0,): -2})
+
+    @given(st.data())
+    def test_matches_reference(self, data):
+        p = data.draw(st.integers(1, 3))
+        base = data.draw(st.tuples(*([st.integers(-4, 6)] * p)))
+        degs = data.draw(st.tuples(*([st.integers(0, 4)] * p)))
+        target = data.draw(num_polys(p, deg=4))
+        out = interpolate(base, degs, target.eval)
+        assert out == canonicalize(ref_interpolate(base, degs, target.eval), p)
+        if all(all(map(le, k, degs)) for k in target.coeffs):
+            assert out == target
 
 
 class TestShiftedBinomial:

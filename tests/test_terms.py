@@ -21,8 +21,8 @@ from weyldim import (
     term_divides,
     term_lcm,
 )
-from weyldim.terms import leader_term, mono_act, term_key
-from weyldim.weyl import ExponentPair
+from weyldim.terms import leader_term, term_key
+from weyldim.weyl import ExponentPair, mono_mul
 
 from conftest import worked_pair
 from test_weyl import weyl_elements
@@ -30,6 +30,12 @@ from test_weyl import weyl_elements
 
 def t(gen, alpha, beta):
     return Term(gen, ExponentPair(tuple(alpha), tuple(beta)))
+
+
+def mono_act(theta: ExponentPair, gen_shift: Term) -> list[tuple[Term, int]]:
+    """theta acting on a single term, expanded with integer weights."""
+    gen, tau = gen_shift
+    return [(Term(gen, key), w) for key, w in mono_mul(theta, tau)]
 
 
 def module_elements(n: int, m: int, hi: int = 2, terms: int = 3):
