@@ -2,16 +2,17 @@
 
 naive_weyl_mul rewrites words one commutator swap at a time; enum_V_A
 counts lattice points directly; RankOracle measures dim M_r by exact
-row reduction of relation multiples.  The counted value never touches
-the closed-form or Groebner code paths; a completed basis, supplied by
-the caller, is consulted only for the truncation bound that makes the
-row family provably sufficient, and a second pass one step past that
-bound re-checks the count.
+row reduction of relation multiples, kept as integer rows over integer
+column ids.  The counted value never touches the closed-form or
+Groebner code paths; a completed basis, supplied by the caller, is
+consulted only for the truncation bound that makes the row family
+provably sufficient, and a second pass one step past that bound
+re-checks the count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 import numpy as np
@@ -20,8 +21,8 @@ from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis, provenance_orders
 from .kernels import box_vectors, count_not_dominated
 from .numpoly import IndexSet
-from .terms import ModuleElement, Term, act, term_key
-from .weyl import ExponentPair, Partition, WeylElement, block_orders, weyl_dimension
+from .terms import ModuleElement, Term, term_key
+from .weyl import ExponentPair, Partition, WeylElement, mono_mul, weyl_dimension
 
 _NAIVE_BUDGET = 8
 
@@ -102,30 +103,47 @@ def enum_V_A(A: IndexSet, r: Sequence[int]) -> int:
     return count_not_dominated(V, pts)
 
 
-def _unpack_row(row, P: Partition) -> ExponentPair:
+def _unpack_row(row: tuple[int, ...], P: Partition) -> ExponentPair:
     """Blockwise-packed exponent row back to global (alpha, beta)."""
     alpha = [0] * P.n
     beta = [0] * P.n
     col = 0
-    for j, (a, b) in enumerate(P.blocks):
+    for a, b in P.blocks:
         w = b - a
-        for k in range(w):
-            alpha[a + k] = int(row[col + k])
-            beta[a + k] = int(row[col + w + k])
+        alpha[a:b] = row[col:col + w]
+        beta[a:b] = row[col + w:col + 2 * w]
         col += 2 * w
     return ExponentPair(tuple(alpha), tuple(beta))
 
 
+def _integer_relation(g: ModuleElement) -> list[tuple[int, ExponentPair, int]]:
+    """Terms of g as (gen, theta, coeff) with all denominators cleared."""
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    return [
+        (t.gen, t.theta, c.numerator * (den // c.denominator))
+        for t, c in g.terms.items()
+    ]
+
+
 class RankOracle:
-    """dim M_r by exact elimination over the rationals.
+    """dim M_r by exact fraction-free elimination over the integers.
 
     Rows are the relation multiples theta*g with theta bounded blockwise
-    by r plus a certified slack; the span of box terms is read off an
-    ordered echelon (columns outside the box eliminate first).  The
-    slack is the provenance order bound of `basis`, the completion of
-    `relations`, which bounds the multipliers needed to write any kernel
-    element supported inside the box; a confirmation pass one step
-    further must leave the count unchanged.
+    by r plus a certified slack; dim M_r is the box size minus the
+    dimension of their span inside the box, read off an echelon whose
+    columns outside the box eliminate first.  The slack is the
+    provenance order bound of `basis`, the completion of `relations`,
+    which bounds the multipliers needed to write any kernel element
+    supported inside the box; a confirmation pass one step further must
+    leave the count unchanged.
+
+    The matrix is indexed as in F4.  Every term gets an integer column id
+    the first time it appears, and every multiple theta*g is built once
+    per oracle as a primitive integer row of (column ids, coefficients).
+    A call only ranks the columns: pivot key = term-order rank + in-box
+    flag * ncols.  The count does not depend on the order inside each
+    flag class, but the fill-in does, and descending term order keeps it
+    far lower than first-seen order.
     """
 
     def __init__(
@@ -144,50 +162,27 @@ class RankOracle:
             raise InputError("basis was not completed from these relations")
         self.slack = provenance_orders(basis)
         self.max_box = max_box
-        self._rows: dict[tuple[ExponentPair, int], tuple] = {}
-        self._theta_cache: dict[tuple[int, ...], list[ExponentPair]] = {}
-        self._tinfo: dict[Term, tuple] = {}
-
-    def _row_of(self, theta: ExponentPair, idx: int) -> tuple:
-        """Integerized row theta * g_idx, cached; scaling keeps the span."""
-        key = (theta, idx)
-        hit = self._rows.get(key)
-        if hit is None:
-            D = WeylElement.monomial(self.P.n, theta.alpha, theta.beta)
-            prod = act(D, self.relations[idx])
-            denom = 1
-            for c in prod.terms.values():
-                denom = denom * c.denominator // gcd(denom, c.denominator)
-            ints = {t: int(c * denom) for t, c in prod.terms.items()}
-            g = 0
-            for v in ints.values():
-                g = gcd(g, v)
-            if g > 1:
-                ints = {t: v // g for t, v in ints.items()}
-            hit = tuple(ints.items())
-            self._rows[key] = hit
-        return hit
-
-    def _term_info(self, t: Term) -> tuple:
-        hit = self._tinfo.get(t)
-        if hit is None:
-            negkey = tuple(-c for c in term_key(1, t, self.P))
-            hit = (negkey, block_orders(t.theta, self.P))
-            self._tinfo[t] = hit
-        return hit
-
-    def _thetas(self, bound: tuple[int, ...]) -> list[ExponentPair]:
-        hit = self._theta_cache.get(bound)
-        if hit is None:
-            sizes2 = tuple(2 * s for s in self.P.sizes)
-            hit = [_unpack_row(row, self.P) for row in box_vectors(sizes2, bound)]
-            self._theta_cache[bound] = hit
-        return hit
+        self._sizes2 = tuple(2 * s for s in self.P.sizes)
+        self._block_starts = np.cumsum((0,) + self._sizes2[:-1])
+        self._int_relations = [_integer_relation(g) for g in self.relations]
+        # packed theta -> one (cols, coeffs) row of theta*g per relation
+        self._rows: dict[tuple[int, ...], tuple[tuple[tuple, tuple], ...]] = {}
+        # column state: an id per term and, per id, its order-1 term key;
+        # the key array covers the columns up to the last call
+        self._col: dict[tuple[int, ExponentPair], int] = {}
+        self._new_keys: list[tuple[int, ...]] = []
+        self._keys = np.empty((0, self.P.p + 2 * self.P.n + 1), dtype=np.int64)
+        self._rank = np.empty(0, dtype=np.int64)
 
     def dimension(self, r: Sequence[int], slack: int = 0) -> int:
         r = tuple(r)
         if len(r) != self.P.p:
             raise InputError(f"r has length {len(r)}, expected {self.P.p}")
+        # exact type: bool is an int subclass and floats do not index boxes
+        if any(type(v) is not int for v in r):
+            raise InputError(f"r must consist of integers: {r}")
+        if type(slack) is not int or slack < 0:
+            raise InputError(f"slack must be a nonnegative integer, got {slack!r}")
         if any(v < 0 for v in r):
             return 0
         card_box = weyl_dimension(self.P, r) * self.m
@@ -197,14 +192,28 @@ class RankOracle:
             )
         if not self.relations:
             return card_box
-        q = self.slack
-        pivots: dict[tuple, dict] = {}
+        bound = tuple(v + qv + slack for v, qv in zip(r, self.slack))
+        # one enumeration at the confirmation bound; the certified rows are
+        # the thetas whose block sums stay within one step less
+        V = box_vectors(self._sizes2, tuple(v + 1 for v in bound))
+        inner = (np.add.reduceat(V, self._block_starts, axis=1) <= bound).all(axis=1)
+        passes = [
+            [self._multiples(row) for row in map(tuple, V[inner].tolist())],
+            [self._multiples(row) for row in map(tuple, V[~inner].tolist())],
+        ]
+        key = self._pivot_keys(r)
+        ncols = len(key)
+        pivots: dict[int, dict[int, int]] = {}
         in_box_pivots = 0
-        seen: set[tuple[ExponentPair, int]] = set()
         first = None
-        for pad in (0, 1):
-            bound = tuple(v + qv + slack + pad for v, qv in zip(r, q))
-            in_box_pivots += self._absorb(pivots, seen, bound, r)
+        for rows in passes:
+            for multiples in rows:
+                for cols, coeffs in multiples:
+                    lead = self._insert(
+                        pivots, {key[c]: v for c, v in zip(cols, coeffs)}
+                    )
+                    if lead >= ncols:
+                        in_box_pivots += 1
             value = card_box - in_box_pivots
             if first is None:
                 first = value
@@ -215,56 +224,76 @@ class RankOracle:
                 )
         return first
 
-    def _absorb(self, pivots: dict, seen: set, bound, r) -> int:
-        """Feed every unseen multiple within bound; count new box pivots."""
-        found = 0
-        for theta in self._thetas(bound):
-            for idx in range(len(self.relations)):
-                if (theta, idx) in seen:
-                    continue
-                seen.add((theta, idx))
-                terms = self._row_of(theta, idx)
-                if not terms:
-                    continue
-                row = {}
-                for t, c in terms:
-                    negkey, bo = self._term_info(t)
-                    flag = 1 if all(v <= b for v, b in zip(bo, r)) else 0
-                    row[(flag,) + negkey] = c
-                found += self._insert(pivots, row)
-        return found
+    def _multiples(self, packed: tuple[int, ...]) -> tuple:
+        """Rows theta*g_idx for every relation, as primitive integer rows."""
+        hit = self._rows.get(packed)
+        if hit is None:
+            theta = _unpack_row(packed, self.P)
+            hit = tuple(self._row_of(theta, rel) for rel in self._int_relations)
+            self._rows[packed] = hit
+        return hit
+
+    def _row_of(self, theta: ExponentPair, rel: list) -> tuple[tuple, tuple]:
+        """theta * rel over the integers, content divided out; new terms get ids."""
+        acc: dict[tuple[int, ExponentPair], int] = {}
+        for gen, theta_g, c in rel:
+            for key, w in mono_mul(theta, theta_g):
+                t = (gen, key)
+                acc[t] = acc.get(t, 0) + c * w
+        acc = {t: v for t, v in acc.items() if v}
+        g = gcd(*acc.values())
+        col = self._col
+        cols = []
+        for t in acc:
+            c = col.get(t)
+            if c is None:
+                c = col[t] = len(col)
+                self._new_keys.append(term_key(1, Term(*t), self.P))
+            cols.append(c)
+        return tuple(cols), tuple(v // g for v in acc.values())
+
+    def _pivot_keys(self, r: tuple[int, ...]) -> list[int]:
+        """Per column id: its term-order rank, plus ncols if it lies in box r."""
+        if self._new_keys:
+            self._keys = np.concatenate(
+                (self._keys, np.array(self._new_keys, dtype=np.int64))
+            )
+            self._new_keys = []
+            # rank 0 is the largest term; lexsort's primary key comes last
+            order = np.lexsort(-self._keys.T[::-1])
+            self._rank = np.empty(len(order), dtype=np.int64)
+            self._rank[order] = np.arange(len(order))
+        ncols = len(self._rank)
+        # the order-1 key opens with the block orders ord_1, ..., ord_p
+        flag = (self._keys[:, : self.P.p] <= r).all(axis=1)
+        return (self._rank + flag * ncols).tolist()
 
     @staticmethod
     def _insert(pivots: dict, row: dict) -> int:
-        """Echelon insertion; returns 1 if a new in-box pivot appeared."""
+        """Echelon insertion; returns the new pivot's key, or -1 if none.
+
+        Rows arrive primitive and every reduction step divides out the
+        content again, so pivot rows are primitive as stored.
+        """
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                g = 0
-                for v in row.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    row = {k: v // g for k, v in row.items()}
                 pivots[lead] = row
-                return 1 if lead[0] == 1 else 0
+                return lead
             a, b = row[lead], piv[lead]
             g = gcd(a, b)
             ma, mb = b // g, a // g
-            nxt = {}
-            for k, v in row.items():
-                nxt[k] = ma * v
+            nxt = row if ma == 1 else {k: ma * v for k, v in row.items()}
             for k, v in piv.items():
                 s = nxt.get(k, 0) - mb * v
-                if s == 0:
-                    nxt.pop(k, None)
-                else:
+                if s:
                     nxt[k] = s
+                else:
+                    del nxt[k]
             if nxt:
-                g = 0
-                for v in nxt.values():
-                    g = gcd(g, v)
+                g = gcd(*nxt.values())
                 if g > 1:
                     nxt = {k: v // g for k, v in nxt.items()}
             row = nxt
-        return 0
+        return -1

@@ -1,4 +1,7 @@
 """The brute-force cross-checks: word products, point counts, rank."""
+import itertools
+import random
+
 import pytest
 from hypothesis import given
 
@@ -8,8 +11,11 @@ from weyldim import (
     ModuleElement,
     Partition,
     RankOracle,
+    Term,
+    VerificationError,
     WeylElement,
     complete_basis,
+    count_grid,
     count_UVW,
     enum_V_A,
     minimize,
@@ -18,6 +24,7 @@ from weyldim import (
     weyl_dimension,
     weyl_mul,
 )
+from weyldim.terms import term_key
 
 from conftest import corpus_presentations, grid, two_term_presentation
 from test_weyl import weyl_elements
@@ -122,3 +129,60 @@ class TestRankOracle:
             oracle = RankOracle(pres.relations, G)
             for r in range(4):
                 assert oracle.dimension((r,)) == count_UVW(G, pres.m, (r,))[2]
+
+
+def x1_module_oracle() -> RankOracle:
+    """Oracle of A_1 / A_1 x1: dim M_r = r + 1 next to a box of C(r + 2, 2)."""
+    rel = ModuleElement.single(1, 1, 1, (1,), (0,))
+    return RankOracle([rel], complete_basis([rel], Partition((1,)), m=1))
+
+
+class TestRankOracleContract:
+    def test_r_entries_must_be_ints(self):
+        oracle = x1_module_oracle()
+        for r in ((True,), (2.0,), ("2",), (None,)):
+            with pytest.raises(InputError):
+                oracle.dimension(r)
+
+    def test_slack_must_be_a_nonnegative_int(self):
+        oracle = x1_module_oracle()
+        for slack in (-3, -1, True, 1.0, None):
+            with pytest.raises(InputError):
+                oracle.dimension((2,), slack=slack)
+        assert oracle.dimension((2,), slack=0) == oracle.dimension((2,), slack=3) == 3
+
+    def test_rank_drop_past_the_bound_is_reported(self):
+        # a slack below the certified bound leaves x1*e1 out of the first
+        # pass, so the confirmation pass finds one more box pivot
+        oracle = x1_module_oracle()
+        oracle.slack = (-3,)
+        with pytest.raises(VerificationError) as err:
+            oracle.dimension((2,))
+        assert str(err.value) == (
+            "rank at r=(2,) dropped from 6 to 5 past the certified bound"
+        )
+
+
+class TestColumnGrowth:
+    def test_call_order_does_not_matter(self):
+        # larger boxes before smaller ones add columns out of order, so a
+        # stale rank or flag array would show as a wrong count or order
+        rng = random.Random(7)
+        for label, pres in corpus_presentations():
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            points = list(itertools.product(range(3), repeat=pres.P.p))
+            counts = count_grid(G, pres.m, points)
+            expect = {r: card_u for r, (_, _, card_u) in zip(points, counts)}
+            shuffled = points[:]
+            rng.shuffle(shuffled)
+            for order in (points, points[::-1], shuffled):
+                oracle = RankOracle(pres.relations, G)
+                assert {r: oracle.dimension(r) for r in order} == expect, label
+                for multiples in oracle._rows.values():
+                    for cols, coeffs in multiples:
+                        assert all(type(v) is int for v in cols + coeffs), label
+                # columns rank in descending term order, the largest first
+                terms = sorted(oracle._col, key=lambda t: oracle._rank[oracle._col[t]])
+                assert terms == sorted(
+                    terms, key=lambda t: term_key(1, Term(*t), pres.P), reverse=True
+                ), label
