@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import re
 import sys
 
 from . import io as wio
@@ -19,6 +20,8 @@ from .engine import (
 from .errors import ConvergenceError, InputError, VerificationError, WeylDimError
 from .groebner import complete_basis
 from .oracle import RankOracle
+
+_BOUND = re.compile(r"[+-]?[0-9]+")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +105,7 @@ def _cmd_check(args) -> int:
     if args.rmax < 0:
         raise InputError(f"--rmax must be nonnegative, got {args.rmax}")
     rep = dimension_polynomial(pres)
-    oracle = RankOracle(pres.relations, rep.basis)
+    oracle = RankOracle(rep.basis)
     # the oracle walks the grid lazily and refuses the first box over its
     # cap, so only an accepted grid is ever built and counted
     ranks = {
@@ -141,10 +144,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_eval(args) -> int:
     pres = wio.load_presentation(args.file)
-    try:
-        r = tuple(int(v) for v in args.at.split(","))
-    except ValueError:
-        raise InputError(f"--at expects integers, got {args.at!r}") from None
+    entries = [v.strip() for v in args.at.split(",")]
+    # as in the documents: no digit separators, no non-ASCII digits
+    if not all(_BOUND.fullmatch(v) for v in entries):
+        raise InputError(f"--at expects integers, got {args.at!r}")
+    r = tuple(map(int, entries))
     if len(r) != pres.P.p:
         raise InputError(f"--at needs {pres.P.p} bounds, got {len(r)}")
     if any(v < 0 for v in r):

@@ -106,6 +106,9 @@ def count_grid(
     for r in points:
         if len(r) != P.p:
             raise InputError(f"r has length {len(r)}, expected {P.p}")
+        # exact type: bool is an int subclass and floats do not index boxes
+        if any(type(v) is not int for v in r):
+            raise InputError(f"r must consist of integers: {r}")
     top = [max(col) for col in zip(*points)]
     if min(top, default=-1) < 0:
         return [(0, 0, 0)] * len(points)

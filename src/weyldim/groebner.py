@@ -9,11 +9,22 @@ only downwards, so a term found ineligible never needs a second look (see
 first; every nonzero reduced S-element is inserted and re-opens the pair
 queues of its stage and all later stages.  The finished basis is
 certified stage by stage with `is_groebner`.
+
+Each element also carries a multiplier-order bound B: a vector with
+ord_j(D) <= B_j for every coefficient D of some way of writing the element
+as sum_i D_i * g_i over the input relations g_i.  Inputs start at zero.
+An element inserted from the pair (a, b) at stage r is
+t_a * G[a] - t_b * G[b] - sum_k Q_k * G[k], with t_a, t_b the monomials
+that lift the stage-r leaders to their lcm and Q_k the quotients of the
+reduction, so its bound is the componentwise max of ord(t_a) + B[a],
+ord(t_b) + B[b] and ord(Q_k) + B[k] over nonzero Q_k.  This is sound
+because every term of a product D1 * D2 has ord_j <= ord_j(D1) + ord_j(D2),
+and summing terms can only cancel them.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import eq, le, sub
+from operator import add, eq, le, sub
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, WeylDimError, ZeroElementError
@@ -30,7 +41,7 @@ from .terms import (
     term_key,
     term_lcm,
 )
-from .weyl import ExponentPair, Partition, Vector, WeylElement, mono_mul
+from .weyl import ExponentPair, Partition, Vector, WeylElement, element_orders, mono_mul
 
 
 class OrderSequence(NamedTuple):
@@ -240,7 +251,14 @@ def s_element(
 
 
 class GroebnerBasis:
-    """A completed basis with cached leader data and certification marks."""
+    """A completed basis with cached leader data and certification marks.
+
+    A basis from `complete_basis` also keeps `relations`, the nonzero
+    input family as given, and `multiplier_bound`: every element is a
+    combination sum_i D_i * relations[i] with ord_j(D_i) <=
+    multiplier_bound[j] (see the module docstring for the recurrence).
+    A hand-built basis has None in both.
+    """
 
     def __init__(
         self,
@@ -248,16 +266,17 @@ class GroebnerBasis:
         P: Partition,
         m: int,
         certified: Sequence[int],
-        provenance: Sequence[Sequence[WeylElement]] | None = None,
+        relations: Sequence[ModuleElement] | None = None,
+        multiplier_bound: Vector | None = None,
     ):
         self.P = P
         self.m = m
         self.n = P.n
         self.elements = tuple(elements)
         self.certified = tuple(sorted(certified))
-        # element t as a combination of the input family: sum_i prov[t][i] * gen_i
-        self.provenance = (
-            tuple(tuple(row) for row in provenance) if provenance is not None else None
+        self.relations = tuple(relations) if relations is not None else None
+        self.multiplier_bound = (
+            tuple(multiplier_bound) if multiplier_bound is not None else None
         )
         for g in self.elements:
             if g.is_zero():
@@ -311,7 +330,9 @@ def complete_basis(
     """Complete the given relations to a basis certified for every stage.
 
     Inserted elements are fully reduced remainders, made monic under the
-    first order.  Raises if the basis grows past max_elements.
+    first order.  Raises if the basis grows past max_elements.  Each
+    element's multiplier-order bound is carried along as the module
+    docstring describes; the basis keeps their componentwise max.
     """
     gens = [g for g in generators if not g.is_zero()]
     if m is None:
@@ -322,15 +343,8 @@ def complete_basis(
         if (g.n, g.m) != (P.n, m):
             raise InputError("generator shape mismatch")
     p = P.p
-    n = P.n
-    G: list[ModuleElement] = []
-    prov: list[list[WeylElement]] = []
-    for i, g in enumerate(gens):
-        c = leader(g, 1, P)[1]
-        G.append(g.scale(1 / c))
-        row = [WeylElement.zero(n) for _ in gens]
-        row[i] = WeylElement.one(n).scale(1 / c)
-        prov.append(row)
+    G = [g.scale(1 / leader(g, 1, P)[1]) for g in gens]
+    bounds = [(0,) * p for _ in gens]
     pending: dict[int, list] = {
         r: [(a, b) for a in range(len(G)) for b in range(a + 1, len(G))]
         for r in range(1, p + 1)
@@ -350,21 +364,18 @@ def complete_basis(
         rem, quots = multi_reduce(s, G, suffix_sequence(stage, p), P)
         if rem.is_zero():
             continue
-        ua, ca = leader(G[a], stage, P)
-        ub, cb = leader(G[b], stage, P)
-        lcm = term_lcm(ua, ub)
-        qa = term_divides(ua, lcm)
-        qb = term_divides(ub, lcm)
-        ta = WeylElement.monomial(n, qa.alpha, qa.beta, 1 / ca)
-        tb = WeylElement.monomial(n, qb.alpha, qb.beta, 1 / cb)
-        row = [ta * x - tb * y for x, y in zip(prov[a], prov[b])]
-        for Q, pr in zip(quots, prov):
-            if Q.is_zero():
-                continue
-            row = [x - Q * y for x, y in zip(row, pr)]
-        c = leader(rem, 1, P)[1]
-        G.append(rem.scale(1 / c))
-        prov.append([x.scale(1 / c) for x in row])
+        # s = t_a * G[a] - t_b * G[b], and s - rem = sum_k Q_k * G[k]
+        lcm = term_lcm(leader_term(G[a], stage, P), leader_term(G[b], stage, P))
+        shifts = [
+            (block_orders(term_divides(leader_term(G[k], stage, P), lcm), P), bounds[k])
+            for k in (a, b)
+        ] + [
+            (element_orders(Q, P)[1], bounds[k])
+            for k, Q in enumerate(quots)
+            if not Q.is_zero()
+        ]
+        bounds.append(tuple(map(max, *(map(add, o, B) for o, B in shifts))))
+        G.append(rem.scale(1 / leader(rem, 1, P)[1]))
         if len(G) > max_elements:
             raise WeylDimError(
                 f"basis exceeded {max_elements} elements; presentation too large"
@@ -372,33 +383,14 @@ def complete_basis(
         t = len(G) - 1
         for r in range(1, p + 1):
             pending[r].extend((k, t) for k in range(t))
-    basis = GroebnerBasis(G, P, m, certified=[], provenance=prov)
+    basis = GroebnerBasis(G, P, m, certified=[])
     certified = []
     for r in range(p, 0, -1):
         if not is_groebner(basis, r):
             raise WeylDimError(f"completion failed certification at stage {r}")
         certified.append(r)
-    return GroebnerBasis(G, P, m, certified=certified, provenance=prov)
-
-
-def provenance_orders(G: GroebnerBasis) -> tuple[int, ...]:
-    """Componentwise order bound over all provenance coefficients.
-
-    Any kernel element supported inside the box r is a combination of
-    relation multiples theta * gen_i with ord_j(theta) <= r_j + bound_j,
-    because reduction by a certified basis keeps quotients inside the box
-    and each basis element sits within the bound of the input family.
-    """
-    if G.provenance is None:
-        raise InputError("basis carries no provenance data")
-    out = [0] * G.P.p
-    for row in G.provenance:
-        for D in row:
-            for theta in D.terms:
-                for j, v in enumerate(block_orders(theta, G.P)):
-                    if v > out[j]:
-                        out[j] = v
-    return tuple(out)
+    bound = tuple(map(max, zip((0,) * p, *bounds)))
+    return GroebnerBasis(G, P, m, certified, relations=gens, multiplier_bound=bound)
 
 
 def membership(f: ModuleElement, G: GroebnerBasis) -> bool:

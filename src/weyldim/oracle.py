@@ -5,9 +5,9 @@ counts lattice points directly; RankOracle measures dim M_r by exact
 row reduction of relation multiples, kept as integer rows over integer
 column ids.  The counted value never touches the closed-form or
 Groebner code paths; a completed basis, supplied by the caller, is
-consulted only for the truncation bound that makes the row family
-provably sufficient, and a second pass one step past that bound
-re-checks the count.
+consulted only for its input relations and for the multiplier-order
+bound that makes the row family provably sufficient, and a second pass
+one step past that bound re-checks the count.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError, VerificationError
-from .groebner import GroebnerBasis, provenance_orders
+from .groebner import GroebnerBasis
 from .kernels import box_vectors, count_not_dominated
 from .numpoly import IndexSet
 from .terms import ModuleElement, Term, term_key
@@ -131,11 +131,15 @@ class RankOracle:
     Rows are the relation multiples theta*g with theta bounded blockwise
     by r plus a certified slack; dim M_r is the box size minus the
     dimension of their span inside the box, read off an echelon whose
-    columns outside the box eliminate first.  The slack is the
-    provenance order bound of `basis`, the completion of `relations`,
-    which bounds the multipliers needed to write any kernel element
-    supported inside the box; a confirmation pass one step further must
-    leave the count unchanged.
+    columns outside the box eliminate first.  The relations g are
+    `basis.relations` and the slack is `basis.multiplier_bound`: every
+    basis element is sum_i D_i * g_i with ord_j(D_i) within the slack,
+    and reduction by the certified basis writes a kernel element
+    supported inside box r with quotients inside the box, so theta up to
+    r plus the slack suffice.  The bound is carried through completion
+    as an upper bound on the true multiplier orders (products add orders
+    at most, sums only cancel), so it can only over-provision rows.  A
+    confirmation pass one step further must leave the count unchanged.
 
     The matrix is indexed as in F4.  Every term gets an integer column id
     the first time it appears, and every multiple theta*g is built once
@@ -146,21 +150,13 @@ class RankOracle:
     far lower than first-seen order.
     """
 
-    def __init__(
-        self,
-        relations: Sequence[ModuleElement],
-        basis: GroebnerBasis,
-        max_box: int = 10**4,
-    ):
+    def __init__(self, basis: GroebnerBasis, max_box: int = 10**4):
+        if basis.multiplier_bound is None:
+            raise InputError("basis carries no multiplier bound; use complete_basis")
         self.P = basis.P
         self.m = basis.m
-        self.relations = [g for g in relations if not g.is_zero()]
-        for g in self.relations:
-            if (g.n, g.m) != (self.P.n, self.m):
-                raise InputError("relation shape mismatch")
-        if any(len(row) != len(self.relations) for row in basis.provenance or ()):
-            raise InputError("basis was not completed from these relations")
-        self.slack = provenance_orders(basis)
+        self.relations = basis.relations
+        self.slack = basis.multiplier_bound
         self.max_box = max_box
         self._sizes2 = tuple(2 * s for s in self.P.sizes)
         self._block_starts = np.cumsum((0,) + self._sizes2[:-1])

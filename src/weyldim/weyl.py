@@ -308,6 +308,8 @@ def weyl_dimension(P: Partition, r: Vector) -> int:
     r = tuple(r)
     if len(r) != P.p:
         raise InputError(f"r has length {len(r)}, expected {P.p}")
+    if any(type(v) is not int for v in r):
+        raise InputError(f"r must consist of integers: {r}")
     if any(v < 0 for v in r):
         return 0
     return prod(comb(v + 2 * s, 2 * s) for v, s in zip(r, P.sizes))

@@ -190,7 +190,7 @@ def test_07_enumeration_vs_rank_oracle():
         reports = corpus_reports()
         assert len(reports) >= 25
         for label, pres, rep in reports:
-            oracle = RankOracle(pres.relations, rep.basis)
+            oracle = RankOracle(rep.basis)
             for r in itertools.product(range(5), repeat=pres.P.p):
                 card_u = count_UVW(rep.basis, pres.m, r)[2]
                 assert card_u == oracle.dimension(r), (label, r)

@@ -13,6 +13,7 @@ from weyldim import (
     bernstein_inequality_check,
     bernstein_polynomial,
     complete_basis,
+    count_grid,
     count_UVW,
     dimension_polynomial,
     invariant_set,
@@ -77,6 +78,17 @@ class TestCountUVW:
         G = complete_basis([], P, m=1)
         with pytest.raises(InputError):
             count_UVW(G, 1, (1,))
+
+    def test_entries_must_be_ints(self):
+        # a bool counted as 1 and an integral float as its value
+        pres = two_term_presentation(1, 1, 2)
+        G = complete_basis(pres.relations, pres.P, m=1)
+        for bad in ((True, 2), (2.0, 2), (1.5, 2), ("2", 2), (None, 2)):
+            with pytest.raises(InputError):
+                count_grid(G, 1, [(1, 1), bad])
+            with pytest.raises(InputError):
+                count_UVW(G, 1, bad)
+        assert count_grid(G, 1, [(1, 2), (2, 2)]) == [(17, 0, 17), (33, 0, 33)]
 
 
 class TestDimensionPolynomial:

@@ -1,7 +1,8 @@
-"""Multi-order reduction, S-elements, completion, and provenance."""
+"""Multi-order reduction, S-elements, completion, and multiplier bounds."""
 import itertools
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
@@ -13,6 +14,7 @@ from weyldim import (
     ModuleElement,
     OrderSequence,
     Partition,
+    RankOracle,
     WeylDimError,
     WeylElement,
     ZeroElementError,
@@ -24,7 +26,6 @@ from weyldim import (
     leader,
     membership,
     multi_reduce,
-    provenance_orders,
     rho,
     s_element,
     suffix_sequence,
@@ -286,7 +287,7 @@ class TestCompletion:
         P, h1, h2, _ = worked_pair()
         G = complete_basis([ModuleElement.zero(2, 2), h1, h2], P)
         assert G.elements[0] == h1
-        assert len(G.provenance[0]) == 2
+        assert len(G.relations) == 2
 
     def test_empty_family_needs_rank(self):
         P = Partition((1,))
@@ -307,41 +308,116 @@ class TestCompletion:
             complete_basis([ModuleElement.basis_vector(1, 1, 1)], P)
 
 
+def multipliers(P: Partition, bound):
+    """Every monomial theta with block_orders(theta, P) <= bound."""
+    per_block = [
+        [
+            v
+            for v in itertools.product(range(cap + 1), repeat=2 * (b - a))
+            if sum(v) <= cap
+        ]
+        for (a, b), cap in zip(P.blocks, bound)
+    ]
+    for choice in itertools.product(*per_block):
+        alpha, beta = [], []
+        for v in choice:
+            alpha += v[: len(v) // 2]
+            beta += v[len(v) // 2 :]
+        yield WeylElement.monomial(P.n, tuple(alpha), tuple(beta))
+
+
+def echelon_reduce(pivots: dict, terms) -> dict:
+    """Remainder of terms modulo monic pivot rows keyed by their greatest term."""
+    v = dict(terms)
+    while v:
+        lead = max(v)
+        piv = pivots.get(lead)
+        if piv is None:
+            return v
+        c = v[lead]
+        for t, x in piv.items():
+            s = v.get(t, 0) - c * x
+            if s:
+                v[t] = s
+            else:
+                del v[t]
+    return v
+
+
+def in_multiplier_span(G: GroebnerBasis, bound) -> bool:
+    """Whether every basis element lies in the Q-span of the multiples
+    theta * g, g in G.relations, block_orders(theta) <= bound."""
+    pivots: dict = {}
+    for D in multipliers(G.P, bound):
+        for g in G.relations:
+            v = echelon_reduce(pivots, act(D, g).terms)
+            if v:
+                lead = max(v)
+                pivots[lead] = {t: x / v[lead] for t, x in v.items()}
+    return all(not echelon_reduce(pivots, el.terms) for el in G.elements)
+
+
+# multiplier bounds of the rank oracle's inputs, as recorded from the exact
+# provenance rows completion once carried; a looser recurrence would make
+# `check` enumerate more multipliers on the benchmark's documents
+EXACT_BOUNDS = {
+    "dense-n1-0": (4,),
+    **{f"dense-n1-{k}": (0,) for k in range(1, 8)},
+    **{f"dense-n2p1-{k}": (0,) for k in range(4)},
+    "dense-n2p1-4": (9,),
+    "dense-n2p1-5": (2,),
+    "dense-n2p2-0": (3, 1),
+    "dense-n2p2-1": (5, 3),
+    "dense-n2p2-2": (0, 0),
+    "dense-n2p2-3": (0, 0),
+    "dense-n2p2-4": (2, 1),
+    "dense-n2p2-5": (0, 0),
+    **{f"light-n3p1-{k}": (0,) for k in range(4)},
+    **{f"mono-n3p2-{k}": (0, 0) for k in range(3)},
+    "sparse-n3p3": (0, 0, 0),
+    "dense-s11-(2, 1)": (9, 6),
+    "dense-s13-(2, 2)": (4, 7),
+}
+
+
+@lru_cache(maxsize=None)
+def bound_cases() -> dict:
+    cases = dict(corpus_presentations())
+    for seed, sizes in ((11, (2, 1)), (13, (2, 2))):
+        cases[f"dense-s{seed}-{sizes}"] = _dense_presentation(seed, sizes)
+    return cases
+
+
 class TestProvenance:
-    def check_identity(self, gens, G):
-        live = [g for g in gens if not g.is_zero()]
-        assert len(G.provenance) == len(G.elements)
-        for row, el in zip(G.provenance, G.elements):
-            assert len(row) == len(live)
-            acc = ModuleElement.zero(el.n, el.m)
-            for D, g in zip(row, live):
-                if not D.is_zero():
-                    acc = acc + act(D, g)
-            assert acc == el
+    def check_bound(self, gens, G):
+        assert G.relations == tuple(g for g in gens if not g.is_zero())
+        assert in_multiplier_span(G, G.multiplier_bound)
 
     def test_worked_pair(self):
         P, h1, h2, _ = worked_pair()
         gens = [h1.scale(-2), h2]
-        self.check_identity(gens, complete_basis(gens, P))
+        self.check_bound(gens, complete_basis(gens, P))
 
     def test_random(self):
         rng = random.Random(23)
         P = Partition((1, 1))
         for _ in range(10):
             gens = [random_module_element(rng, 2, 2) for _ in range(2)]
-            self.check_identity(gens, complete_basis(gens, P, m=2))
+            self.check_bound(gens, complete_basis(gens, P, m=2))
 
     def test_orders_on_plain_family(self):
         pres = derivative_presentation()
         G = complete_basis(pres.relations, pres.P, m=1)
         assert len(G.elements) == 2
-        assert provenance_orders(G) == (0, 0)
+        assert G.multiplier_bound == (0, 0)
 
     def test_orders_require_provenance(self):
+        # a hand-built basis carries no bound, so the oracle refuses it
         P, h1, h2, _ = worked_pair()
         G = GroebnerBasis([h1, h2], P, 2, certified=[])
+        assert G.relations is None and G.multiplier_bound is None
         with pytest.raises(InputError):
-            provenance_orders(G)
+            RankOracle(G)
 
     def test_orders_catch_long_combinations(self):
         # e1 lies in the span only through degree-4 multipliers
@@ -354,7 +430,15 @@ class TestProvenance:
         )
         G = complete_basis([r1, r2], P, m=2)
         assert ModuleElement.basis_vector(1, 2, 1) in G.elements
-        assert provenance_orders(G) == (4,)
+        assert G.multiplier_bound == (4,)
+        self.check_bound([r1, r2], G)
+        assert not in_multiplier_span(G, (3,))
+
+    @pytest.mark.parametrize("label", sorted(EXACT_BOUNDS))
+    def test_bound_matches_exact_orders(self, label):
+        pres = bound_cases()[label]
+        G = complete_basis(pres.relations, pres.P, m=pres.m)
+        assert G.multiplier_bound == EXACT_BOUNDS[label]
 
 
 class TestMembership:

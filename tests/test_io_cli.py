@@ -257,6 +257,26 @@ class TestCli:
         assert main(["eval", ex_file, "--at=-1,0"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "at",
+        [
+            *("1_0,3", "\u0663,3", "\uff13,3"),  # digit forms int() also reads
+            *("3.0,3", "3e0,3", "0x3,3", "3,", " ,3", "+-3,3"),
+        ],
+    )
+    def test_eval_at_needs_ascii_integers(self, capsys, ex_file, at):
+        # int() alone would read "1_0" as 10 and an Arabic-Indic three as 3
+        assert main(["eval", ex_file, f"--at={at}"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--at expects integers" in captured.err
+
+    def test_eval_at_sign_and_spaces(self, capsys, ex_file):
+        doc = self.run_ok(capsys, ["eval", ex_file, "--at= +3 ,03"])
+        assert doc == {"r": [3, 3], "dim": 82}
+        assert main(["eval", ex_file, "--at=-1, 0"]) == 1
+        assert "--at bounds must be nonnegative" in capsys.readouterr().err
+
     def test_input_error_exit(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

@@ -76,34 +76,28 @@ class TestEnumVA:
 class TestRankOracle:
     def test_free_module(self):
         P = Partition((1, 1))
-        oracle = RankOracle([], complete_basis([], P, m=3))
+        oracle = RankOracle(complete_basis([], P, m=3))
         for r in grid(2, 0, 2):
             assert oracle.dimension(r) == 3 * weyl_dimension(P, r)
 
     def test_negative_r(self):
-        oracle = RankOracle([], complete_basis([], Partition((1,)), m=1))
+        oracle = RankOracle(complete_basis([], Partition((1,)), m=1))
         assert oracle.dimension((-2,)) == 0
 
     def test_box_cap(self):
-        oracle = RankOracle([], complete_basis([], Partition((1,)), m=1), max_box=10)
+        oracle = RankOracle(complete_basis([], Partition((1,)), m=1), max_box=10)
         with pytest.raises(InputError):
             oracle.dimension((10,))
 
     def test_shape_mismatch(self):
-        empty = complete_basis([], Partition((1,)), m=1)
-        with pytest.raises(InputError):
-            RankOracle([ModuleElement.basis_vector(1, 2, 1)], empty)
-        oracle = RankOracle([], empty)
+        oracle = RankOracle(complete_basis([], Partition((1,)), m=1))
         with pytest.raises(InputError):
             oracle.dimension((1, 1))
-        pres = two_term_presentation(1, 0, 2)
-        with pytest.raises(InputError):
-            RankOracle([], complete_basis(pres.relations, pres.P, m=1))
 
     def test_worked_value(self):
         pres = two_term_presentation(1, 1, 2)
         G = complete_basis(pres.relations, pres.P, m=1)
-        assert RankOracle(pres.relations, G).dimension((3, 3)) == 82
+        assert RankOracle(G).dimension((3, 3)) == 82
 
     def test_long_combination_regression(self):
         # e1 enters the span only through degree-4 multipliers; short
@@ -111,13 +105,13 @@ class TestRankOracle:
         P = Partition((1,))
         r1 = ModuleElement(1, 2, {(1, ((0,), (0,))): -2, (1, ((2,), (0,))): -2})
         r2 = ModuleElement(1, 2, {(1, ((0,), (1,))): -3, (1, ((2,), (1,))): 1})
-        oracle = RankOracle([r1, r2], complete_basis([r1, r2], P, m=2))
+        oracle = RankOracle(complete_basis([r1, r2], P, m=2))
         assert [oracle.dimension((r,)) for r in range(5)] == [1, 3, 6, 10, 15]
 
     def test_extra_slack_is_stable(self):
         pres = two_term_presentation(1, 0, 2)
         G = complete_basis(pres.relations, pres.P, m=1)
-        oracle = RankOracle(pres.relations, G)
+        oracle = RankOracle(G)
         for r in grid(2, 0, 2):
             assert oracle.dimension(r) == oracle.dimension(r, slack=2)
 
@@ -126,7 +120,7 @@ class TestRankOracle:
         assert sample
         for pres in sample[:3]:
             G = complete_basis(pres.relations, pres.P, m=pres.m)
-            oracle = RankOracle(pres.relations, G)
+            oracle = RankOracle(G)
             for r in range(4):
                 assert oracle.dimension((r,)) == count_UVW(G, pres.m, (r,))[2]
 
@@ -134,7 +128,7 @@ class TestRankOracle:
 def x1_module_oracle() -> RankOracle:
     """Oracle of A_1 / A_1 x1: dim M_r = r + 1 next to a box of C(r + 2, 2)."""
     rel = ModuleElement.single(1, 1, 1, (1,), (0,))
-    return RankOracle([rel], complete_basis([rel], Partition((1,)), m=1))
+    return RankOracle(complete_basis([rel], Partition((1,)), m=1))
 
 
 class TestRankOracleContract:
@@ -176,7 +170,7 @@ class TestColumnGrowth:
             shuffled = points[:]
             rng.shuffle(shuffled)
             for order in (points, points[::-1], shuffled):
-                oracle = RankOracle(pres.relations, G)
+                oracle = RankOracle(G)
                 assert {r: oracle.dimension(r) for r in order} == expect, label
                 for multiples in oracle._rows.values():
                     for cols, coeffs in multiples:

@@ -82,6 +82,11 @@ class TestOrders:
         with pytest.raises(InputError):
             weyl_dimension(Partition((1, 1)), (1,))
 
+    def test_weyl_dimension_needs_ints(self):
+        for bad in ((True, 2), (2.0, 2), (1.5, 2), (None, 2)):
+            with pytest.raises(InputError):
+                weyl_dimension(Partition((1, 1)), bad)
+
 
 class TestElement:
     def test_constructor_cleans(self):
