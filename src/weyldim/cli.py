@@ -49,12 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     dim = sp.add_parser("dimpoly", help="dimension polynomial report")
     _add_file(dim)
-    dim.add_argument(
-        "--psi-path",
-        choices=["auto", "symbolic", "interpolation"],
-        default="auto",
-        help="how the overshoot part is computed",
-    )
 
     bern = sp.add_parser("bernstein", help="univariate dimension and multiplicity")
     _add_file(bern)
@@ -81,7 +75,7 @@ def _cmd_gb(args) -> int:
 
 def _cmd_dimpoly(args) -> int:
     pres = wio.load_presentation(args.file)
-    rep = dimension_polynomial(pres, psi_path=args.psi_path)
+    rep = dimension_polynomial(pres)
     sys.stdout.write(wio.dumps(wio.report_doc(rep)))
     return 0
 
@@ -112,7 +106,7 @@ def _cmd_check(args) -> int:
         r: oracle.dimension(r)
         for r in itertools.product(range(args.rmax + 1), repeat=pres.P.p)
     }
-    counts = count_grid(rep.basis, pres.m, list(ranks))
+    counts = count_grid(rep.basis, list(ranks))
     points = []
     mismatches = 0
     for (r, rank), (_, _, card_u) in zip(ranks.items(), counts):
@@ -142,19 +136,27 @@ def _cmd_check(args) -> int:
     return 0
 
 
+def _bounds(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated --at value."""
+    entries = [v.strip() for v in text.split(",")]
+    # as in the documents: no digit separators, no non-ASCII digits
+    if all(_BOUND.fullmatch(v) for v in entries):
+        try:
+            return tuple(map(int, entries))
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            pass
+    raise InputError(f"--at expects integers, got {text!r}")
+
+
 def _cmd_eval(args) -> int:
     pres = wio.load_presentation(args.file)
-    entries = [v.strip() for v in args.at.split(",")]
-    # as in the documents: no digit separators, no non-ASCII digits
-    if not all(_BOUND.fullmatch(v) for v in entries):
-        raise InputError(f"--at expects integers, got {args.at!r}")
-    r = tuple(map(int, entries))
+    r = _bounds(args.at)
     if len(r) != pres.P.p:
         raise InputError(f"--at needs {pres.P.p} bounds, got {len(r)}")
     if any(v < 0 for v in r):
         raise InputError(f"--at bounds must be nonnegative, got {r}")
     G = complete_basis(pres.relations, pres.P, m=pres.m)
-    card = count_UVW(G, pres.m, r)[2]
+    card = count_UVW(G, r)[2]
     sys.stdout.write(wio.dumps({"r": list(r), "dim": card}))
     return 0
 

@@ -6,9 +6,13 @@ and overshoot parts), and pin the unique numerical polynomial matching
 those counts for all large bounds.  Every computed polynomial is
 re-verified against explicit enumeration before it is returned.
 
+The overshoot part takes its closed form when the first leaders never
+overlap and is interpolated otherwise; no caller picks the path.
+
 Counting goes through `count_grid`, which counts every bound a caller
 needs in one blockwise pass over weighted classes of block-simplex rows
-(see `kernels`); the full box is never built.
+(see `kernels`); the full box is never built.  The free rank is read off
+the basis.
 """
 from __future__ import annotations
 
@@ -21,7 +25,13 @@ import numpy as np
 
 from .errors import ConvergenceError, InputError, VerificationError
 from .groebner import GroebnerBasis, complete_basis
-from .kernels import block_classes, block_sum_matrix, class_table, classify_box
+from .kernels import (
+    block_classes,
+    block_sum_matrix,
+    check_simplex,
+    class_table,
+    classify_box,
+)
 from .numpoly import (
     IndexSet,
     InvariantReport,
@@ -34,6 +44,10 @@ from .numpoly import (
 )
 from .terms import ModuleElement, term_lcm
 from .weyl import ExponentPair, Partition, weyl_dimension
+
+# Most times `dimension_polynomial` moves its sample grid one step outwards
+# before it gives up on finding the stabilization threshold.
+MAX_ENLARGE = 8
 
 
 @dataclass(frozen=True)
@@ -66,17 +80,23 @@ def _doubled_sizes(P: Partition) -> tuple[int, ...]:
     return tuple(2 * s for s in P.sizes)
 
 
-def _first_leaders(G: GroebnerBasis) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-    """Per generator: packed first-leader rows and their order slacks.
+def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """Per counted generator: its weight, first-leader rows and their slacks.
 
-    Rows keep basis order; generators that carry no leader are absent.
+    Rows are packed exponents in basis order, slacks are per order.  Every
+    generator that carries a leader counts once.  Those without one all
+    count alike, so the first of them stands for all, weighted by their
+    number.  Entries come in generator order.
     """
     P = G.P
     by_gen: dict[int, list[int]] = {}
     for j, ld in enumerate(G.leaders):
         by_gen.setdefault(ld[0][0].gen, []).append(j)
-    out = {}
-    for gen, idxs in by_gen.items():
+    free = G.m - len(by_gen)
+    if free:
+        by_gen[next(g for g in itertools.count(1) if g not in by_gen)] = []
+    out = []
+    for gen, idxs in sorted(by_gen.items()):
         L = np.array(
             [pack_exponents(G.leaders[j][0][0].theta, P) for j in idxs],
             dtype=np.int64,
@@ -85,12 +105,12 @@ def _first_leaders(G: GroebnerBasis) -> dict[int, tuple[np.ndarray, np.ndarray]]
             [[G.c[i][j] - G.b[i][j] for i in range(P.p)] for j in idxs],
             dtype=np.int64,
         ).reshape(len(idxs), P.p)
-        out[gen] = (L, SL)
+        out.append((1 if idxs else free, L, SL))
     return out
 
 
 def count_grid(
-    G: GroebnerBasis, m: int, points: Sequence[Sequence[int]]
+    G: GroebnerBasis, points: Sequence[Sequence[int]]
 ) -> list[tuple[int, int, int]]:
     """Exact counts (cardV, cardV', cardU) of surviving box terms per bound.
 
@@ -114,13 +134,9 @@ def count_grid(
         return [(0, 0, 0)] * len(points)
     sizes2 = _doubled_sizes(P)
     cols = np.cumsum((0,) + sizes2)
-    arrays = _first_leaders(G)
-    empty_L = np.empty((0, 2 * P.n), dtype=np.int64)
-    empty_SL = np.empty((0, P.p), dtype=np.int64)
     card_v = [0] * len(points)
     card_vp = [0] * len(points)
-    for gen in range(1, m + 1):
-        L, SL = arrays.get(gen, (empty_L, empty_SL))
+    for weight, L, SL in _first_leaders(G):
         blocks = [
             block_classes(q, b, L[:, cols[j]:cols[j + 1]])
             for j, (q, b) in enumerate(zip(sizes2, top))
@@ -128,23 +144,22 @@ def count_grid(
         V, weights = class_table(blocks)
         BS = block_sum_matrix(V, sizes2)
         v, vp = classify_box(V, BS, L, SL, points, weights)
-        card_v = [a + b for a, b in zip(card_v, v.tolist())]
-        card_vp = [a + b for a, b in zip(card_vp, vp.tolist())]
+        card_v = [a + weight * b for a, b in zip(card_v, v.tolist())]
+        card_vp = [a + weight * b for a, b in zip(card_vp, vp.tolist())]
     return [(v, vp, v + vp) for v, vp in zip(card_v, card_vp)]
 
 
-def count_UVW(G: GroebnerBasis, m: int, r: Sequence[int]) -> tuple[int, int, int]:
+def count_UVW(G: GroebnerBasis, r: Sequence[int]) -> tuple[int, int, int]:
     """Exact counts (cardV, cardV', cardU) at one bound; see count_grid."""
-    return count_grid(G, m, [r])[0]
+    return count_grid(G, [r])[0]
 
 
-def _omega_part(G: GroebnerBasis, m: int) -> NumericalPolynomial:
+def _omega_part(G: GroebnerBasis) -> NumericalPolynomial:
     sizes2 = _doubled_sizes(G.P)
-    leaders = _first_leaders(G)
     total = NumericalPolynomial.zero(G.P.p)
-    for gen in range(1, m + 1):
-        points = map(tuple, leaders[gen][0].tolist()) if gen in leaders else ()
-        total = total + omega(IndexSet(tuple(sorted(points)), sizes2))
+    for weight, L, _ in _first_leaders(G):
+        points = tuple(sorted(map(tuple, L.tolist())))
+        total = total + omega(IndexSet(points, sizes2)).scale(weight)
     return total
 
 
@@ -193,8 +208,8 @@ def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
     for j in range(P.p):
         c_max = max(G.c[j], default=0)
         stair = 0
-        for L, _ in leaders.values():
-            top = int(L[:, cum[j]:cum[j + 1]].max(axis=0).sum())
+        for _, L, _ in leaders:
+            top = int(L[:, cum[j]:cum[j + 1]].max(axis=0, initial=0).sum())
             stair = max(stair, top - sizes2[j])
         out.append(1 + max(c_max, stair, 0))
     return tuple(out)
@@ -217,38 +232,29 @@ class DimensionReport:
     threshold: tuple[int, ...]
 
 
-def dimension_polynomial(
-    pres: Presentation,
-    psi_path: str = "auto",
-    max_enlarge: int = 8,
-) -> DimensionReport:
+def dimension_polynomial(pres: Presentation) -> DimensionReport:
     """Compute and verify the dimension polynomial of a presentation.
 
-    psi_path picks how the overshoot part is obtained: "symbolic" needs
-    pairwise non-overlapping first leaders, "interpolation" samples
-    counts on a grid, "auto" prefers symbolic when applicable.  The
+    The overshoot part takes its closed form (`_psi_symbolic`) when the
+    first leaders pairwise never overlap, and is interpolated from
+    counts on the sample grid otherwise; `psi_path` records which.  The
     result is accepted only after the full polynomial reproduces the
     enumerated counts on the sample grid plus two extra points per axis.
+    The grid moves outwards at most MAX_ENLARGE times.
     """
     P = pres.P
     p = P.p
     G = complete_basis(pres.relations, P, m=pres.m)
-    omega_p = _omega_part(G, pres.m)
-    symbolic_ok = _symbolic_applicable(G)
-    if psi_path == "auto":
-        path = "symbolic" if symbolic_ok else "interpolation"
-    elif psi_path == "symbolic":
-        if not symbolic_ok:
-            raise InputError("symbolic path needs non-overlapping first leaders")
-        path = "symbolic"
-    elif psi_path == "interpolation":
-        path = "interpolation"
-    else:
-        raise InputError(f"unknown psi_path {psi_path!r}")
     sizes2 = _doubled_sizes(P)
     base = _base_threshold(G)
+    # the first grid reaches base + 2s + 2 per axis; refuse an oversized
+    # block simplex before omega and the grid, which grow with it
+    for q, b in zip(sizes2, base):
+        check_simplex(q, b + q + 2)
+    omega_p = _omega_part(G)
+    path = "symbolic" if _symbolic_applicable(G) else "interpolation"
     psi_sym = _psi_symbolic(G) if path == "symbolic" else None
-    for attempt in range(max_enlarge + 1):
+    for attempt in range(MAX_ENLARGE + 1):
         R0 = tuple(b + attempt for b in base)
         axes = [range(R0[j], R0[j] + sizes2[j] + 1) for j in range(p)]
         grid = [tuple(pt) for pt in itertools.product(*axes)]
@@ -260,7 +266,7 @@ def dimension_polynomial(
                 pt[j] += bump
                 extras.append(tuple(pt))
         sample = grid + extras
-        counts = dict(zip(sample, count_grid(G, pres.m, sample)))
+        counts = dict(zip(sample, count_grid(G, sample)))
         if path == "symbolic":
             psi = psi_sym
         else:
@@ -311,10 +317,10 @@ class BernsteinReport:
     report: DimensionReport
 
 
-def bernstein_polynomial(pres: Presentation, **kwargs) -> BernsteinReport:
+def bernstein_polynomial(pres: Presentation) -> BernsteinReport:
     """Bernstein dimension and multiplicity via the collapsed partition."""
     flat = Presentation(pres.P.collapse(), pres.m, pres.relations)
-    rep = dimension_polynomial(flat, **kwargs)
+    rep = dimension_polynomial(flat)
     psi = rep.phi
     if rep.module_is_zero:
         return BernsteinReport(psi, -1, 0, rep)
@@ -326,20 +332,16 @@ def bernstein_polynomial(pres: Presentation, **kwargs) -> BernsteinReport:
     return BernsteinReport(psi, d, int(e), rep)
 
 
-def is_holonomic(report: DimensionReport, n: int | None = None) -> bool:
+def is_holonomic(report: DimensionReport) -> bool:
     """Degree criterion: the total degree equals the number of variables."""
-    if n is None:
-        n = report.presentation.P.n
-    if report.module_is_zero:
-        return False
-    return report.phi.degree_data()[0] == n
+    return report.holonomic
 
 
 def bernstein_inequality_check(report: DimensionReport, r: Sequence[int]) -> bool:
     """Filtration inequality dim W_r <= phi(r) * phi(2r) at a verified r."""
     P = report.presentation.P
     r = tuple(r)
-    card_u = count_UVW(report.basis, report.presentation.m, r)[2]
+    card_u = count_UVW(report.basis, r)[2]
     if report.phi.eval(r) != card_u:
         raise InputError(
             f"r={r} is below the polynomial threshold; enumeration disagrees"

@@ -1,14 +1,16 @@
 """Groebner bases of A_n^m submodules under several simultaneous orders.
 
-Reduction eliminates the greatest eligible term under the head order while
-respecting order caps taken from the tail orders.  It works in place on
-one term dict, with each reducer's leader data built once and each term's
-order data once per call.  The caps move as the remainder changes, but
-only downwards, so a term found ineligible never needs a second look (see
-`multi_reduce`).  Completion runs staged from the last order down to the
-first; every nonzero reduced S-element is inserted and re-opens the pair
-queues of its stage and all later stages.  The finished basis is
-certified stage by stage with `is_groebner`.
+Every reduction runs at a stage r in 1..p: it eliminates the greatest
+eligible term under the r-th order while respecting order caps taken
+from the later orders r+1..p.  Completion and its certificate reduce at
+the stage of the pair at hand, membership at stage 1.  Reduction works in
+place on one term dict, with each reducer's leader data built once per
+stage and each term's order data once per call.  The caps move as the
+remainder changes, but only downwards, so a term found ineligible never
+needs a second look (see `multi_reduce`).  Completion runs staged from
+the last order down to the first; every nonzero reduced S-element is
+inserted and re-opens the pair queues of its stage and all later stages.
+The finished basis is certified stage by stage with `is_groebner`.
 
 Each element also carries a multiplier-order bound B: a vector with
 ord_j(D) <= B_j for every coefficient D of some way of writing the element
@@ -44,78 +46,66 @@ from .terms import (
 from .weyl import ExponentPair, Partition, Vector, WeylElement, element_orders, mono_mul
 
 
-class OrderSequence(NamedTuple):
-    """A head order plus the tail orders constraining each reduction step."""
-
-    head: int
-    tail: tuple[int, ...]
-
-    def check(self, p: int):
-        seen = {self.head, *self.tail}
-        if len(seen) != 1 + len(self.tail):
-            raise InputError(f"order sequence repeats an index: {self}")
-        if any(not 1 <= i <= p for i in seen):
-            raise InputError(f"order sequence {self} out of range 1..{p}")
+# Most elements a completion may hold before it gives up.
+MAX_ELEMENTS = 500
 
 
-def suffix_sequence(r: int, p: int) -> OrderSequence:
-    """The sequence (<_r, <_{r+1}, ..., <_p)."""
-    return OrderSequence(r, tuple(range(r + 1, p + 1)))
-
-
-def full_sequence(p: int) -> OrderSequence:
-    return suffix_sequence(1, p)
+def _check_stage(r, p: int) -> None:
+    # exact type: bool is an int subclass
+    if type(r) is not int or not 1 <= r <= p:
+        raise InputError(f"stage {r!r} out of range 1..{p}")
 
 
 class _Reducer(NamedTuple):
-    """What a reduction step needs of a reducer g under one order sequence."""
+    """What a reduction step at one stage needs of a reducer g."""
 
-    gen: int  # the head leader's generator and exponents
+    gen: int  # the stage-order leader's generator and exponents
     alpha: Vector
     beta: Vector
-    coeff: Fraction  # the head leader's coefficient
-    key: tuple  # the head leader's term key under the head order
-    # per tail order i: ord_i of g's i-th leader minus ord_i of its head
-    # leader, so theta * g stays within cap_i exactly when the term theta
-    # * head leader has ord_i + slack_i <= cap_i
+    coeff: Fraction  # the stage-order leader's coefficient
+    key: tuple  # the stage-order leader's term key
+    # per later order i: ord_i of g's i-th leader minus ord_i of its
+    # stage-order leader, so theta * g stays within cap_i exactly when the
+    # term theta * leader has ord_i + slack_i <= cap_i
     slack: tuple[int, ...]
 
 
-def _reducer(g: ModuleElement, seq: OrderSequence, P: Partition) -> _Reducer:
-    """Reducer data of g, kept with g's leaders so it is built once."""
-    memo_key = ("reducer", P.sizes, seq)
+def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
+    """Reducer data of g at stage r, kept with g's leaders so it is built once."""
+    memo_key = ("reducer", P.sizes, r)
     hit = g._memo.get(memo_key)
     if hit is not None:
         return hit
-    head, c = leader(g, seq.head, P)
+    head, c = leader(g, r, P)
     hbo = block_orders(head.theta, P)
     slack = tuple(
         block_orders(leader_term(g, i, P).theta, P)[i - 1] - hbo[i - 1]
-        for i in seq.tail
+        for i in range(r + 1, P.p + 1)
     )
     out = g._memo[memo_key] = _Reducer(
-        head.gen, *head.theta, c, term_key(seq.head, head, P), slack
+        head.gen, *head.theta, c, term_key(r, head, P), slack
     )
     return out
 
 
-def _term_orders(t: Term, seq: OrderSequence, P: Partition) -> tuple[tuple, tuple]:
-    """The head-order key of t, and ord_i(t) for each tail order i."""
-    key = term_key(seq.head, t, P)
-    # a head-order key starts with ord_head, then the other blockwise
-    # orders by ascending block index (see `terms.monomial_key`)
-    return key, tuple(key[i if i < seq.head else i - 1] for i in seq.tail)
+def _term_orders(t: Term, r: int, P: Partition) -> tuple[tuple, tuple]:
+    """The order-r key of t, and ord_i(t) for each later order i."""
+    key = term_key(r, t, P)
+    # an order-r key starts with ord_r, then the other blockwise orders by
+    # ascending block index (see `terms.monomial_key`), so ord_{r+1}, ...,
+    # ord_p sit at positions r, ..., p-1
+    return key, key[r:P.p]
 
 
 def _caps(tails) -> list[int]:
-    """Greatest ord_i over the given terms, per tail order: the order caps."""
+    """Greatest ord_i over the given terms, per later order: the order caps."""
     return [max(col) for col in zip(*tails)]
 
 
 def _eligible(w: Term, tail: tuple, r: _Reducer, caps: Sequence[int]) -> bool:
-    """Whether r's head leader divides w and theta * r fits the caps.
+    """Whether r's stage-order leader divides w and theta * r fits the caps.
 
-    tail holds ord_i(w) for each tail order i.
+    tail holds ord_i(w) for each later order i.
     """
     return (
         w.gen == r.gen
@@ -125,78 +115,77 @@ def _eligible(w: Term, tail: tuple, r: _Reducer, caps: Sequence[int]) -> bool:
     )
 
 
-def is_reduced(
-    f: ModuleElement, g: ModuleElement, seq: OrderSequence, P: Partition
-) -> bool:
-    """True when no term of f is eliminable by g under seq."""
-    seq.check(P.p)
+def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool:
+    """True when no term of f is eliminable by g at stage r."""
+    _check_stage(r, P.p)
     if f.is_zero():
         return True
     if g.is_zero():
         raise ZeroElementError("reduction against the zero element")
-    r = _reducer(g, seq, P)
-    tails = {w: _term_orders(w, seq, P)[1] for w in f.terms}
+    red = _reducer(g, r, P)
+    tails = {w: _term_orders(w, r, P)[1] for w in f.terms}
     caps = _caps(tails.values())
-    return not any(_eligible(w, tail, r, caps) for w, tail in tails.items())
+    return not any(_eligible(w, tail, red, caps) for w, tail in tails.items())
 
 
 def multi_reduce(
     f: ModuleElement,
     G: Sequence[ModuleElement],
-    seq: OrderSequence,
+    r: int,
     P: Partition,
 ) -> tuple[ModuleElement, list[WeylElement]]:
-    """Remainder of f modulo G under seq, with quotients.
+    """Remainder of f modulo G at stage r, with quotients.
 
+    The r-th order leads and the later orders r+1..p cap each step.
     Deterministic: each step removes the greatest eligible term under the
-    head order, using the reducer with the greatest head leader (smallest
+    r-th order, using the reducer with the greatest r-th leader (smallest
     list position on ties).  The identity f = sum Q_i g_i + remainder
     holds exactly.
 
     The remainder is kept as one term dict and reduced in place: a step
     subtracts factor * theta * g term by term.  Eligibility depends on the
-    caps, the greatest ord_i over the current remainder for each tail
+    caps, the greatest ord_i over the current remainder for each later
     order i, and the caps move as terms are removed, so each step looks
     again from the greatest remaining term.  The caps only fall, though:
     every term of theta * g has ord_i <= ord_i(theta) + ord_i of g's i-th
     leader, which an eligible step keeps within cap_i.  And every term a
-    step adds lies below the eliminated term under the head order.  So a
+    step adds lies below the eliminated term under the r-th order.  So a
     term once found ineligible stays so and is never touched again; each
     step takes the greatest term not yet found ineligible, which is the
     term a full rescan would pick.
     """
-    seq.check(P.p)
+    _check_stage(r, P.p)
     if any(g.is_zero() for g in G):
         raise ZeroElementError("zero element among the reducers")
     n, m = f.n, f.m
     for g in G:
         f._check_compat(g)
-    # reducers by generator, greatest head leader first, then by position
+    # reducers by generator, greatest r-th leader first, then by position
     by_gen: dict[int, list[tuple[int, _Reducer]]] = {}
-    for idx, r in sorted(
-        enumerate(_reducer(g, seq, P) for g in G),
+    for idx, red in sorted(
+        enumerate(_reducer(g, r, P) for g in G),
         key=lambda ir: ir[1].key,
-        reverse=True,  # stable: equal head leaders stay in list order
+        reverse=True,  # stable: equal leaders stay in list order
     ):
-        by_gen.setdefault(r.gen, []).append((idx, r))
+        by_gen.setdefault(red.gen, []).append((idx, red))
     quotients: list[dict[ExponentPair, Fraction]] = [{} for _ in G]
     work = dict(f.terms)
-    orders = {t: _term_orders(t, seq, P) for t in work}  # per call, never shared
+    orders = {t: _term_orders(t, r, P) for t in work}  # per call, never shared
     caps = _caps(tail for _, tail in orders.values())
     pending = set(work)  # terms not yet found ineligible
     while pending:
         w = max(pending, key=lambda t: orders[t][0])
         pending.remove(w)
-        for idx, r in by_gen.get(w.gen, ()):
-            if _eligible(w, orders[w][1], r, caps):
+        for idx, red in by_gen.get(w.gen, ()):
+            if _eligible(w, orders[w][1], red, caps):
                 break
         else:
             continue  # stays in the remainder for good
         q = ExponentPair(
-            tuple(map(sub, w.theta.alpha, r.alpha)),
-            tuple(map(sub, w.theta.beta, r.beta)),
+            tuple(map(sub, w.theta.alpha, red.alpha)),
+            tuple(map(sub, w.theta.beta, red.beta)),
         )
-        factor = work[w] / r.coeff
+        factor = work[w] / red.coeff
         # each eliminated term lies below the last, so q is new for idx
         quotients[idx][q] = factor
         lowered = False
@@ -211,7 +200,7 @@ def multi_reduce(
                     work[t] = d
                     pending.add(t)
                     if t not in orders:
-                        orders[t] = _term_orders(t, seq, P)
+                        orders[t] = _term_orders(t, r, P)
                     continue
                 s += d
                 if s:
@@ -306,16 +295,14 @@ def is_groebner(G: GroebnerBasis, r: int) -> bool:
 
     Meaningful once the later stages r+1..p already hold.
     """
-    if not 1 <= r <= G.P.p:
-        raise InputError(f"stage {r} out of range 1..{G.P.p}")
-    seq = suffix_sequence(r, G.P.p)
+    _check_stage(r, G.P.p)
     els = G.elements
     for a in range(len(els)):
         for b in range(a + 1, len(els)):
             s = s_element(els[a], els[b], r, G.P)
             if s.is_zero():
                 continue
-            rem, _ = multi_reduce(s, els, seq, G.P)
+            rem, _ = multi_reduce(s, els, r, G.P)
             if not rem.is_zero():
                 return False
     return True
@@ -325,12 +312,11 @@ def complete_basis(
     generators: Sequence[ModuleElement],
     P: Partition,
     m: int | None = None,
-    max_elements: int = 500,
 ) -> GroebnerBasis:
     """Complete the given relations to a basis certified for every stage.
 
     Inserted elements are fully reduced remainders, made monic under the
-    first order.  Raises if the basis grows past max_elements.  Each
+    first order.  Raises if the basis grows past MAX_ELEMENTS.  Each
     element's multiplier-order bound is carried along as the module
     docstring describes; the basis keeps their componentwise max.
     """
@@ -361,7 +347,7 @@ def complete_basis(
         s = s_element(G[a], G[b], stage, P)
         if s.is_zero():
             continue
-        rem, quots = multi_reduce(s, G, suffix_sequence(stage, p), P)
+        rem, quots = multi_reduce(s, G, stage, P)
         if rem.is_zero():
             continue
         # s = t_a * G[a] - t_b * G[b], and s - rem = sum_k Q_k * G[k]
@@ -376,9 +362,9 @@ def complete_basis(
         ]
         bounds.append(tuple(map(max, *(map(add, o, B) for o, B in shifts))))
         G.append(rem.scale(1 / leader(rem, 1, P)[1]))
-        if len(G) > max_elements:
+        if len(G) > MAX_ELEMENTS:
             raise WeylDimError(
-                f"basis exceeded {max_elements} elements; presentation too large"
+                f"basis exceeded {MAX_ELEMENTS} elements; presentation too large"
             )
         t = len(G) - 1
         for r in range(1, p + 1):
@@ -401,5 +387,5 @@ def membership(f: ModuleElement, G: GroebnerBasis) -> bool:
         return True
     if not G.elements:
         return False
-    rem, _ = multi_reduce(f, G.elements, full_sequence(G.P.p), G.P)
+    rem, _ = multi_reduce(f, G.elements, 1, G.P)
     return rem.is_zero()

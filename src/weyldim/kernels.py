@@ -39,12 +39,27 @@ MAX_CELLS = 1 << 24
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-def _check_cells(rows: int, width: int, what: str) -> None:
+def _check_cells(rows: int, width: int, what: str, least: bool = False) -> None:
+    """Refuse rows x width int64 cells past the budget; least: rows is a bound."""
     if rows * width > MAX_CELLS:
+        try:
+            text = str(rows)
+        except ValueError:  # past the interpreter's int-to-str digit limit
+            text, least = f"2^{rows.bit_length() - 1}", True
         raise InputError(
-            f"box counting: {what} would have {rows} rows of {width} "
-            f"columns, over the budget kernels.MAX_CELLS = {MAX_CELLS}"
+            f"box counting: {what} would have {'at least ' * least}{text} rows "
+            f"of {width} columns, over the budget kernels.MAX_CELLS = {MAX_CELLS}"
         )
+
+
+def check_simplex(q: int, r: int) -> None:
+    """Refuse the simplex {v in N^q : |v| <= r} if it breaks the cell budget."""
+    what = f"the simplex of width {q} at bound {r}"
+    if r >= 1:
+        # it has at least C(r + q, 1) = r + q rows; past the budget, the
+        # exact C(r + q, q), which may run to millions of digits, is not taken
+        _check_cells(r + q, q, what, least=True)
+    _check_cells(comb(r + q, q), q, what)
 
 
 @lru_cache(maxsize=4096)
@@ -54,7 +69,7 @@ def _sum_bounded(q: int, r: int) -> np.ndarray:
         out = np.empty((0, q), dtype=np.int64)
         out.flags.writeable = False
         return out
-    _check_cells(comb(r + q, q), q, f"the simplex of width {q} at bound {r}")
+    check_simplex(q, r)
     if q == 1:
         out = np.arange(r + 1, dtype=np.int64).reshape(-1, 1)
         out.flags.writeable = False

@@ -26,7 +26,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from operator import add, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -40,10 +40,9 @@ def binom_int(t: int, k: int) -> int:
     """C(t, k) for any integer t, zero when k < 0."""
     if k < 0:
         return 0
-    num = 1
-    for j in range(k):
-        num *= t - j
-    return num // factorial(k)
+    if t < 0:  # C(t, k) = (-1)^k C(k - t - 1, k)
+        return (-1) ** k * comb(k - t - 1, k)
+    return comb(t, k)
 
 
 class NumericalPolynomial:

@@ -26,6 +26,9 @@ from .weyl import ExponentPair, Partition, WeylElement, mono_mul, weyl_dimension
 
 _NAIVE_BUDGET = 8
 
+# Most box terms (the box size times the module rank) `RankOracle` ranks.
+MAX_BOX = 10**4
+
 
 def _word_of(theta: ExponentPair) -> tuple:
     alpha, beta = theta
@@ -150,14 +153,13 @@ class RankOracle:
     far lower than first-seen order.
     """
 
-    def __init__(self, basis: GroebnerBasis, max_box: int = 10**4):
+    def __init__(self, basis: GroebnerBasis):
         if basis.multiplier_bound is None:
             raise InputError("basis carries no multiplier bound; use complete_basis")
         self.P = basis.P
         self.m = basis.m
         self.relations = basis.relations
         self.slack = basis.multiplier_bound
-        self.max_box = max_box
         self._sizes2 = tuple(2 * s for s in self.P.sizes)
         self._block_starts = np.cumsum((0,) + self._sizes2[:-1])
         self._int_relations = [_integer_relation(g) for g in self.relations]
@@ -170,25 +172,23 @@ class RankOracle:
         self._keys = np.empty((0, self.P.p + 2 * self.P.n + 1), dtype=np.int64)
         self._rank = np.empty(0, dtype=np.int64)
 
-    def dimension(self, r: Sequence[int], slack: int = 0) -> int:
+    def dimension(self, r: Sequence[int]) -> int:
         r = tuple(r)
         if len(r) != self.P.p:
             raise InputError(f"r has length {len(r)}, expected {self.P.p}")
         # exact type: bool is an int subclass and floats do not index boxes
         if any(type(v) is not int for v in r):
             raise InputError(f"r must consist of integers: {r}")
-        if type(slack) is not int or slack < 0:
-            raise InputError(f"slack must be a nonnegative integer, got {slack!r}")
         if any(v < 0 for v in r):
             return 0
         card_box = weyl_dimension(self.P, r) * self.m
-        if card_box > self.max_box:
+        if card_box > MAX_BOX:
             raise InputError(
-                f"box of size {card_box} exceeds the oracle cap {self.max_box}"
+                f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
             )
         if not self.relations:
             return card_box
-        bound = tuple(v + qv + slack for v, qv in zip(r, self.slack))
+        bound = tuple(v + qv for v, qv in zip(r, self.slack))
         # one enumeration at the confirmation bound; the certified rows are
         # the thetas whose block sums stay within one step less
         V = box_vectors(self._sizes2, tuple(v + 1 for v in bound))

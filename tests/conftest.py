@@ -326,7 +326,7 @@ def random_module_element(
 
 def _presents_zero_module(pres: Presentation) -> bool:
     G = complete_basis(pres.relations, pres.P, m=pres.m)
-    return count_UVW(G, pres.m, (0,) * pres.P.p)[2] == 0
+    return count_UVW(G, (0,) * pres.P.p)[2] == 0
 
 
 def _dense_presentation(seed: int, sizes: tuple[int, ...]) -> Presentation:

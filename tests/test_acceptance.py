@@ -192,11 +192,11 @@ def test_07_enumeration_vs_rank_oracle():
         for label, pres, rep in reports:
             oracle = RankOracle(rep.basis)
             for r in itertools.product(range(5), repeat=pres.P.p):
-                card_u = count_UVW(rep.basis, pres.m, r)[2]
+                card_u = count_UVW(rep.basis, r)[2]
                 assert card_u == oracle.dimension(r), (label, r)
             for r, count in rep.verified_points:
                 assert rep.phi.eval(r) == count, (label, r)
-                assert count_UVW(rep.basis, pres.m, r)[2] == count, (label, r)
+                assert count_UVW(rep.basis, r)[2] == count, (label, r)
 
 
 def test_08_degree_bounds():

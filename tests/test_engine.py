@@ -16,6 +16,7 @@ from weyldim import (
     count_grid,
     count_UVW,
     dimension_polynomial,
+    interpolate,
     invariant_set,
     is_holonomic,
     weyl_dimension,
@@ -61,23 +62,23 @@ class TestCountUVW:
         P = Partition((1, 1))
         G = complete_basis([], P, m=2)
         for r in grid(2, 0, 3):
-            assert count_UVW(G, 2, r)[2] == 2 * weyl_dimension(P, r)
+            assert count_UVW(G, r)[2] == 2 * weyl_dimension(P, r)
 
     def test_negative_r(self):
         P = Partition((1,))
         G = complete_basis([], P, m=1)
-        assert count_UVW(G, 1, (-1,)) == (0, 0, 0)
+        assert count_UVW(G, (-1,)) == (0, 0, 0)
 
     def test_worked_count(self):
         pres = two_term_presentation(1, 1, 2)
         G = complete_basis(pres.relations, pres.P, m=1)
-        assert count_UVW(G, 1, (3, 3))[2] == 82
+        assert count_UVW(G, (3, 3))[2] == 82
 
     def test_shape_check(self):
         P = Partition((1, 1))
         G = complete_basis([], P, m=1)
         with pytest.raises(InputError):
-            count_UVW(G, 1, (1,))
+            count_UVW(G, (1,))
 
     def test_entries_must_be_ints(self):
         # a bool counted as 1 and an integral float as its value
@@ -85,10 +86,10 @@ class TestCountUVW:
         G = complete_basis(pres.relations, pres.P, m=1)
         for bad in ((True, 2), (2.0, 2), (1.5, 2), ("2", 2), (None, 2)):
             with pytest.raises(InputError):
-                count_grid(G, 1, [(1, 1), bad])
+                count_grid(G, [(1, 1), bad])
             with pytest.raises(InputError):
-                count_UVW(G, 1, bad)
-        assert count_grid(G, 1, [(1, 2), (2, 2)]) == [(17, 0, 17), (33, 0, 33)]
+                count_UVW(G, bad)
+        assert count_grid(G, [(1, 2), (2, 2)]) == [(17, 0, 17), (33, 0, 33)]
 
 
 class TestDimensionPolynomial:
@@ -108,7 +109,7 @@ class TestDimensionPolynomial:
         assert rep.verified_points
         for r, count in rep.verified_points:
             assert rep.phi.eval(r) == count
-            assert count_UVW(rep.basis, 1, r)[2] == count
+            assert count_UVW(rep.basis, r)[2] == count
 
     def test_derivative_module(self):
         rep = dimension_polynomial(derivative_presentation())
@@ -127,25 +128,27 @@ class TestDimensionPolynomial:
         assert rep.invariants.total_degree == -1
 
     def test_symbolic_path_needs_separated_leaders(self):
-        with pytest.raises(InputError):
-            dimension_polynomial(derivative_presentation(), psi_path="symbolic")
-
-    def test_unknown_path(self):
-        with pytest.raises(InputError):
-            dimension_polynomial(derivative_presentation(), psi_path="fast")
+        pres = derivative_presentation()
+        G = complete_basis(pres.relations, pres.P, m=pres.m)
+        assert not _symbolic_applicable(G)
+        assert dimension_polynomial(pres).psi_path == "interpolation"
 
     def test_forced_interpolation_agrees(self):
+        # the closed form matches the overshoot part interpolated from V'
+        # counts on the same grid
         cases = [("two-term", two_term_presentation(1, 1, 2))]
         cases += corpus_presentations()
         checked = 0
         for label, pres in cases:
-            G = complete_basis(pres.relations, pres.P, m=pres.m)
-            if not _symbolic_applicable(G):
+            rep = dimension_polynomial(pres)
+            if rep.psi_path != "symbolic":
                 continue
-            a = dimension_polynomial(pres, psi_path="symbolic")
-            b = dimension_polynomial(pres, psi_path="interpolation")
-            assert a.psi_part == b.psi_part, label
-            assert a.phi == b.phi, label
+            sizes2 = tuple(2 * s for s in pres.P.sizes)
+            axes = [range(t, t + q + 1) for t, q in zip(rep.threshold, sizes2)]
+            points = list(itertools.product(*axes))
+            counts = dict(zip(points, count_grid(rep.basis, points)))
+            psi = interpolate(rep.threshold, sizes2, lambda r: counts[r][1])
+            assert rep.psi_part == psi, label
             checked += 1
         assert checked >= 10
 
@@ -200,9 +203,9 @@ class TestHolonomy:
         assert not rep.holonomic
 
     def test_explicit_n_override(self):
-        rep = dimension_polynomial(derivative_presentation())
-        assert is_holonomic(rep, n=2)
-        assert not is_holonomic(rep, n=3)
+        for pres in (derivative_presentation(), two_term_presentation(1, 1, 2)):
+            rep = dimension_polynomial(pres)
+            assert is_holonomic(rep) == rep.holonomic
 
 
 class TestInequalityCheck:
@@ -231,4 +234,4 @@ class TestThreshold:
             lo = rep.threshold
             for off in itertools.product(range(3), repeat=pres.P.p):
                 r = tuple(a + b for a, b in zip(lo, off))
-                assert rep.phi.eval(r) == count_UVW(rep.basis, pres.m, r)[2]
+                assert rep.phi.eval(r) == count_UVW(rep.basis, r)[2]

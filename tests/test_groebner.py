@@ -12,7 +12,6 @@ from weyldim import (
     GroebnerBasis,
     InputError,
     ModuleElement,
-    OrderSequence,
     Partition,
     RankOracle,
     WeylDimError,
@@ -20,7 +19,6 @@ from weyldim import (
     ZeroElementError,
     act,
     complete_basis,
-    full_sequence,
     is_groebner,
     is_reduced,
     leader,
@@ -28,7 +26,6 @@ from weyldim import (
     multi_reduce,
     rho,
     s_element,
-    suffix_sequence,
 )
 from weyldim import groebner
 from weyldim.terms import block_orders, gamma_divides, leader_term, term_divides, term_key
@@ -46,44 +43,42 @@ from test_terms import module_elements
 # --------------------------------------------------------- reference reduction
 
 
-def ref_eligible(w, g, seq, caps, P):
-    """Quotient theta if g can eliminate w within the tail order caps."""
-    q = term_divides(leader_term(g, seq.head, P), w)
+def ref_eligible(w, g, r, caps, P):
+    """Quotient theta if g can eliminate w at stage r within the order caps."""
+    q = term_divides(leader_term(g, r, P), w)
     if q is None:
         return None
-    if seq.tail:
-        qbo = block_orders(q, P)
-        for pos, i in enumerate(seq.tail):
-            gi = block_orders(leader_term(g, i, P).theta, P)[i - 1]
-            if qbo[i - 1] + gi > caps[pos]:
-                return None
+    qbo = block_orders(q, P)
+    for i, cap in zip(range(r + 1, P.p + 1), caps):
+        gi = block_orders(leader_term(g, i, P).theta, P)[i - 1]
+        if qbo[i - 1] + gi > cap:
+            return None
     return q
 
 
-def ref_multi_reduce(f, G, seq, P):
+def ref_multi_reduce(f, G, r, P):
     """Reduction by whole-element arithmetic, rescanning every term per step.
 
-    Each step sorts the remainder under the head order, takes the first
-    term some reducer can eliminate (the reducer with the greatest head
+    Each step sorts the remainder under the r-th order, takes the first
+    term some reducer can eliminate (the reducer with the greatest r-th
     leader, smallest list position on ties) and subtracts that multiple.
     """
-    seq.check(P.p)
+    assert 1 <= r <= P.p
     n = f.n
     quotients = [WeylElement.zero(n) for _ in G]
     work = f
     while not work.is_zero():
         caps = [
-            block_orders(leader_term(work, i, P).theta, P)[i - 1] for i in seq.tail
+            block_orders(leader_term(work, i, P).theta, P)[i - 1]
+            for i in range(r + 1, P.p + 1)
         ]
         chosen = None
-        for w in sorted(
-            work.terms, key=lambda t: term_key(seq.head, t, P), reverse=True
-        ):
+        for w in sorted(work.terms, key=lambda t: term_key(r, t, P), reverse=True):
             cands = []
             for idx, g in enumerate(G):
-                q = ref_eligible(w, g, seq, caps, P)
+                q = ref_eligible(w, g, r, caps, P)
                 if q is not None:
-                    lk = term_key(seq.head, leader_term(g, seq.head, P), P)
+                    lk = term_key(r, leader_term(g, r, P), P)
                     cands.append((lk, -idx, idx, q))
             if cands:
                 _, _, idx, q = max(cands)
@@ -93,30 +88,19 @@ def ref_multi_reduce(f, G, seq, P):
             break
         w, idx, q = chosen
         g = G[idx]
-        factor = work.terms[w] / leader(g, seq.head, P)[1]
+        factor = work.terms[w] / leader(g, r, P)[1]
         step = WeylElement.monomial(n, q.alpha, q.beta, factor)
         quotients[idx] = quotients[idx] + step
         work = work - act(step, g)
     return work, quotients
 
 
-def order_sequences(p):
-    """Every valid sequence for p orders: any head, any ordered tail."""
-    out = []
-    for head in range(1, p + 1):
-        rest = [i for i in range(1, p + 1) if i != head]
-        for k in range(len(rest) + 1):
-            for tail in itertools.permutations(rest, k):
-                out.append(OrderSequence(head, tail))
-    return out
-
-
 @st.composite
 def reduction_cases(draw):
-    """(f, reducers, seq, P) with duplicates and equal head leaders mixed in."""
+    """(f, reducers, r, P) with duplicates and equal stage leaders mixed in."""
     P = Partition(draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 1, 1)])))
     n, m = P.n, draw(st.integers(1, 2))
-    seq = draw(st.sampled_from(order_sequences(P.p)))
+    r = draw(st.integers(1, P.p))
     nonzero = module_elements(n, m).filter(lambda g: not g.is_zero())
     G = draw(st.lists(nonzero, min_size=1, max_size=3))
     for _ in range(draw(st.integers(0, 2))):
@@ -125,8 +109,8 @@ def reduction_cases(draw):
         if kind == "scaled":
             g = g.scale(draw(st.sampled_from([2, -1, Fraction(1, 3)])))
         elif kind == "tail":
-            # same head leader, other coefficients below it
-            head = leader_term(g, seq.head, P)
+            # same stage leader, other coefficients below it
+            head = leader_term(g, r, P)
             others = [t for t in g.terms if t != head]
             if others:
                 t = draw(st.sampled_from(others))
@@ -137,55 +121,52 @@ def reduction_cases(draw):
         D = draw(module_elements(n, 1, terms=2))
         D = WeylElement(n, {theta: c for (_, theta), c in D.terms.items()})
         f = f + act(D, g)
-    return f, G, seq, P
+    return f, G, r, P
 
 
-class TestSequences:
-    def test_suffix(self):
-        assert suffix_sequence(2, 3) == OrderSequence(2, (3,))
-        assert suffix_sequence(3, 3) == OrderSequence(3, ())
-        assert full_sequence(3) == OrderSequence(1, (2, 3))
-
-    def test_check_rejects(self):
-        with pytest.raises(InputError):
-            OrderSequence(1, (1,)).check(2)
-        with pytest.raises(InputError):
-            OrderSequence(3, ()).check(2)
+class TestStages:
+    def test_stage_out_of_range(self):
+        P = Partition((1, 1, 1))
+        f = ModuleElement.single(3, 1, 1, (1, 0, 0), (0, 0, 0))
+        for r in (0, 4, True):
+            with pytest.raises(InputError):
+                multi_reduce(f, [f], r, P)
+            with pytest.raises(InputError):
+                is_reduced(f, f, r, P)
+        assert multi_reduce(f, [f], 3, P)[0].is_zero()
 
 
 class TestReduction:
     def test_identity_random(self):
         rng = random.Random(7)
         P = Partition((1, 1))
-        seq = full_sequence(2)
         for _ in range(25):
             f = random_module_element(rng, 2, 2)
             G = [random_module_element(rng, 2, 2) for _ in range(2)]
-            rem, quots = multi_reduce(f, G, seq, P)
+            rem, quots = multi_reduce(f, G, 1, P)
             recombined = rem
             for Q, g in zip(quots, G):
                 if not Q.is_zero():
                     recombined = recombined + act(Q, g)
             assert recombined == f
             for g in G:
-                assert is_reduced(rem, g, seq, P)
+                assert is_reduced(rem, g, 1, P)
 
     def test_deterministic(self):
         P, h1, h2, h3 = worked_pair()
-        seq = full_sequence(2)
-        out1 = multi_reduce(h3, [h1, h2], seq, P)
-        out2 = multi_reduce(h3, [h1, h2], seq, P)
+        out1 = multi_reduce(h3, [h1, h2], 1, P)
+        out2 = multi_reduce(h3, [h1, h2], 1, P)
         assert out1 == out2
 
     def test_zero_reducer_rejected(self):
         P = Partition((1,))
         f = ModuleElement.basis_vector(1, 1, 1)
         with pytest.raises(ZeroElementError):
-            multi_reduce(f, [ModuleElement.zero(1, 1)], full_sequence(1), P)
+            multi_reduce(f, [ModuleElement.zero(1, 1)], 1, P)
 
     def test_reduces_by_itself(self):
         P, h1, _, _ = worked_pair()
-        rem, quots = multi_reduce(h1, [h1], full_sequence(2), P)
+        rem, quots = multi_reduce(h1, [h1], 1, P)
         assert rem.is_zero()
         assert quots[0] == WeylElement.one(2)
 
@@ -193,22 +174,22 @@ class TestReduction:
 class TestAgainstReference:
     @given(reduction_cases())
     def test_same_remainder_and_quotients(self, case):
-        f, G, seq, P = case
-        rem, quots = multi_reduce(f, G, seq, P)
-        ref_rem, ref_quots = ref_multi_reduce(f, G, seq, P)
+        f, G, r, P = case
+        rem, quots = multi_reduce(f, G, r, P)
+        ref_rem, ref_quots = ref_multi_reduce(f, G, r, P)
         assert rem == ref_rem
         assert quots == ref_quots
         for g in G:
-            assert is_reduced(rem, g, seq, P)
+            assert is_reduced(rem, g, r, P)
 
     def test_equal_head_leaders_take_the_first(self):
         P, h1, h2, _ = worked_pair()
         G = [h2, h1.scale(3), h1, h1.scale(-1)]
-        rem, quots = multi_reduce(h1, G, full_sequence(2), P)
+        rem, quots = multi_reduce(h1, G, 1, P)
         assert rem.is_zero()
         assert quots[1] == WeylElement.one(2).scale(Fraction(1, 3))
         assert quots[2].is_zero() and quots[3].is_zero()
-        assert (rem, quots) == ref_multi_reduce(h1, G, full_sequence(2), P)
+        assert (rem, quots) == ref_multi_reduce(h1, G, 1, P)
 
     def test_caps_fall_when_a_term_leaves(self):
         # eliminating x1 x2 drops the ord_2 cap from 1 to 0, and then
@@ -218,19 +199,19 @@ class TestAgainstReference:
         x1 = ModuleElement.single(2, 1, 1, (1, 0), (0, 0))
         g2 = x1 + ModuleElement.single(2, 1, 1, (0, 0), (0, 1))
         G = [w, g2]
-        rem, quots = multi_reduce(w + x1, G, full_sequence(2), P)
+        rem, quots = multi_reduce(w + x1, G, 1, P)
         assert rem == x1
         assert quots == [WeylElement.one(2), WeylElement.zero(2)]
-        assert (rem, quots) == ref_multi_reduce(w + x1, G, full_sequence(2), P)
+        assert (rem, quots) == ref_multi_reduce(w + x1, G, 1, P)
 
     def test_completion_of_corpus(self, monkeypatch):
         # every reduction run while completing (and certifying) real
         # presentations agrees with the reference
         calls = []
 
-        def both(f, G, seq, P):
-            out = fast(f, G, seq, P)
-            assert out == ref_multi_reduce(f, G, seq, P)
+        def both(f, G, r, P):
+            out = fast(f, G, r, P)
+            assert out == ref_multi_reduce(f, G, r, P)
             calls.append(out[0].is_zero())
             return out
 
@@ -297,10 +278,11 @@ class TestCompletion:
         assert G.elements == ()
         assert G.fully_certified()
 
-    def test_element_cap(self):
+    def test_element_cap(self, monkeypatch):
         P, h1, h2, _ = worked_pair()
-        with pytest.raises(WeylDimError):
-            complete_basis([h1, h2], P, max_elements=2)
+        monkeypatch.setattr(groebner, "MAX_ELEMENTS", 2)
+        with pytest.raises(WeylDimError, match="basis exceeded 2 elements"):
+            complete_basis([h1, h2], P)
 
     def test_shape_mismatch(self):
         P = Partition((1, 1))

@@ -364,6 +364,45 @@ class TestCli:
         assert "overflows the exact int64 counts" in out.stderr
 
     @pytest.mark.parametrize(
+        "n,argv",
+        [(4000, ["eval", "--at=8000"]), (100_000, ["dimpoly"]), (3_000_000, ["dimpoly"])],
+        ids=["eval-n4000", "dimpoly-n1e5", "dimpoly-n3e6"],
+    )
+    def test_large_block_is_refused_at_once(self, tmp_path, n, argv):
+        # the simplex row count of the first two runs past the int-to-str
+        # digit limit; dimpoly refuses before omega, whose binomials are huge
+        path = tmp_path / "block.json"
+        path.write_text(json.dumps({"n": n, "partition": [n], "m": 1, "relations": []}))
+        out = run_cli_capped([argv[0], str(path), *argv[1:]])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith("error: box counting:")
+        assert "budget kernels.MAX_CELLS = 16777216" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_free_rank_counts_free_generators_once(self, tmp_path):
+        doc = {"n": 1, "partition": [1], "m": 10**9, "relations": []}
+        path = tmp_path / "rank.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli_capped(["dimpoly", str(path)])
+        assert out.returncode == 0, out.stderr
+        rep = json.loads(out.stdout)
+        assert rep["phi"]["binomial"] == [{"index": [2], "coeff": 10**9}]
+        out = run_cli_capped(["check", str(path)])
+        assert out.returncode == 1
+        assert out.stderr == "error: box of size 1000000000 exceeds the oracle cap 10000\n"
+
+    def test_eval_at_past_the_digit_limit(self, capsys, ex_file):
+        assert main(["eval", ex_file, "--at=" + "9" * 5000 + ",3"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --at expects integers")
+
+    def test_psi_path_option_is_gone(self, capsys, ex_file):
+        assert main(["dimpoly", ex_file, "--psi-path", "interpolation"]) == 1
+        assert "unrecognized arguments: --psi-path" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "payload,message",
         [
             (b'{"n": 1, "partition": [1], "m": 1, "relations": [], "x": "\xff"}', "not UTF-8"),

@@ -369,14 +369,14 @@ class TestCountGrid:
             assert overshoots == 0  # no slack, or no later order to overshoot
         else:
             assert overshoots >= 2
-        assert count_grid(G, 2, points) == expect
+        assert count_grid(G, points) == expect
 
     def test_only_negative_points(self):
         G = random_basis(random.Random(31), (1, 1), 3, 2)
-        assert count_grid(G, 2, [(-1, 2), (0, -3)]) == [(0, 0, 0)] * 2
-        assert count_grid(G, 2, []) == []
+        assert count_grid(G, [(-1, 2), (0, -3)]) == [(0, 0, 0)] * 2
+        assert count_grid(G, []) == []
 
     def test_arity(self):
         G = random_basis(random.Random(37), (1, 1), 2, 2)
         with pytest.raises(InputError, match="length 1"):
-            count_grid(G, 2, [(1, 1), (1,)])
+            count_grid(G, [(1, 1), (1,)])
