@@ -28,6 +28,7 @@ from .groebner import GroebnerBasis, complete_basis
 from .kernels import (
     block_classes,
     block_sum_matrix,
+    check_grid,
     check_simplex,
     class_table,
     classify_box,
@@ -248,9 +249,10 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
     sizes2 = _doubled_sizes(P)
     base = _base_threshold(G)
     # the first grid reaches base + 2s + 2 per axis; refuse an oversized
-    # block simplex before omega and the grid, which grow with it
+    # block simplex or sample grid before omega and the grid are built
     for q, b in zip(sizes2, base):
         check_simplex(q, b + q + 2)
+    check_grid(sizes2)
     omega_p = _omega_part(G)
     path = "symbolic" if _symbolic_applicable(G) else "interpolation"
     psi_sym = _psi_symbolic(G) if path == "symbolic" else None

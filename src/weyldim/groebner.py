@@ -12,6 +12,16 @@ the last order down to the first; every nonzero reduced S-element is
 inserted and re-opens the pair queues of its stage and all later stages.
 The finished basis is certified stage by stage with `is_groebner`.
 
+Coefficients come back as exact `Fraction`s, but completion computes on
+ints.  Each element keeps one primitive integer row in its memo, built
+once: its terms with int coefficients of content 1, equal to k * g for a
+rational k > 0 held as two ints.  `s_element` combines two rows, and
+`multi_reduce` carries the remainder as an int dict over one rational
+scale and eliminates by pseudo-division, so a step pays a few gcds, not
+one per term it touches.  Which terms a step may eliminate depends only
+on the support, so the steps, and with them the exact results, are those
+of reduction over `Fraction`s.
+
 Each element also carries a multiplier-order bound B: a vector with
 ord_j(D) <= B_j for every coefficient D of some way of writing the element
 as sum_i D_i * g_i over the input relations g_i.  Inputs start at zero.
@@ -26,6 +36,7 @@ and summing terms can only cancel them.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, eq, le, sub
 from typing import NamedTuple, Sequence
 
@@ -34,7 +45,6 @@ from .terms import (
     GammaTerm,
     ModuleElement,
     Term,
-    act,
     block_orders,
     leader,
     leader_term,
@@ -56,18 +66,49 @@ def _check_stage(r, p: int) -> None:
         raise InputError(f"stage {r!r} out of range 1..{p}")
 
 
+def _int_row(g: ModuleElement) -> tuple[tuple, int, int]:
+    """g as a primitive integer row, kept in g's memo so it is built once.
+
+    Returns (row, kn, kd): row lists g's terms in dict order as (Term, int)
+    pairs of content 1, and row = (kn / kd) * g with kn, kd > 0 coprime.
+    """
+    hit = g._memo.get("row")
+    if hit is not None:
+        return hit
+    cs = g.terms.values()
+    den = lcm(*(c.denominator for c in cs))
+    ints = [c.numerator * (den // c.denominator) for c in cs]
+    # a prime dividing den divides no numerator of a term whose denominator
+    # carries its full power in den, so den and the content are coprime
+    cont = gcd(*ints) or 1
+    out = g._memo["row"] = (
+        tuple(zip(g.terms, [v // cont for v in ints])),
+        den,
+        cont,
+    )
+    return out
+
+
+def _in_row(c: Fraction, kn: int, kd: int) -> int:
+    """The int that the coefficient c of g becomes in g's row (kn / kd) * g."""
+    return c.numerator * kn // (c.denominator * kd)
+
+
 class _Reducer(NamedTuple):
     """What a reduction step at one stage needs of a reducer g."""
 
     gen: int  # the stage-order leader's generator and exponents
     alpha: Vector
     beta: Vector
-    coeff: Fraction  # the stage-order leader's coefficient
+    lead: int  # the stage-order leader's coefficient in row
     key: tuple  # the stage-order leader's term key
     # per later order i: ord_i of g's i-th leader minus ord_i of its
     # stage-order leader, so theta * g stays within cap_i exactly when the
     # term theta * leader has ord_i + slack_i <= cap_i
     slack: tuple[int, ...]
+    row: tuple  # g's primitive integer row, (kn / kd) * g
+    kn: int
+    kd: int
 
 
 def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
@@ -77,14 +118,35 @@ def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
     if hit is not None:
         return hit
     head, c = leader(g, r, P)
+    row, kn, kd = _int_row(g)
     hbo = block_orders(head.theta, P)
     slack = tuple(
         block_orders(leader_term(g, i, P).theta, P)[i - 1] - hbo[i - 1]
         for i in range(r + 1, P.p + 1)
     )
     out = g._memo[memo_key] = _Reducer(
-        head.gen, *head.theta, c, term_key(r, head, P), slack
+        head.gen,
+        *head.theta,
+        _in_row(c, kn, kd),
+        term_key(r, head, P),
+        slack,
+        row,
+        kn,
+        kd,
     )
+    return out
+
+
+def _monic(g: ModuleElement, P: Partition) -> ModuleElement:
+    """g scaled to leading coefficient 1 under the first order, keeping its row."""
+    row, kn, kd = _int_row(g)
+    c = leader(g, 1, P)[1]
+    out = g.scale(1 / c)
+    # row = k * g = (k * c) * out, and k * c is row's coefficient at the head
+    lead = _in_row(c, kn, kd)
+    if lead < 0:
+        row, lead = tuple((t, -v) for t, v in row), -lead
+    out._memo["row"] = (row, lead, 1)
     return out
 
 
@@ -142,11 +204,22 @@ def multi_reduce(
     list position on ties).  The identity f = sum Q_i g_i + remainder
     holds exactly.
 
-    The remainder is kept as one term dict and reduced in place: a step
-    subtracts factor * theta * g term by term.  Eligibility depends on the
-    caps, the greatest ord_i over the current remainder for each later
-    order i, and the caps move as terms are removed, so each step looks
-    again from the greatest remaining term.  The caps only fall, though:
+    The remainder is kept as one int term dict `work` over a rational
+    scale held as two ints, remainder = work / scale (at the start f's
+    primitive row over its k), and reduced in place.  To
+    eliminate w with reducer g, whose row has the int coefficient a at g's
+    stage-r leader, let c = work[w] and h = gcd(c, a): the step multiplies
+    work by a / h (both signs flipped if that is negative, which keeps the
+    scale positive) and subtracts (c / h) * theta * row term by term, then
+    divides work by its content.  The scale follows, and the quotient
+    gains one exact `Fraction`; the remainder is divided by the scale once,
+    at return, and keeps work as its row.  Each step removes exactly the rational multiple of
+    theta * g that reduction over `Fraction`s removes, so the support after
+    every step, and with it every later choice, is the same.
+
+    Eligibility depends on the caps, the greatest ord_i over the current
+    remainder for each later order i, and the caps move as terms are
+    removed, so each step looks again from the greatest remaining term.  The caps only fall, though:
     every term of theta * g has ord_i <= ord_i(theta) + ord_i of g's i-th
     leader, which an eligible step keeps within cap_i.  And every term a
     step adds lies below the eliminated term under the r-th order.  So a
@@ -169,7 +242,8 @@ def multi_reduce(
     ):
         by_gen.setdefault(red.gen, []).append((idx, red))
     quotients: list[dict[ExponentPair, Fraction]] = [{} for _ in G]
-    work = dict(f.terms)
+    row, sn, sd = _int_row(f)
+    work = dict(row)  # the remainder is work / scale, scale = sn / sd > 0
     orders = {t: _term_orders(t, r, P) for t in work}  # per call, never shared
     caps = _caps(tail for _, tail in orders.values())
     pending = set(work)  # terms not yet found ineligible
@@ -185,13 +259,22 @@ def multi_reduce(
             tuple(map(sub, w.theta.alpha, red.alpha)),
             tuple(map(sub, w.theta.beta, red.beta)),
         )
-        factor = work[w] / red.coeff
-        # each eliminated term lies below the last, so q is new for idx
-        quotients[idx][q] = factor
+        # work <- mult * work - e * theta * row, with the lead of theta * row
+        # being red.lead, cancels w; mult > 0 keeps the scale positive
+        h = gcd(work[w], red.lead)
+        mult, e = red.lead // h, work[w] // h
+        if mult < 0:
+            mult, e = -mult, -e
+        if mult != 1:
+            work = {t: v * mult for t, v in work.items()}
+            sn *= mult
+        # the step takes e * theta * row / scale = (e * kn / (kd * scale))
+        # * theta * g from the remainder; each eliminated term lies below
+        # the last, so q is new for idx
+        quotients[idx][q] = Fraction(e * red.kn * sd, red.kd * sn)
         lowered = False
-        neg = -factor
-        for (gen, theta), cg in G[idx].terms.items():
-            c = neg * cg
+        for (gen, theta), cg in red.row:
+            c = -e * cg
             for key, wt in mono_mul(q, theta):
                 t = Term(gen, key)
                 d = c if wt == 1 else c * wt
@@ -209,12 +292,19 @@ def multi_reduce(
                     del work[t]
                     pending.discard(t)
                     lowered = lowered or any(map(eq, orders[t][1], caps))
+        cont = gcd(*work.values())
+        if cont > 1:
+            work = {t: v // cont for t, v in work.items()}
+            sd *= cont
+        h = gcd(sn, sd)
+        sn, sd = sn // h, sd // h
         if lowered and work:
             caps = _caps(orders[t][1] for t in work)
-    return (
-        ModuleElement._trusted(n, m, work),
-        [WeylElement._trusted(n, qd) for qd in quotients],
+    rem = ModuleElement._trusted(
+        n, m, {t: Fraction(v * sd, sn) for t, v in work.items()}
     )
+    rem._memo["row"] = (tuple(work.items()), sn, sd)
+    return rem, [WeylElement._trusted(n, qd) for qd in quotients]
 
 
 def s_element(
@@ -227,16 +317,45 @@ def s_element(
     if f.is_zero() or g.is_zero():
         raise ZeroElementError("critical pair with a zero element")
     f._check_compat(g)
-    uf, cf = leader(f, r, P)
-    ug, cg = leader(g, r, P)
-    lcm = term_lcm(uf, ug)
-    if lcm is None:
+    uf, ug = leader_term(f, r, P), leader_term(g, r, P)
+    lcm_term = term_lcm(uf, ug)
+    if lcm_term is None:
         return ModuleElement.zero(f.n, f.m)
-    qf = term_divides(uf, lcm)
-    qg = term_divides(ug, lcm)
-    left = act(WeylElement.monomial(f.n, qf.alpha, qf.beta, 1 / cf), f)
-    right = act(WeylElement.monomial(g.n, qg.alpha, qg.beta, 1 / cg), g)
-    return left - right
+    # with rows row = k * f, lead l = k * (f's leader coefficient), the
+    # S-element is q_f * row_f / l_f - q_g * row_g / l_g; acc holds it
+    # times l_f * l_g / h
+    rf, rg = _reducer(f, r, P), _reducer(g, r, P)
+    h = gcd(rf.lead, rg.lead)
+    acc: dict[Term, int] = {}
+    for q, row, mult in (
+        (term_divides(uf, lcm_term), rf.row, rg.lead // h),
+        (term_divides(ug, lcm_term), rg.row, -(rf.lead // h)),
+    ):
+        for (gen, theta), cg in row:
+            c = mult * cg
+            for key, wt in mono_mul(q, theta):
+                t = Term(gen, key)
+                s = acc.get(t, 0) + c * wt
+                if s:
+                    acc[t] = s
+                else:
+                    del acc[t]
+    if not acc:
+        return ModuleElement.zero(f.n, f.m)
+    # dividing by the content, signed as l_f * l_g, leaves the primitive
+    # row (kn / kd) * S with kn = |l_f * l_g|, kd = |content| * h
+    num, cont = rf.lead * rg.lead, gcd(*acc.values())
+    if num < 0:
+        num, cont = -num, -cont
+    row = tuple((t, v // cont) for t, v in acc.items())
+    den = abs(cont) * h
+    k = gcd(num, den)
+    kn, kd = num // k, den // k
+    out = ModuleElement._trusted(
+        f.n, f.m, {t: Fraction(v * kd, kn) for t, v in row}
+    )
+    out._memo["row"] = (row, kn, kd)
+    return out
 
 
 class GroebnerBasis:
@@ -329,7 +448,7 @@ def complete_basis(
         if (g.n, g.m) != (P.n, m):
             raise InputError("generator shape mismatch")
     p = P.p
-    G = [g.scale(1 / leader(g, 1, P)[1]) for g in gens]
+    G = [_monic(g, P) for g in gens]
     bounds = [(0,) * p for _ in gens]
     pending: dict[int, list] = {
         r: [(a, b) for a in range(len(G)) for b in range(a + 1, len(G))]
@@ -361,7 +480,7 @@ def complete_basis(
             if not Q.is_zero()
         ]
         bounds.append(tuple(map(max, *(map(add, o, B) for o, B in shifts))))
-        G.append(rem.scale(1 / leader(rem, 1, P)[1]))
+        G.append(_monic(rem, P))
         if len(G) > MAX_ELEMENTS:
             raise WeylDimError(
                 f"basis exceeded {MAX_ELEMENTS} elements; presentation too large"

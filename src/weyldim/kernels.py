@@ -62,6 +62,22 @@ def check_simplex(q: int, r: int) -> None:
     _check_cells(comb(r + q, q), q, what)
 
 
+def check_grid(sizes: tuple[int, ...]) -> None:
+    """Refuse a sample grid past the cell budget.
+
+    The grid has one axis per block, sizes[j] + 1 points along axis j and
+    two more points past its corner per axis, each a row of len(sizes)
+    cells.  The product stops growing once it alone breaks the budget.
+    """
+    points = 1
+    for q in sizes:
+        points *= q + 1
+        if points > MAX_CELLS:
+            break
+    p = len(sizes)
+    _check_cells(points + 2 * p, p, "the sample grid", least=points > MAX_CELLS)
+
+
 @lru_cache(maxsize=4096)
 def _sum_bounded(q: int, r: int) -> np.ndarray:
     """All vectors in N^q with coordinate sum <= r, one per row."""

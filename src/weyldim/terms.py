@@ -102,7 +102,8 @@ class ModuleElement:
     """
 
     # _memo holds data derived from the terms on demand: leaders per
-    # (partition, order), and the reduction module's reducer data
+    # (partition, order), and the reduction module's integer row and
+    # reducer data
     __slots__ = ("n", "m", "terms", "_memo")
 
     def __init__(self, n: int, m: int, terms: Mapping[Term, Fraction] | Iterable):

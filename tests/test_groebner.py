@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 import pytest
 from hypothesis import given
@@ -95,6 +96,24 @@ def ref_multi_reduce(f, G, r, P):
     return work, quotients
 
 
+def assert_int_row(g):
+    """g's cached integer row is primitive, in g's term order, and k * g."""
+    row, kn, kd = g._memo["row"]
+    assert type(kn) is int and type(kd) is int
+    assert kn > 0 and kd > 0 and gcd(kn, kd) == 1
+    assert all(type(v) is int for _, v in row)
+    assert [t for t, _ in row] == list(g.terms)
+    assert gcd(*(v for _, v in row)) == (1 if row else 0)
+    k = Fraction(kn, kd)
+    assert all(v == k * g.terms[t] for t, v in row)
+
+
+# a negative factor with a multi-word numerator and denominator: an element
+# scaled by it keeps its row up to sign, so its leads turn negative and its
+# scale k becomes a big int
+BIG = Fraction(-(2**70 + 1), 3**45)
+
+
 @st.composite
 def reduction_cases(draw):
     """(f, reducers, r, P) with duplicates and equal stage leaders mixed in."""
@@ -107,14 +126,15 @@ def reduction_cases(draw):
         g = draw(st.sampled_from(G))
         kind = draw(st.sampled_from(["duplicate", "scaled", "tail"]))
         if kind == "scaled":
-            g = g.scale(draw(st.sampled_from([2, -1, Fraction(1, 3)])))
+            g = g.scale(draw(st.sampled_from([2, -1, Fraction(1, 3), BIG])))
         elif kind == "tail":
             # same stage leader, other coefficients below it
             head = leader_term(g, r, P)
             others = [t for t in g.terms if t != head]
             if others:
                 t = draw(st.sampled_from(others))
-                g = g + ModuleElement(n, m, {t: g.terms[t]})
+                c = draw(st.sampled_from([1, BIG]))
+                g = g + ModuleElement(n, m, {t: c * g.terms[t]})
         G.insert(draw(st.integers(0, len(G))), g)
     f = draw(module_elements(n, m, terms=4))
     for g in draw(st.lists(st.sampled_from(G), max_size=2)):
@@ -181,6 +201,33 @@ class TestAgainstReference:
         assert quots == ref_quots
         for g in G:
             assert is_reduced(rem, g, r, P)
+        for g in (f, rem, *G):
+            assert_int_row(g)
+
+    def test_big_negative_leads(self):
+        # g1's row leads with -3 at both stages; of the six steps at each
+        # stage, five multiply the remainder and three divide a content of
+        # 3 out of it
+        P = Partition((1, 1))
+
+        def el(terms):
+            return ModuleElement(2, 1, {(1, theta): c for theta, c in terms.items()})
+
+        g1 = el({((1, 1), (1, 0)): 15, ((2, 1), (0, 0)): 9}).scale(BIG)
+        g2 = el({((1, 1), (1, 0)): 6, ((2, 0), (0, 0)): 9}).scale(BIG * BIG)
+        f = el(
+            {
+                ((0, 0), (0, 0)): 2,
+                ((0, 2), (1, 1)): 7,
+                ((2, 1), (0, 0)): 2,
+                ((2, 2), (1, 0)): 7,
+            }
+        )
+        for r in (1, 2):
+            out = multi_reduce(f, [g1, g2], r, P)
+            assert out == ref_multi_reduce(f, [g1, g2], r, P)
+            for g in (f, out[0], g1, g2):
+                assert_int_row(g)
 
     def test_equal_head_leaders_take_the_first(self):
         P, h1, h2, _ = worked_pair()
@@ -223,8 +270,49 @@ class TestAgainstReference:
             complete_basis(pres.relations, pres.P, m=pres.m)
         assert len(calls) > 100 and not all(calls)
 
+    def test_completion_rows(self, monkeypatch):
+        # every row cached while completing the corpus: S-elements,
+        # remainders and basis elements
+        def checked(f, G, r, P):
+            out = fast(f, G, r, P)
+            for g in (f, out[0], *G):
+                assert_int_row(g)
+            return out
+
+        fast = groebner.multi_reduce
+        monkeypatch.setattr(groebner, "multi_reduce", checked)
+        for _, pres in corpus_presentations():
+            basis = complete_basis(pres.relations, pres.P, m=pres.m)
+            for g in basis.elements:
+                assert_int_row(g)
+
+
+def ref_s_element(f, g, r, P):
+    """The critical difference by element arithmetic over Fractions."""
+    (uf, cf), (ug, cg) = leader(f, r, P), leader(g, r, P)
+    if uf.gen != ug.gen:
+        return ModuleElement.zero(f.n, f.m)
+    lcm = tuple(map(max, uf.theta.alpha + uf.theta.beta, ug.theta.alpha + ug.theta.beta))
+    n = f.n
+
+    def lift(u, c, h):
+        q = [a - b for a, b in zip(lcm, u.theta.alpha + u.theta.beta)]
+        return act(WeylElement.monomial(n, q[:n], q[n:], 1 / c), h)
+
+    return lift(uf, cf, f) - lift(ug, cg, g)
+
 
 class TestSElement:
+    @given(reduction_cases())
+    def test_against_reference(self, case):
+        # pairs of drawn reducers, some scaled by negative multi-word factors
+        _, G, r, P = case
+        for f, g in itertools.combinations(G, 2):
+            s = s_element(f, g, r, P)
+            assert s == ref_s_element(f, g, r, P)
+            if not s.is_zero():
+                assert_int_row(s)
+
     def test_worked_pair_stage2(self):
         P, h1, h2, h3 = worked_pair()
         assert s_element(h1, h2, 2, P) == h3

@@ -1,4 +1,5 @@
 """Document parsing, canonical serialization, and the command line."""
+import hashlib
 import json
 import subprocess
 import sys
@@ -229,6 +230,31 @@ class TestCli:
         assert doc["certified_stages"] == [1, 2]
         assert doc["elements"]
 
+    def test_gb_big_coefficients_pinned(self, capsys, tmp_path):
+        # a two-relation n=2 document whose completion swells to 32
+        # elements with numerators and denominators of up to 312 digits;
+        # the digest pins the bytes of the Fraction-only reduction
+        term = lambda alpha, beta, coeff: {
+            "gen": 2, "alpha": alpha, "beta": beta, "coeff": coeff
+        }
+        doc = {
+            "n": 2,
+            "partition": [2],
+            "m": 2,
+            "relations": [
+                [term([0, 1], [2, 0], 1), term([2, 1], [2, 2], -1)],
+                [term([1, 0], [2, 0], "-3/4"), term([0, 1], [0, 2], 1)],
+            ],
+        }
+        path = tmp_path / "swell.json"
+        path.write_text(json.dumps(doc))
+        assert main(["gb", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["elements"]) == 32
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b74a741641eea30a621321b693cf81db9219e10728985f898c7f7cdfcee723ca"
+        )
+
     def test_dimpoly(self, capsys, ex_file):
         doc = self.run_ok(capsys, ["dimpoly", ex_file])
         assert doc["total_degree"] == 3
@@ -378,6 +404,22 @@ class TestCli:
         assert out.stdout == ""
         assert out.stderr.startswith("error: box counting:")
         assert "budget kernels.MAX_CELLS = 16777216" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_many_blocks_refuse_the_sample_grid(self, tmp_path):
+        # 14 one-variable blocks give a sample grid of 3^14 + 28 points of
+        # 14 cells each; it is refused before any point is built
+        doc = {"n": 14, "partition": [1] * 14, "m": 1, "relations": []}
+        path = tmp_path / "blocks.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        out = run_cli_capped(["dimpoly", str(path)])
+        assert time.perf_counter() - start < 10
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr.startswith(
+            "error: box counting: the sample grid would have 4782997 rows of 14 columns"
+        )
         assert "Traceback" not in out.stderr
 
     def test_free_rank_counts_free_generators_once(self, tmp_path):
