@@ -10,7 +10,25 @@ remainder changes, but only downwards, so a term found ineligible never
 needs a second look (see `multi_reduce`).  Completion runs staged from
 the last order down to the first; every nonzero reduced S-element is
 inserted and re-opens the pair queues of its stage and all later stages.
-The finished basis is certified stage by stage with `is_groebner`.
+
+The finished basis G is certified through a core.  Element j dominates
+element i when, at every stage r, j's r-th leader divides i's (the same
+generator, componentwise smaller exponents) and j's later-order slack is
+componentwise no larger than i's; then j is eligible wherever i is, within
+any caps.  The core keeps the elements that no other element dominates,
+and of elements that dominate each other the first.  Domination is
+transitive, so every dropped element is dominated by a kept one.  The core
+is certified stage by stage with `is_groebner`, and each dropped element
+must reduce to zero modulo the core at stage 1.  This is sound: the core
+is then a basis of its own submodule at every stage, and the dropped
+elements lie in that submodule, so the core generates the same submodule
+as G.  Being a basis means that for every f in the submodule some
+element's r-th leader divides u_f, f's r-th leader, within the caps, and
+that passes to any superset inside the submodule, so G is a basis too.  It
+is also complete: if G is a basis, then every u_f is covered by some g in
+G, and a core element that dominates g covers it as well, so the core is a
+basis, its S-elements and the dropped elements reduce to zero, and the
+certificate accepts exactly the bases that checking every pair of G does.
 
 Coefficients come back as exact `Fraction`s, but completion computes on
 ints.  Each element keeps one primitive integer row in its memo, built
@@ -35,6 +53,7 @@ and summing terms can only cancel them.
 """
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, eq, le, sub
@@ -409,6 +428,36 @@ class GroebnerBasis:
         return self.certified == tuple(range(1, self.P.p + 1))
 
 
+def _dominates(rj: Sequence[_Reducer], ri: Sequence[_Reducer]) -> bool:
+    """Whether the element with per-stage reducers rj dominates the one with ri.
+
+    At every stage its leader divides the other's and its slack is no larger.
+    """
+    return all(
+        a.gen == b.gen
+        and all(map(le, a.alpha, b.alpha))
+        and all(map(le, a.beta, b.beta))
+        and all(map(le, a.slack, b.slack))
+        for a, b in zip(rj, ri)
+    )
+
+
+def _core(G: Sequence[ModuleElement], P: Partition) -> list[int]:
+    """Positions, ascending, of the elements of G no other element dominates.
+
+    Of elements that dominate each other only the first is kept.
+    """
+    reds = [[_reducer(g, r, P) for r in range(1, P.p + 1)] for g in G]
+    return [
+        i
+        for i, ri in enumerate(reds)
+        if not any(
+            j != i and _dominates(rj, ri) and (j < i or not _dominates(ri, rj))
+            for j, rj in enumerate(reds)
+        )
+    ]
+
+
 def is_groebner(G: GroebnerBasis, r: int) -> bool:
     """Check the stage-r criterion: pairwise S-elements reduce to zero.
 
@@ -438,6 +487,14 @@ def complete_basis(
     first order.  Raises if the basis grows past MAX_ELEMENTS.  Each
     element's multiplier-order bound is carried along as the module
     docstring describes; the basis keeps their componentwise max.
+
+    The certificate checks the core, the elements no other element
+    dominates, with `is_groebner` at every stage, and reduces each other
+    element to zero modulo the core at stage 1.  The core then generates
+    the same submodule and is a basis of it, and so is every superset of
+    it inside the submodule, the whole basis included.  A whole basis that
+    is a basis always passes: a core element dominating g covers every
+    leader g covers.  Every element is returned, the dropped ones too.
     """
     gens = [g for g in generators if not g.is_zero()]
     if m is None:
@@ -450,8 +507,8 @@ def complete_basis(
     p = P.p
     G = [_monic(g, P) for g in gens]
     bounds = [(0,) * p for _ in gens]
-    pending: dict[int, list] = {
-        r: [(a, b) for a in range(len(G)) for b in range(a + 1, len(G))]
+    pending: dict[int, deque] = {
+        r: deque((a, b) for a in range(len(G)) for b in range(a + 1, len(G)))
         for r in range(1, p + 1)
     }
     while True:
@@ -462,7 +519,7 @@ def complete_basis(
                 break
         if stage == 0:
             break
-        a, b = pending[stage].pop(0)
+        a, b = pending[stage].popleft()
         s = s_element(G[a], G[b], stage, P)
         if s.is_zero():
             continue
@@ -488,12 +545,17 @@ def complete_basis(
         t = len(G) - 1
         for r in range(1, p + 1):
             pending[r].extend((k, t) for k in range(t))
-    basis = GroebnerBasis(G, P, m, certified=[])
+    core = _core(G, P)
+    basis = GroebnerBasis([G[k] for k in core], P, m, certified=[])
     certified = []
     for r in range(p, 0, -1):
         if not is_groebner(basis, r):
             raise WeylDimError(f"completion failed certification at stage {r}")
         certified.append(r)
+    kept = set(core)
+    for i, g in enumerate(G):
+        if i not in kept and not multi_reduce(g, basis.elements, 1, P)[0].is_zero():
+            raise WeylDimError("completion failed certification at stage 1")
     bound = tuple(map(max, zip((0,) * p, *bounds)))
     return GroebnerBasis(G, P, m, certified, relations=gens, multiplier_bound=bound)
 

@@ -378,6 +378,51 @@ class TestCompletion:
             complete_basis([ModuleElement.basis_vector(1, 1, 1)], P)
 
 
+class TestCoreCertificate:
+    def test_slack_blocks_domination(self):
+        # j's leaders divide i's at both stages, but j's stage-1 slack is 2
+        # against i's 0: within i's own caps j cannot reduce i at stage 1
+        P = Partition((1, 1))
+        i = ModuleElement(2, 1, {(1, ((0, 0), (1, 2))): Fraction(1)})
+        j = ModuleElement(
+            2, 1, {(1, ((0, 0), (1, 0))): Fraction(1), (1, ((0, 0), (0, 2))): Fraction(1)}
+        )
+        assert [groebner._reducer(j, r, P).slack for r in (1, 2)] == [(2,), ()]
+        assert [groebner._reducer(i, r, P).slack for r in (1, 2)] == [(0,), ()]
+        for r in (1, 2):
+            assert term_divides(leader_term(j, r, P), leader_term(i, r, P)) is not None
+        assert not multi_reduce(i, [j], 1, P)[0].is_zero()
+        assert groebner._core([j, i], P) == [0, 1]
+
+    def test_mutual_domination_keeps_first(self):
+        P, h1, h2, _ = worked_pair()
+        assert groebner._core([h2, h1, h1.scale(-3)], P) == [0, 1]
+        assert groebner._core([h1.scale(2), h1], P) == [0]
+
+    def test_dominated_element_dropped(self):
+        P = Partition((1,))
+        d = ModuleElement(1, 1, {(1, ((0,), (1,))): Fraction(1)})
+        xd = ModuleElement(1, 1, {(1, ((1,), (1,))): Fraction(1)})
+        assert groebner._core([xd, d], P) == [1]
+
+    def test_membership_step_is_live(self, monkeypatch):
+        # a core that misses a needed element must not certify the basis
+        P, h1, h2, _ = worked_pair()
+        monkeypatch.setattr(groebner, "_core", lambda G, P: [0])
+        with pytest.raises(WeylDimError, match="failed certification"):
+            complete_basis([h1, h2], P)
+
+    def test_whole_basis_passes_every_pair(self):
+        cases = [pres for _, pres in corpus_presentations()]
+        cases.append(_dense_presentation(11, (2, 1)))
+        for pres in cases:
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            for r in range(pres.P.p, 0, -1):
+                assert is_groebner(G, r)
+        # the dense case certifies through a proper core
+        assert len(groebner._core(G.elements, G.P)) < len(G.elements)
+
+
 def multipliers(P: Partition, bound):
     """Every monomial theta with block_orders(theta, P) <= bound."""
     per_block = [

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weyldim import InputError, Partition, dimension_polynomial
-from weyldim import cli
+from weyldim import cli, groebner
 from weyldim.cli import _COMMANDS, main
 from weyldim.io import (
     dumps,
@@ -230,10 +230,19 @@ class TestCli:
         assert doc["certified_stages"] == [1, 2]
         assert doc["elements"]
 
-    def test_gb_big_coefficients_pinned(self, capsys, tmp_path):
+    def test_gb_big_coefficients_pinned(self, capsys, tmp_path, monkeypatch):
         # a two-relation n=2 document whose completion swells to 32
         # elements with numerators and denominators of up to 312 digits;
-        # the digest pins the bytes of the Fraction-only reduction
+        # the digest pins the bytes of the Fraction-only reduction, and the
+        # reduction count the work of completion and its core certificate
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return fast(*args)
+
+        fast = groebner.multi_reduce
+        monkeypatch.setattr(groebner, "multi_reduce", counted)
         term = lambda alpha, beta, coeff: {
             "gen": 2, "alpha": alpha, "beta": beta, "coeff": coeff
         }
@@ -251,6 +260,7 @@ class TestCli:
         assert main(["gb", str(path)]) == 0
         out = capsys.readouterr().out
         assert len(json.loads(out)["elements"]) == 32
+        assert len(calls) == 525
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "b74a741641eea30a621321b693cf81db9219e10728985f898c7f7cdfcee723ca"
         )
