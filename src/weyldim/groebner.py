@@ -4,12 +4,18 @@ Every reduction runs at a stage r in 1..p: it eliminates the greatest
 eligible term under the r-th order while respecting order caps taken
 from the later orders r+1..p.  Completion and its certificate reduce at
 the stage of the pair at hand, membership at stage 1.  Reduction works in
-place on one term dict, with each reducer's leader data built once per
-stage and each term's order data once per call.  The caps move as the
-remainder changes, but only downwards, so a term found ineligible never
-needs a second look (see `multi_reduce`).  Completion runs staged from
-the last order down to the first; every nonzero reduced S-element is
-inserted and re-opens the pair queues of its stage and all later stages.
+place on one term dict.  The terms still to look at wait in a heap, and
+each step tries only the reducers whose leader is no greater than the
+term, since no greater leader divides it.  The caps move as the remainder
+changes, but only downwards, so a term found ineligible never needs a
+second look (see `multi_reduce`).  Work that repeats across steps is done
+once: each reducer's leader data once per stage, kept with the element;
+each product q * g of a reducer's integer row with a monomial q once,
+kept with the element too (`_shifted`); and each term's order data once
+per stage and partition, in a bounded cache shared by every call
+(`_term_orders`).  Completion runs staged from the last order down to the
+first; every nonzero reduced S-element is inserted and re-opens the pair
+queues of its stage and all later stages.
 
 The finished basis G is certified through a core.  Element j dominates
 element i when, at every stage r, j's r-th leader divides i's (the same
@@ -53,10 +59,14 @@ and summing terms can only cancel them.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from fractions import Fraction
+from functools import lru_cache
+from heapq import heapify, heappop, heappush
+from itertools import islice
 from math import gcd, lcm
-from operator import add, eq, le, sub
+from operator import add, eq, le, neg, sub
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, WeylDimError, ZeroElementError
@@ -119,14 +129,13 @@ class _Reducer(NamedTuple):
     gen: int  # the stage-order leader's generator and exponents
     alpha: Vector
     beta: Vector
-    lead: int  # the stage-order leader's coefficient in row
-    key: tuple  # the stage-order leader's term key
+    lead: int  # the stage-order leader's coefficient in g's row
+    neg_key: tuple  # the stage-order leader's term key, negated
     # per later order i: ord_i of g's i-th leader minus ord_i of its
     # stage-order leader, so theta * g stays within cap_i exactly when the
     # term theta * leader has ord_i + slack_i <= cap_i
     slack: tuple[int, ...]
-    row: tuple  # g's primitive integer row, (kn / kd) * g
-    kn: int
+    kn: int  # g's primitive integer row is (kn / kd) * g
     kd: int
 
 
@@ -137,7 +146,7 @@ def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
     if hit is not None:
         return hit
     head, c = leader(g, r, P)
-    row, kn, kd = _int_row(g)
+    _, kn, kd = _int_row(g)
     hbo = block_orders(head.theta, P)
     slack = tuple(
         block_orders(leader_term(g, i, P).theta, P)[i - 1] - hbo[i - 1]
@@ -147,13 +156,35 @@ def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
         head.gen,
         *head.theta,
         _in_row(c, kn, kd),
-        term_key(r, head, P),
+        _term_orders(head, r, P)[0],
         slack,
-        row,
         kn,
         kd,
     )
     return out
+
+
+# one Term object per term of the memoised products, however many hold it
+_term = lru_cache(maxsize=65536)(Term)
+
+
+def _shifted(g: ModuleElement, q: ExponentPair) -> tuple[tuple[Term, int], ...]:
+    """q * row for g's primitive integer row, expanded as (Term, int) pairs.
+
+    The pairs follow the row, each term's normal-order expansion in turn,
+    unmerged.  Kept in g's memo per q, so each product is built once.
+    """
+    memo = g._memo.get("shifted")
+    if memo is None:
+        memo = g._memo["shifted"] = {}
+    hit = memo.get(q)
+    if hit is None:
+        hit = memo[q] = tuple(
+            (_term(gen, key), cg * wt)
+            for (gen, theta), cg in _int_row(g)[0]
+            for key, wt in mono_mul(q, theta)
+        )
+    return hit
 
 
 def _monic(g: ModuleElement, P: Partition) -> ModuleElement:
@@ -169,13 +200,17 @@ def _monic(g: ModuleElement, P: Partition) -> ModuleElement:
     return out
 
 
+@lru_cache(maxsize=65536)
 def _term_orders(t: Term, r: int, P: Partition) -> tuple[tuple, tuple]:
-    """The order-r key of t, and ord_i(t) for each later order i."""
+    """The negated order-r key of t, and ord_i(t) for each later order i.
+
+    Cached across calls: reductions at one stage meet the same terms again.
+    """
     key = term_key(r, t, P)
     # an order-r key starts with ord_r, then the other blockwise orders by
     # ascending block index (see `terms.monomial_key`), so ord_{r+1}, ...,
     # ord_p sit at positions r, ..., p-1
-    return key, key[r:P.p]
+    return tuple(map(neg, key)), key[r:P.p]
 
 
 def _caps(tails) -> list[int]:
@@ -238,13 +273,30 @@ def multi_reduce(
 
     Eligibility depends on the caps, the greatest ord_i over the current
     remainder for each later order i, and the caps move as terms are
-    removed, so each step looks again from the greatest remaining term.  The caps only fall, though:
-    every term of theta * g has ord_i <= ord_i(theta) + ord_i of g's i-th
-    leader, which an eligible step keeps within cap_i.  And every term a
-    step adds lies below the eliminated term under the r-th order.  So a
-    term once found ineligible stays so and is never touched again; each
-    step takes the greatest term not yet found ineligible, which is the
-    term a full rescan would pick.
+    removed, so each step looks again from the greatest remaining term.
+    The caps only fall, though: every term of theta * g has ord_i <=
+    ord_i(theta) + ord_i of g's i-th leader, which an eligible step keeps
+    within cap_i.  And every term a step adds lies below the eliminated
+    term under the r-th order.  So a term once found ineligible stays so
+    and is never touched again; each step takes the greatest term not yet
+    found ineligible, which is the term a full rescan would pick.
+
+    Those terms wait in a heap keyed on the negated order-r key.  A term
+    enters it when it enters `work`, and a cancelled term is dropped only
+    when popped: entries for terms no longer in `work` are skipped.  A
+    cancelled term can come back, below the eliminated term, with a second
+    entry; equal keys mean equal terms, so the two pop one after the
+    other, and the second is skipped as well.
+
+    The reducers of each generator are listed by descending r-th leader,
+    equal leaders in list order, beside their negated keys.  A step starts
+    its scan at the first leader whose key is no greater than w's
+    (`bisect_left`).  The ones it passes over cannot divide w: if a leader
+    u divides w, then each block order of u is at most w's, and where they
+    are all equal so are the exponents, so key(u) <= key(w), with equality
+    only when u == w.  The pick stays the greatest eligible leader, the
+    smallest position on ties.  Each multiple theta * row of a reducer's
+    row is expanded once and kept with the reducer (`_shifted`).
     """
     _check_stage(r, P.p)
     if any(g.is_zero() for g in G):
@@ -252,25 +304,36 @@ def multi_reduce(
     n, m = f.n, f.m
     for g in G:
         f._check_compat(g)
-    # reducers by generator, greatest r-th leader first, then by position
-    by_gen: dict[int, list[tuple[int, _Reducer]]] = {}
+    # reducers by generator, greatest r-th leader first, then by position,
+    # beside their negated keys, ascending
+    by_gen: dict[int, tuple[list, list]] = {}
     for idx, red in sorted(
         enumerate(_reducer(g, r, P) for g in G),
-        key=lambda ir: ir[1].key,
-        reverse=True,  # stable: equal leaders stay in list order
+        key=lambda ir: ir[1].neg_key,  # stable: equal leaders stay in list order
     ):
-        by_gen.setdefault(red.gen, []).append((idx, red))
+        negs, reds = by_gen.setdefault(red.gen, ([], []))
+        negs.append(red.neg_key)
+        reds.append((idx, red))
     quotients: list[dict[ExponentPair, Fraction]] = [{} for _ in G]
     row, sn, sd = _int_row(f)
     work = dict(row)  # the remainder is work / scale, scale = sn / sd > 0
-    orders = {t: _term_orders(t, r, P) for t in work}  # per call, never shared
+    orders = {t: _term_orders(t, r, P) for t in work}
     caps = _caps(tail for _, tail in orders.values())
-    pending = set(work)  # terms not yet found ineligible
-    while pending:
-        w = max(pending, key=lambda t: orders[t][0])
-        pending.remove(w)
-        for idx, red in by_gen.get(w.gen, ()):
-            if _eligible(w, orders[w][1], red, caps):
+    # terms not yet found ineligible, least negated key first; cancelled
+    # terms leave lazily, and one that came back has a second entry
+    heap = [(nk, t) for t, (nk, _) in orders.items()]
+    heapify(heap)
+    last = None
+    while heap:
+        w = heappop(heap)[1]
+        if w == last or w not in work:
+            continue
+        last = w
+        nk, tail = orders[w]
+        # a leader dividing w has a key no greater than w's
+        negs, reds = by_gen.get(w.gen, ((), ()))
+        for idx, red in islice(reds, bisect_left(negs, nk), None):
+            if _eligible(w, tail, red, caps):
                 break
         else:
             continue  # stays in the remainder for good
@@ -292,25 +355,22 @@ def multi_reduce(
         # the last, so q is new for idx
         quotients[idx][q] = Fraction(e * red.kn * sd, red.kd * sn)
         lowered = False
-        for (gen, theta), cg in red.row:
-            c = -e * cg
-            for key, wt in mono_mul(q, theta):
-                t = Term(gen, key)
-                d = c if wt == 1 else c * wt
-                s = work.get(t)
-                if s is None:
-                    work[t] = d
-                    pending.add(t)
-                    if t not in orders:
-                        orders[t] = _term_orders(t, r, P)
-                    continue
-                s += d
-                if s:
-                    work[t] = s
-                else:
-                    del work[t]
-                    pending.discard(t)
-                    lowered = lowered or any(map(eq, orders[t][1], caps))
+        for t, v in _shifted(G[idx], q):
+            d = -e * v
+            s = work.get(t)
+            if s is None:
+                work[t] = d
+                o = orders.get(t)
+                if o is None:
+                    o = orders[t] = _term_orders(t, r, P)
+                heappush(heap, (o[0], t))
+                continue
+            s += d
+            if s:
+                work[t] = s
+            else:
+                del work[t]
+                lowered = lowered or any(map(eq, orders[t][1], caps))
         cont = gcd(*work.values())
         if cont > 1:
             work = {t: v // cont for t, v in work.items()}
@@ -346,19 +406,16 @@ def s_element(
     rf, rg = _reducer(f, r, P), _reducer(g, r, P)
     h = gcd(rf.lead, rg.lead)
     acc: dict[Term, int] = {}
-    for q, row, mult in (
-        (term_divides(uf, lcm_term), rf.row, rg.lead // h),
-        (term_divides(ug, lcm_term), rg.row, -(rf.lead // h)),
+    for q, el, mult in (
+        (term_divides(uf, lcm_term), f, rg.lead // h),
+        (term_divides(ug, lcm_term), g, -(rf.lead // h)),
     ):
-        for (gen, theta), cg in row:
-            c = mult * cg
-            for key, wt in mono_mul(q, theta):
-                t = Term(gen, key)
-                s = acc.get(t, 0) + c * wt
-                if s:
-                    acc[t] = s
-                else:
-                    del acc[t]
+        for t, v in _shifted(el, q):
+            s = acc.get(t, 0) + mult * v
+            if s:
+                acc[t] = s
+            else:
+                del acc[t]
     if not acc:
         return ModuleElement.zero(f.n, f.m)
     # dividing by the content, signed as l_f * l_g, leaves the primitive

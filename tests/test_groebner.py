@@ -29,7 +29,15 @@ from weyldim import (
     s_element,
 )
 from weyldim import groebner
-from weyldim.terms import block_orders, gamma_divides, leader_term, term_divides, term_key
+from weyldim.terms import (
+    Term,
+    block_orders,
+    gamma_divides,
+    leader_term,
+    term_divides,
+    term_key,
+)
+from weyldim.weyl import ExponentPair, mono_mul
 
 from conftest import (
     _dense_presentation,
@@ -106,6 +114,12 @@ def assert_int_row(g):
     assert gcd(*(v for _, v in row)) == (1 if row else 0)
     k = Fraction(kn, kd)
     assert all(v == k * g.terms[t] for t, v in row)
+
+
+def on_e1(terms):
+    """The rank-1 element sum c * theta e1 of a dict theta -> c."""
+    n = len(next(iter(terms))[0])
+    return ModuleElement(n, 1, {(1, theta): c for theta, c in terms.items()})
 
 
 # a negative factor with a multi-word numerator and denominator: an element
@@ -238,6 +252,80 @@ class TestAgainstReference:
         assert quots[2].is_zero() and quots[3].is_zero()
         assert (rem, quots) == ref_multi_reduce(h1, G, 1, P)
 
+    @given(st.data())
+    def test_random_elements(self, data):
+        # independent random elements, no planted multiples, p in {1, 2, 3}
+        sizes = data.draw(
+            st.sampled_from([(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (1, 1, 1)])
+        )
+        P = Partition(sizes)
+        n, m = P.n, data.draw(st.integers(1, 2))
+        r = data.draw(st.integers(1, P.p))
+        nonzero = module_elements(n, m, hi=3).filter(lambda g: not g.is_zero())
+        G = data.draw(st.lists(nonzero, min_size=1, max_size=4))
+        f = data.draw(module_elements(n, m, hi=3, terms=6))
+        rem, quots = multi_reduce(f, G, r, P)
+        assert (rem, quots) == ref_multi_reduce(f, G, r, P)
+
+    def test_cancelled_term_comes_back(self, monkeypatch):
+        # eliminating x d^2 with d * (x d + x + 1), expanded as
+        # x d^2 + d + x d + 1 + d, cancels f's d and adds it again, so d has
+        # two heap entries, and cancels x d and 1 for good, so theirs are
+        # stale; the second reducer then eliminates d
+        P = Partition((1,))
+        d = on_e1({((0,), (1,)): 1})
+        f = on_e1({((1,), (2,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 1, ((0,), (0,)): 1})
+        g1 = on_e1({((1,), (1,)): 1, ((1,), (0,)): 1, ((0,), (0,)): 1})
+        pushed = []
+
+        def spy(heap, item):
+            pushed.append(item[1])
+            push(heap, item)
+
+        push = groebner.heappush
+        monkeypatch.setattr(groebner, "heappush", spy)
+        three = on_e1({((0,), (0,)): 3})
+        for G, rem in (([g1], d.scale(-1)), ([g1, d + three], three)):
+            pushed.clear()
+            out = multi_reduce(f, G, 1, P)
+            assert out[0] == rem
+            assert out == ref_multi_reduce(f, G, 1, P)
+            # f's d came back: the heap held a second entry for it
+            assert pushed[0] == next(iter(d.terms))
+
+    def test_leader_equal_to_the_term(self):
+        # the scan starts at the reducers whose leader is no greater than w:
+        # x^3 is skipped, x^2 d (equal to w) is the first tried and wins
+        # over x d, which divides w too
+        P = Partition((1,))
+        f = on_e1({((2,), (1,)): 2, ((0,), (0,)): 1})
+        G = [
+            on_e1({((3,), (0,)): 1}),
+            on_e1({((1,), (1,)): 1}),
+            on_e1({((2,), (1,)): 1, ((0,), (1,)): 1}),
+        ]
+        rem, quots = multi_reduce(f, G, 1, P)
+        assert quots[0].is_zero() and quots[1].is_zero()
+        assert quots[2] == WeylElement.one(1).scale(2)
+        assert rem == on_e1({((0,), (1,)): -2, ((0,), (0,)): 1})
+        assert (rem, quots) == ref_multi_reduce(f, G, 1, P)
+
+    def test_equal_leaders_with_other_tails(self):
+        # g1 and g3 share the leader x1^2 e1 but differ below it; g2's
+        # greater leader x1^3 leads the list, g1 comes before g3, and g1's
+        # tail decides the remainder
+        P = Partition((2,))
+        g1 = on_e1({((2, 0), (0, 0)): 1, ((0, 1), (0, 0)): 1})
+        g2 = on_e1({((3, 0), (0, 0)): 1})
+        g3 = on_e1({((2, 0), (0, 0)): 2, ((0, 0), (0, 0)): 1})
+        f = on_e1({((2, 1), (0, 0)): 1})
+        G = [g2, g1, g3]
+        rem, quots = multi_reduce(f, G, 1, P)
+        assert quots[0].is_zero() and quots[2].is_zero()
+        assert quots[1] == WeylElement.monomial(2, (0, 1), (0, 0))
+        assert rem == on_e1({((0, 2), (0, 0)): -1})
+        assert (rem, quots) == ref_multi_reduce(f, G, 1, P)
+
     def test_caps_fall_when_a_term_leaves(self):
         # eliminating x1 x2 drops the ord_2 cap from 1 to 0, and then
         # x1 + d2 may no longer eliminate x1 (theta * d2 would reach ord_2 1)
@@ -285,6 +373,39 @@ class TestAgainstReference:
             basis = complete_basis(pres.relations, pres.P, m=pres.m)
             for g in basis.elements:
                 assert_int_row(g)
+
+
+class TestShifted:
+    def fresh(self, g, q):
+        return [
+            (Term(gen, key), cg * wt)
+            for (gen, theta), cg in groebner._int_row(g)[0]
+            for key, wt in mono_mul(q, theta)
+        ]
+
+    def test_memo_is_the_expansion(self):
+        P, h1, h2, _ = worked_pair()
+        g = (h1 + h2).scale(BIG)
+        for q in (((0, 0), (0, 0)), ((1, 0), (0, 2)), ((2, 1), (1, 1))):
+            q = ExponentPair(*q)
+            out = groebner._shifted(g, q)
+            assert list(out) == self.fresh(g, q)
+            assert groebner._shifted(g, q) is out
+
+    def test_monic_copy_has_its_own_memo(self):
+        # the copy's row is the parent's with every sign flipped
+        P, h1, h2, _ = worked_pair()
+        g = (h1 + h2).scale(-3)
+        q = ExponentPair((1, 1), (1, 0))
+        parent = groebner._shifted(g, q)
+        copy = groebner._monic(g, P)
+        assert groebner._int_row(copy)[0] == tuple(
+            (t, -v) for t, v in groebner._int_row(g)[0]
+        )
+        out = groebner._shifted(copy, q)
+        assert out == tuple((t, -v) for t, v in parent)
+        assert list(out) == self.fresh(copy, q)
+        assert copy._memo["shifted"] is not g._memo["shifted"]
 
 
 def ref_s_element(f, g, r, P):

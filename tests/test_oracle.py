@@ -1,6 +1,8 @@
 """The brute-force cross-checks: word products, point counts, rank."""
+import inspect
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given
@@ -182,3 +184,39 @@ class TestColumnGrowth:
                 assert terms == sorted(
                     terms, key=lambda t: term_key(1, Term(*t), pres.P), reverse=True
                 ), label
+
+
+# completion's reduction internals, which the rank oracle must not reach
+REDUCTION_INTERNALS = {"multi_reduce", "_shifted", "_term_orders", "_reducer", "s_element"}
+
+
+def _code_names(code):
+    """The names a code object and its nested code objects look up."""
+    yield from code.co_names
+    for const in code.co_consts:
+        if isinstance(const, types.CodeType):
+            yield from _code_names(const)
+
+
+def _own_functions(module):
+    """Every function and method defined in the module."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            for attr in vars(obj).values():
+                attr = getattr(attr, "__func__", attr)  # static and class methods
+                if inspect.isfunction(attr):
+                    yield attr
+
+
+class TestIndependence:
+    def test_no_reduction_internals(self):
+        assert not REDUCTION_INTERNALS & set(vars(oracle_module))
+        funcs = list(_own_functions(oracle_module))
+        names = {f.__qualname__ for f in funcs}
+        assert {"naive_weyl_mul", "RankOracle.dimension", "RankOracle._insert"} <= names
+        for f in funcs:
+            assert not REDUCTION_INTERNALS & set(_code_names(f.__code__)), f.__qualname__
