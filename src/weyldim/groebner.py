@@ -52,10 +52,11 @@ as sum_i D_i * g_i over the input relations g_i.  Inputs start at zero.
 An element inserted from the pair (a, b) at stage r is
 t_a * G[a] - t_b * G[b] - sum_k Q_k * G[k], with t_a, t_b the monomials
 that lift the stage-r leaders to their lcm and Q_k the quotients of the
-reduction, so its bound is the componentwise max of ord(t_a) + B[a],
-ord(t_b) + B[b] and ord(Q_k) + B[k] over nonzero Q_k.  This is sound
-because every term of a product D1 * D2 has ord_j <= ord_j(D1) + ord_j(D2),
-and summing terms can only cancel them.
+reduction.  Q_k's support is the thetas of the reduction's steps (k, theta)
+(see `multi_reduce`), so the bound is the componentwise max of ord(t_a) +
+B[a], ord(t_b) + B[b] and ord(theta) + B[k] over those steps.  This is
+sound because every term of a product D1 * D2 has ord_j <= ord_j(D1) +
+ord_j(D2), and summing terms can only cancel them.
 """
 from __future__ import annotations
 
@@ -64,14 +65,13 @@ from collections import deque
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from itertools import islice
+from itertools import combinations, islice
 from math import gcd, lcm
 from operator import add, eq, le, neg, sub
 from typing import NamedTuple, Sequence
 
 from .errors import InputError, WeylDimError, ZeroElementError
 from .terms import (
-    GammaTerm,
     ModuleElement,
     Term,
     block_orders,
@@ -82,17 +82,20 @@ from .terms import (
     term_key,
     term_lcm,
 )
-from .weyl import ExponentPair, Partition, Vector, WeylElement, element_orders, mono_mul
+from .weyl import ExponentPair, Partition, Vector, mono_mul
 
 
 # Most elements a completion may hold before it gives up.
 MAX_ELEMENTS = 500
 
 
-def _check_stage(r, p: int) -> None:
+def _check_stage(r, P: Partition, n: int) -> None:
+    """Reject a stage out of 1..p, or elements on other than P's n variables."""
     # exact type: bool is an int subclass
-    if type(r) is not int or not 1 <= r <= p:
-        raise InputError(f"stage {r!r} out of range 1..{p}")
+    if type(r) is not int or not 1 <= r <= P.p:
+        raise InputError(f"stage {r!r} out of range 1..{P.p}")
+    if n != P.n:
+        raise InputError(f"partition covers {P.n} variables, element has {n}")
 
 
 def _int_row(g: ModuleElement) -> tuple[tuple, int, int]:
@@ -135,8 +138,6 @@ class _Reducer(NamedTuple):
     # stage-order leader, so theta * g stays within cap_i exactly when the
     # term theta * leader has ord_i + slack_i <= cap_i
     slack: tuple[int, ...]
-    kn: int  # g's primitive integer row is (kn / kd) * g
-    kd: int
 
 
 def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
@@ -158,8 +159,6 @@ def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
         _in_row(c, kn, kd),
         _term_orders(head, r, P)[0],
         slack,
-        kn,
-        kd,
     )
     return out
 
@@ -233,7 +232,8 @@ def _eligible(w: Term, tail: tuple, r: _Reducer, caps: Sequence[int]) -> bool:
 
 def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool:
     """True when no term of f is eliminable by g at stage r."""
-    _check_stage(r, P.p)
+    _check_stage(r, P, f.n)
+    f._check_compat(g)
     if f.is_zero():
         return True
     if g.is_zero():
@@ -249,27 +249,31 @@ def multi_reduce(
     G: Sequence[ModuleElement],
     r: int,
     P: Partition,
-) -> tuple[ModuleElement, list[WeylElement]]:
-    """Remainder of f modulo G at stage r, with quotients.
+) -> tuple[ModuleElement, list[tuple[int, ExponentPair]]]:
+    """Remainder of f modulo G at stage r, and the steps that made it.
 
     The r-th order leads and the later orders r+1..p cap each step.
     Deterministic: each step removes the greatest eligible term under the
     r-th order, using the reducer with the greatest r-th leader (smallest
-    list position on ties).  The identity f = sum Q_i g_i + remainder
-    holds exactly.
+    list position on ties).  steps lists the eliminations in the order
+    made, one (i, theta) each: the reducer's position in G and the monomial
+    it was shifted by.  Then f = sum_i Q_i * G[i] + remainder exactly, each
+    step adding one term c * theta to Q_i; the c are not kept.  Each
+    eliminated term lies below the last, so no theta comes twice for one i,
+    and the thetas of i's steps are exactly the support of Q_i.
 
     The remainder is kept as one int term dict `work` over a rational
     scale held as two ints, remainder = work / scale (at the start f's
-    primitive row over its k), and reduced in place.  To
-    eliminate w with reducer g, whose row has the int coefficient a at g's
-    stage-r leader, let c = work[w] and h = gcd(c, a): the step multiplies
-    work by a / h (both signs flipped if that is negative, which keeps the
-    scale positive) and subtracts (c / h) * theta * row term by term, then
-    divides work by its content.  The scale follows, and the quotient
-    gains one exact `Fraction`; the remainder is divided by the scale once,
-    at return, and keeps work as its row.  Each step removes exactly the rational multiple of
-    theta * g that reduction over `Fraction`s removes, so the support after
-    every step, and with it every later choice, is the same.
+    primitive row over its k), and reduced in place.  To eliminate w with
+    reducer g, whose row has the int coefficient a at g's stage-r leader,
+    let c = work[w] and h = gcd(c, a): the step multiplies work by a / h
+    (both signs flipped if that is negative, which keeps the scale
+    positive) and subtracts (c / h) * theta * row term by term, then
+    divides work by its content.  The scale follows.  The remainder is
+    divided by the scale once, at return, and keeps work as its row.  Each
+    step removes exactly the rational multiple of theta * g that reduction
+    over `Fraction`s removes, so the support after every step, and with
+    it every later choice, is the same.
 
     Eligibility depends on the caps, the greatest ord_i over the current
     remainder for each later order i, and the caps move as terms are
@@ -298,10 +302,9 @@ def multi_reduce(
     smallest position on ties.  Each multiple theta * row of a reducer's
     row is expanded once and kept with the reducer (`_shifted`).
     """
-    _check_stage(r, P.p)
+    _check_stage(r, P, f.n)
     if any(g.is_zero() for g in G):
         raise ZeroElementError("zero element among the reducers")
-    n, m = f.n, f.m
     for g in G:
         f._check_compat(g)
     # reducers by generator, greatest r-th leader first, then by position,
@@ -314,7 +317,7 @@ def multi_reduce(
         negs, reds = by_gen.setdefault(red.gen, ([], []))
         negs.append(red.neg_key)
         reds.append((idx, red))
-    quotients: list[dict[ExponentPair, Fraction]] = [{} for _ in G]
+    steps: list[tuple[int, ExponentPair]] = []
     row, sn, sd = _int_row(f)
     work = dict(row)  # the remainder is work / scale, scale = sn / sd > 0
     orders = {t: _term_orders(t, r, P) for t in work}
@@ -350,10 +353,7 @@ def multi_reduce(
         if mult != 1:
             work = {t: v * mult for t, v in work.items()}
             sn *= mult
-        # the step takes e * theta * row / scale = (e * kn / (kd * scale))
-        # * theta * g from the remainder; each eliminated term lies below
-        # the last, so q is new for idx
-        quotients[idx][q] = Fraction(e * red.kn * sd, red.kd * sn)
+        steps.append((idx, q))
         lowered = False
         for t, v in _shifted(G[idx], q):
             d = -e * v
@@ -380,10 +380,10 @@ def multi_reduce(
         if lowered and work:
             caps = _caps(orders[t][1] for t in work)
     rem = ModuleElement._trusted(
-        n, m, {t: Fraction(v * sd, sn) for t, v in work.items()}
+        f.n, f.m, {t: Fraction(v * sd, sn) for t, v in work.items()}
     )
     rem._memo["row"] = (tuple(work.items()), sn, sd)
-    return rem, [WeylElement._trusted(n, qd) for qd in quotients]
+    return rem, steps
 
 
 def s_element(
@@ -393,9 +393,10 @@ def s_element(
 
     Zero when the r-th leaders sit on different generators.
     """
+    _check_stage(r, P, f.n)
+    f._check_compat(g)
     if f.is_zero() or g.is_zero():
         raise ZeroElementError("critical pair with a zero element")
-    f._check_compat(g)
     uf, ug = leader_term(f, r, P), leader_term(g, r, P)
     lcm_term = term_lcm(uf, ug)
     if lcm_term is None:
@@ -520,16 +521,14 @@ def is_groebner(G: GroebnerBasis, r: int) -> bool:
 
     Meaningful once the later stages r+1..p already hold.
     """
-    _check_stage(r, G.P.p)
-    els = G.elements
-    for a in range(len(els)):
-        for b in range(a + 1, len(els)):
-            s = s_element(els[a], els[b], r, G.P)
-            if s.is_zero():
-                continue
-            rem, _ = multi_reduce(s, els, r, G.P)
-            if not rem.is_zero():
-                return False
+    _check_stage(r, G.P, G.n)
+    for f, g in combinations(G.elements, 2):
+        s = s_element(f, g, r, G.P)
+        if s.is_zero():
+            continue
+        rem, _ = multi_reduce(s, G.elements, r, G.P)
+        if not rem.is_zero():
+            return False
     return True
 
 
@@ -580,20 +579,15 @@ def complete_basis(
         s = s_element(G[a], G[b], stage, P)
         if s.is_zero():
             continue
-        rem, quots = multi_reduce(s, G, stage, P)
+        rem, steps = multi_reduce(s, G, stage, P)
         if rem.is_zero():
             continue
-        # s = t_a * G[a] - t_b * G[b], and s - rem = sum_k Q_k * G[k]
+        # s = t_a * G[a] - t_b * G[b], and s - rem = sum_k Q_k * G[k], the
+        # support of Q_k being the thetas of the steps (k, theta)
         lcm = term_lcm(leader_term(G[a], stage, P), leader_term(G[b], stage, P))
-        shifts = [
-            (block_orders(term_divides(leader_term(G[k], stage, P), lcm), P), bounds[k])
-            for k in (a, b)
-        ] + [
-            (element_orders(Q, P)[1], bounds[k])
-            for k, Q in enumerate(quots)
-            if not Q.is_zero()
-        ]
-        bounds.append(tuple(map(max, *(map(add, o, B) for o, B in shifts))))
+        lifts = [(k, term_divides(leader_term(G[k], stage, P), lcm)) for k in (a, b)]
+        shifts = (map(add, block_orders(q, P), bounds[k]) for k, q in lifts + steps)
+        bounds.append(tuple(map(max, *shifts)))
         G.append(_monic(rem, P))
         if len(G) > MAX_ELEMENTS:
             raise WeylDimError(

@@ -34,11 +34,15 @@ class Partition:
     sizes: tuple[int, ...]
 
     def __post_init__(self):
+        # a tuple whatever the sizes came as: a partition keys caches
+        try:
+            object.__setattr__(self, "sizes", tuple(self.sizes))
+        except TypeError:
+            raise InputError(f"not a sequence of sizes: {self.sizes!r}") from None
         if not self.sizes:
             raise InputError("partition must have at least one block")
-        if any(
-            not isinstance(s, int) or isinstance(s, bool) or s < 1 for s in self.sizes
-        ):
+        # exact type: bool is an int subclass
+        if any(type(s) is not int or s < 1 for s in self.sizes):
             raise InputError(f"partition sizes must be positive integers: {self.sizes}")
 
     @property

@@ -71,10 +71,12 @@ def ref_multi_reduce(f, G, r, P):
     Each step sorts the remainder under the r-th order, takes the first
     term some reducer can eliminate (the reducer with the greatest r-th
     leader, smallest list position on ties) and subtracts that multiple.
+    Returns the remainder, the quotients and the steps (idx, q) in order.
     """
     assert 1 <= r <= P.p
     n = f.n
     quotients = [WeylElement.zero(n) for _ in G]
+    steps = []
     work = f
     while not work.is_zero():
         caps = [
@@ -100,8 +102,28 @@ def ref_multi_reduce(f, G, r, P):
         factor = work.terms[w] / leader(g, r, P)[1]
         step = WeylElement.monomial(n, q.alpha, q.beta, factor)
         quotients[idx] = quotients[idx] + step
+        steps.append((idx, q))
         work = work - act(step, g)
-    return work, quotients
+    return work, quotients, steps
+
+
+def ref_steps(f, G, r, P):
+    """The reference's remainder and steps, as `multi_reduce` returns them."""
+    rem, _, steps = ref_multi_reduce(f, G, r, P)
+    return rem, steps
+
+
+def recombine(rem, quotients, G):
+    """rem + sum_i Q_i * G[i]."""
+    out = rem
+    for Q, g in zip(quotients, G):
+        if not Q.is_zero():
+            out = out + act(Q, g)
+    return out
+
+
+# the step theta = 1 on n = 2
+ONE2 = ExponentPair((0, 0), (0, 0))
 
 
 def assert_int_row(g):
@@ -167,7 +189,28 @@ class TestStages:
                 multi_reduce(f, [f], r, P)
             with pytest.raises(InputError):
                 is_reduced(f, f, r, P)
+            with pytest.raises(InputError, match="stage"):
+                s_element(f, f, r, P)
         assert multi_reduce(f, [f], 3, P)[0].is_zero()
+
+    def test_partition_must_cover_the_element(self):
+        # x1 x2 e1 on a partition of x1 alone
+        h = ModuleElement.single(2, 1, 1, (1, 1), (0, 0))
+        P = Partition((1,))
+        for call in (
+            lambda: multi_reduce(h, [h], 1, P),
+            lambda: s_element(h, h, 1, P),
+            lambda: is_reduced(h, h, 1, P),
+        ):
+            with pytest.raises(InputError, match="partition covers 1 variables"):
+                call()
+
+    def test_is_reduced_mixed_shapes(self):
+        P = Partition((2,))
+        f = ModuleElement.single(2, 1, 1, (1, 0), (0, 0))
+        g = ModuleElement.single(1, 1, 1, (1,), (0,))
+        with pytest.raises(InputError, match="mixed module shapes"):
+            is_reduced(f, g, 1, P)
 
 
 class TestReduction:
@@ -177,12 +220,10 @@ class TestReduction:
         for _ in range(25):
             f = random_module_element(rng, 2, 2)
             G = [random_module_element(rng, 2, 2) for _ in range(2)]
-            rem, quots = multi_reduce(f, G, 1, P)
-            recombined = rem
-            for Q, g in zip(quots, G):
-                if not Q.is_zero():
-                    recombined = recombined + act(Q, g)
-            assert recombined == f
+            rem, steps = multi_reduce(f, G, 1, P)
+            ref_rem, quots, ref = ref_multi_reduce(f, G, 1, P)
+            assert (rem, steps) == (ref_rem, ref)
+            assert recombine(rem, quots, G) == f
             for g in G:
                 assert is_reduced(rem, g, 1, P)
 
@@ -200,19 +241,27 @@ class TestReduction:
 
     def test_reduces_by_itself(self):
         P, h1, _, _ = worked_pair()
-        rem, quots = multi_reduce(h1, [h1], 1, P)
+        rem, steps = multi_reduce(h1, [h1], 1, P)
         assert rem.is_zero()
-        assert quots[0] == WeylElement.one(2)
+        assert steps == [(0, ONE2)]
+        ref_rem, quots, ref = ref_multi_reduce(h1, [h1], 1, P)
+        assert (rem, steps) == (ref_rem, ref)
+        assert quots == [WeylElement.one(2)]
 
 
 class TestAgainstReference:
     @given(reduction_cases())
     def test_same_remainder_and_quotients(self, case):
         f, G, r, P = case
-        rem, quots = multi_reduce(f, G, r, P)
-        ref_rem, ref_quots = ref_multi_reduce(f, G, r, P)
+        rem, steps = multi_reduce(f, G, r, P)
+        ref_rem, quots, ref = ref_multi_reduce(f, G, r, P)
         assert rem == ref_rem
-        assert quots == ref_quots
+        assert steps == ref
+        assert recombine(rem, quots, G) == f
+        # the thetas of i's steps are Q_i's support, none twice
+        assert len(set(steps)) == len(steps)
+        for i, Q in enumerate(quots):
+            assert set(Q.terms) == {q for k, q in steps if k == i}
         for g in G:
             assert is_reduced(rem, g, r, P)
         for g in (f, rem, *G):
@@ -239,18 +288,19 @@ class TestAgainstReference:
         )
         for r in (1, 2):
             out = multi_reduce(f, [g1, g2], r, P)
-            assert out == ref_multi_reduce(f, [g1, g2], r, P)
+            assert out == ref_steps(f, [g1, g2], r, P)
             for g in (f, out[0], g1, g2):
                 assert_int_row(g)
 
     def test_equal_head_leaders_take_the_first(self):
         P, h1, h2, _ = worked_pair()
         G = [h2, h1.scale(3), h1, h1.scale(-1)]
-        rem, quots = multi_reduce(h1, G, 1, P)
+        rem, steps = multi_reduce(h1, G, 1, P)
         assert rem.is_zero()
+        assert steps == [(1, ONE2)]
+        ref_rem, quots, ref = ref_multi_reduce(h1, G, 1, P)
+        assert (rem, steps) == (ref_rem, ref)
         assert quots[1] == WeylElement.one(2).scale(Fraction(1, 3))
-        assert quots[2].is_zero() and quots[3].is_zero()
-        assert (rem, quots) == ref_multi_reduce(h1, G, 1, P)
 
     @given(st.data())
     def test_random_elements(self, data):
@@ -264,8 +314,8 @@ class TestAgainstReference:
         nonzero = module_elements(n, m, hi=3).filter(lambda g: not g.is_zero())
         G = data.draw(st.lists(nonzero, min_size=1, max_size=4))
         f = data.draw(module_elements(n, m, hi=3, terms=6))
-        rem, quots = multi_reduce(f, G, r, P)
-        assert (rem, quots) == ref_multi_reduce(f, G, r, P)
+        rem, steps = multi_reduce(f, G, r, P)
+        assert (rem, steps) == ref_steps(f, G, r, P)
 
     def test_cancelled_term_comes_back(self, monkeypatch):
         # eliminating x d^2 with d * (x d + x + 1), expanded as
@@ -289,7 +339,7 @@ class TestAgainstReference:
             pushed.clear()
             out = multi_reduce(f, G, 1, P)
             assert out[0] == rem
-            assert out == ref_multi_reduce(f, G, 1, P)
+            assert out == ref_steps(f, G, 1, P)
             # f's d came back: the heap held a second entry for it
             assert pushed[0] == next(iter(d.terms))
 
@@ -304,11 +354,12 @@ class TestAgainstReference:
             on_e1({((1,), (1,)): 1}),
             on_e1({((2,), (1,)): 1, ((0,), (1,)): 1}),
         ]
-        rem, quots = multi_reduce(f, G, 1, P)
-        assert quots[0].is_zero() and quots[1].is_zero()
-        assert quots[2] == WeylElement.one(1).scale(2)
+        rem, steps = multi_reduce(f, G, 1, P)
+        assert steps == [(2, ExponentPair((0,), (0,)))]
         assert rem == on_e1({((0,), (1,)): -2, ((0,), (0,)): 1})
-        assert (rem, quots) == ref_multi_reduce(f, G, 1, P)
+        ref_rem, quots, ref = ref_multi_reduce(f, G, 1, P)
+        assert (rem, steps) == (ref_rem, ref)
+        assert quots[2] == WeylElement.one(1).scale(2)
 
     def test_equal_leaders_with_other_tails(self):
         # g1 and g3 share the leader x1^2 e1 but differ below it; g2's
@@ -320,11 +371,10 @@ class TestAgainstReference:
         g3 = on_e1({((2, 0), (0, 0)): 2, ((0, 0), (0, 0)): 1})
         f = on_e1({((2, 1), (0, 0)): 1})
         G = [g2, g1, g3]
-        rem, quots = multi_reduce(f, G, 1, P)
-        assert quots[0].is_zero() and quots[2].is_zero()
-        assert quots[1] == WeylElement.monomial(2, (0, 1), (0, 0))
+        rem, steps = multi_reduce(f, G, 1, P)
+        assert steps == [(1, ExponentPair((0, 1), (0, 0)))]
         assert rem == on_e1({((0, 2), (0, 0)): -1})
-        assert (rem, quots) == ref_multi_reduce(f, G, 1, P)
+        assert (rem, steps) == ref_steps(f, G, 1, P)
 
     def test_caps_fall_when_a_term_leaves(self):
         # eliminating x1 x2 drops the ord_2 cap from 1 to 0, and then
@@ -334,10 +384,10 @@ class TestAgainstReference:
         x1 = ModuleElement.single(2, 1, 1, (1, 0), (0, 0))
         g2 = x1 + ModuleElement.single(2, 1, 1, (0, 0), (0, 1))
         G = [w, g2]
-        rem, quots = multi_reduce(w + x1, G, 1, P)
+        rem, steps = multi_reduce(w + x1, G, 1, P)
         assert rem == x1
-        assert quots == [WeylElement.one(2), WeylElement.zero(2)]
-        assert (rem, quots) == ref_multi_reduce(w + x1, G, 1, P)
+        assert steps == [(0, ONE2)]
+        assert (rem, steps) == ref_steps(w + x1, G, 1, P)
 
     def test_completion_of_corpus(self, monkeypatch):
         # every reduction run while completing (and certifying) real
@@ -346,7 +396,7 @@ class TestAgainstReference:
 
         def both(f, G, r, P):
             out = fast(f, G, r, P)
-            assert out == ref_multi_reduce(f, G, r, P)
+            assert out == ref_steps(f, G, r, P)
             calls.append(out[0].is_zero())
             return out
 
@@ -497,6 +547,14 @@ class TestCompletion:
         P = Partition((1, 1))
         with pytest.raises(InputError):
             complete_basis([ModuleElement.basis_vector(1, 1, 1)], P)
+
+    def test_list_partition(self):
+        P, h1, h2, _ = worked_pair()
+        listed = Partition(list(P.sizes))
+        assert leader(h1, 1, listed) == leader(h1, 1, P)
+        G = complete_basis([h1, h2], listed)
+        assert G.P == P and G.fully_certified()
+        assert G.elements == complete_basis([h1, h2], P).elements
 
 
 class TestCoreCertificate:

@@ -47,10 +47,19 @@ class TestPartition:
             Partition((2, 0))
         with pytest.raises(InputError):
             Partition((1, -1))
+        for sizes in (None, 5):
+            with pytest.raises(InputError):
+                Partition(sizes)
 
     def test_block_of_range(self):
         with pytest.raises(InputError):
             Partition((2,)).block_of(2)
+
+    def test_list_sizes_become_a_tuple(self):
+        # a partition keys caches, so it must hash whatever the sizes came as
+        P = Partition([1, 1])
+        assert P == Partition((1, 1)) and P.sizes == (1, 1)
+        assert hash(P) == hash(Partition((1, 1)))
 
 
 class TestOrders:
