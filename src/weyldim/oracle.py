@@ -3,16 +3,21 @@
 naive_weyl_mul rewrites words one commutator swap at a time; enum_V_A
 counts lattice points directly; RankOracle measures dim M_r by exact
 row reduction of relation multiples, kept as integer rows over integer
-column ids.  The counted value never touches the closed-form or
-Groebner code paths; a completed basis, supplied by the caller, is
-consulted only for its input relations and for the multiplier-order
-bound that makes the row family provably sufficient, and a second pass
-one step past that bound re-checks the count.
+column ids.  A multiple x^a d^b * g is the expansion of d^b * g with a
+added to every term's alpha, so each d-part b is expanded once and
+every multiplier sharing it is a shift; the term-order keys of new
+columns are read off their exponents in numpy.  The counted value never
+touches the closed-form or Groebner code paths; a completed basis,
+supplied by the caller, is consulted only for its input relations and
+for the multiplier-order bound that makes the row family provably
+sufficient, and a second pass one step past that bound re-checks the
+count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add
 from typing import Sequence
 
 import numpy as np
@@ -21,13 +26,17 @@ from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis
 from .kernels import box_vectors, count_not_dominated
 from .numpoly import IndexSet
-from .terms import ModuleElement, Term, term_key
+from .terms import ModuleElement
 from .weyl import ExponentPair, Partition, WeylElement, mono_mul, weyl_dimension
 
 _NAIVE_BUDGET = 8
 
 # Most box terms (the box size times the module rank) `RankOracle` ranks.
 MAX_BOX = 10**4
+
+# Most rows (multipliers at the confirmation bound times relations) one
+# `RankOracle.dimension` call builds and eliminates.
+MAX_ROWS = 1 << 19
 
 
 def _word_of(theta: ExponentPair) -> tuple:
@@ -143,33 +152,65 @@ class RankOracle:
     as an upper bound on the true multiplier orders (products add orders
     at most, sums only cancel), so it can only over-provision rows.  A
     confirmation pass one step further must leave the count unchanged.
+    A call whose confirmation pass would take more than `MAX_ROWS` rows
+    is refused before any row is built.
 
     The matrix is indexed as in F4.  Every term gets an integer column id
     the first time it appears, and every multiple theta*g is built once
     per oracle as a primitive integer row of (column ids, coefficients).
-    A call only ranks the columns: pivot key = term-order rank + in-box
-    flag * ncols.  The count does not depend on the order inside each
-    flag class, but the fill-in does, and descending term order keeps it
-    far lower than first-seen order.
+    Rows come from the identity x^a d^b * g = x^a * (d^b * g): left
+    multiplication by x^a only adds a to every term's alpha, since each
+    term of d^b * g is already normal (x's left of d's).  So d^b * g is
+    expanded once per distinct b, and every theta = (a, b) shifts that
+    expansion; the shift is injective, so the coefficients and their
+    content carry over unchanged.  A call only ranks the columns: pivot
+    key = term-order rank + in-box flag * ncols.  The order-1 key of a
+    term is its block orders, then each block's alpha and beta, then its
+    generator, and is computed in numpy for all new columns at once.
+    The count does not depend on the order inside each flag class, but
+    the fill-in does, and descending term order keeps it far lower than
+    first-seen order.
     """
 
     def __init__(self, basis: GroebnerBasis):
-        if basis.multiplier_bound is None:
+        P, bound, relations = basis.P, basis.multiplier_bound, basis.relations
+        if bound is None:
             raise InputError("basis carries no multiplier bound; use complete_basis")
-        self.P = basis.P
+        if relations is None:
+            raise InputError("basis carries a multiplier bound but no relations")
+        if len(bound) != P.p:
+            raise InputError(
+                f"multiplier bound has length {len(bound)}, expected {P.p}"
+            )
+        # exact type: bool is an int subclass and floats do not bound orders
+        if any(type(v) is not int or v < 0 for v in bound):
+            raise InputError(
+                f"multiplier bound must consist of nonnegative integers: {bound}"
+            )
+        for i, g in enumerate(relations):
+            if not isinstance(g, ModuleElement) or (g.n, g.m) != (P.n, basis.m):
+                raise InputError(f"relation {i} is not an element of A_{P.n}^{basis.m}")
+        self.P = P
         self.m = basis.m
-        self.relations = basis.relations
-        self.slack = basis.multiplier_bound
-        self._sizes2 = tuple(2 * s for s in self.P.sizes)
+        self.relations = relations
+        self.slack = bound
+        self._sizes2 = tuple(2 * s for s in P.sizes)
         self._block_starts = np.cumsum((0,) + self._sizes2[:-1])
-        self._int_relations = [_integer_relation(g) for g in self.relations]
+        # global (alpha, beta) positions in blockwise-packed order
+        self._packed_order = [
+            j for a, b in P.blocks for j in (*range(a, b), *range(P.n + a, P.n + b))
+        ]
+        self._int_relations = [_integer_relation(g) for g in relations]
+        # beta -> one primitive row of d^beta * g per relation, as
+        # ((gen, ExponentPair) per term, coefficients)
+        self._d_rows: dict[tuple[int, ...], tuple] = {}
         # packed theta -> one (cols, coeffs) row of theta*g per relation
         self._rows: dict[tuple[int, ...], tuple[tuple[tuple, tuple], ...]] = {}
         # column state: an id per term and, per id, its order-1 term key;
         # the key array covers the columns up to the last call
         self._col: dict[tuple[int, ExponentPair], int] = {}
-        self._new_keys: list[tuple[int, ...]] = []
-        self._keys = np.empty((0, self.P.p + 2 * self.P.n + 1), dtype=np.int64)
+        self._new_terms: list[tuple[int, ExponentPair]] = []
+        self._keys = np.empty((0, P.p + 2 * P.n + 1), dtype=np.int64)
         self._rank = np.empty(0, dtype=np.int64)
 
     def dimension(self, r: Sequence[int]) -> int:
@@ -189,9 +230,16 @@ class RankOracle:
         if not self.relations:
             return card_box
         bound = tuple(v + qv for v, qv in zip(r, self.slack))
+        confirm = tuple(v + 1 for v in bound)
+        rows = weyl_dimension(self.P, confirm) * len(self.relations)
+        if rows > MAX_ROWS:
+            raise InputError(
+                f"rank oracle: {rows} relation multiples at r={r} are over the "
+                f"budget oracle.MAX_ROWS = {MAX_ROWS}"
+            )
         # one enumeration at the confirmation bound; the certified rows are
         # the thetas whose block sums stay within one step less
-        V = box_vectors(self._sizes2, tuple(v + 1 for v in bound))
+        V = box_vectors(self._sizes2, confirm)
         inner = (np.add.reduceat(V, self._block_starts, axis=1) <= bound).all(axis=1)
         passes = [
             [self._multiples(row) for row in map(tuple, V[inner].tolist())],
@@ -221,40 +269,59 @@ class RankOracle:
         return first
 
     def _multiples(self, packed: tuple[int, ...]) -> tuple:
-        """Rows theta*g_idx for every relation, as primitive integer rows."""
+        """Rows theta*g for every relation g, as primitive integer rows."""
         hit = self._rows.get(packed)
         if hit is None:
-            theta = _unpack_row(packed, self.P)
-            hit = tuple(self._row_of(theta, rel) for rel in self._int_relations)
-            self._rows[packed] = hit
+            a, b = _unpack_row(packed, self.P)
+            d_rows = self._d_rows.get(b)
+            if d_rows is None:
+                d_rows = self._d_rows[b] = tuple(
+                    self._d_row(b, rel) for rel in self._int_relations
+                )
+            hit = self._rows[packed] = tuple(
+                self._shift_row(terms, coeffs, a) for terms, coeffs in d_rows
+            )
         return hit
 
-    def _row_of(self, theta: ExponentPair, rel: list) -> tuple[tuple, tuple]:
-        """theta * rel over the integers, content divided out; new terms get ids."""
+    @staticmethod
+    def _d_row(b: tuple[int, ...], rel: list) -> tuple[tuple, tuple]:
+        """d^b * rel over the integers, content divided out."""
+        d_b = ExponentPair((0,) * len(b), b)
         acc: dict[tuple[int, ExponentPair], int] = {}
         for gen, theta_g, c in rel:
-            for key, w in mono_mul(theta, theta_g):
+            for key, w in mono_mul(d_b, theta_g):
                 t = (gen, key)
                 acc[t] = acc.get(t, 0) + c * w
         acc = {t: v for t, v in acc.items() if v}
         g = gcd(*acc.values())
+        return tuple(acc), tuple(v // g for v in acc.values())
+
+    def _shift_row(self, terms: tuple, coeffs: tuple, a: tuple[int, ...]) -> tuple:
+        """x^a times a row of d^b * g: a added to every alpha; new terms get ids."""
         col = self._col
         cols = []
-        for t in acc:
+        for gen, (alpha, beta) in terms:
+            t = (gen, ExponentPair(tuple(map(add, alpha, a)), beta))
             c = col.get(t)
             if c is None:
                 c = col[t] = len(col)
-                self._new_keys.append(term_key(1, Term(*t), self.P))
+                self._new_terms.append(t)
             cols.append(c)
-        return tuple(cols), tuple(v // g for v in acc.values())
+        return tuple(cols), coeffs
 
     def _pivot_keys(self, r: tuple[int, ...]) -> list[int]:
         """Per column id: its term-order rank, plus ncols if it lies in box r."""
-        if self._new_keys:
+        if self._new_terms:
+            exps = np.array(
+                [alpha + beta for _, (alpha, beta) in self._new_terms], dtype=np.int64
+            )[:, self._packed_order]
+            gens = np.array([gen for gen, _ in self._new_terms], dtype=np.int64)
+            self._new_terms = []
+            # the order-1 key: block orders, packed exponents, generator
+            orders = np.add.reduceat(exps, self._block_starts, axis=1)
             self._keys = np.concatenate(
-                (self._keys, np.array(self._new_keys, dtype=np.int64))
+                (self._keys, np.column_stack((orders, exps, gens)))
             )
-            self._new_keys = []
             # rank 0 is the largest term; lexsort's primary key comes last
             order = np.lexsort(-self._keys.T[::-1])
             self._rank = np.empty(len(order), dtype=np.int64)

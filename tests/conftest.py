@@ -12,25 +12,28 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import Sequence
 
 from hypothesis import settings
 
 from weyldim import (
+    ExponentPair,
     IndexSet,
     InputError,
     ModuleElement,
     NumericalPolynomial,
     Partition,
     Presentation,
+    Term,
     WeylElement,
     complete_basis,
     count_UVW,
     minimize,
 )
 from weyldim.numpoly import Index, MonoPoly
-from weyldim.terms import act
+from weyldim.terms import act, term_key
+from weyldim.weyl import mono_mul
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -183,6 +186,34 @@ def ref_monomial_view(f: NumericalPolynomial) -> MonoPoly:
                 term = mp_mul(term, shifted_binomial(f.p, axis, i, i))
         acc = mp_add(acc, term)
     return acc
+
+
+# --------------------------------------------------- rank-oracle references
+#
+# The rank oracle builds x^a d^b * g by shifting one expansion of d^b * g.
+# These references expand the whole multiplier directly and compute every
+# term key one term at a time.
+
+
+def ref_multiple(theta: ExponentPair, g: ModuleElement) -> dict:
+    """theta * g over the integers by direct expansion, content divided out."""
+    den = lcm(*(c.denominator for c in g.terms.values()))
+    acc: dict = {}
+    for t, c in g.terms.items():
+        c = c.numerator * (den // c.denominator)
+        for key, w in mono_mul(theta, t.theta):
+            k = (t.gen, key)
+            acc[k] = acc.get(k, 0) + c * w
+    acc = {k: v for k, v in acc.items() if v}
+    content = gcd(*acc.values())
+    return {k: v // content for k, v in acc.items()}
+
+
+def assert_oracle_keys(oracle) -> None:
+    """Every keyed column of the oracle carries its order-1 term key."""
+    assert len(oracle._keys) == len(oracle._col)
+    for t, c in oracle._col.items():
+        assert tuple(oracle._keys[c].tolist()) == term_key(1, Term(*t), oracle.P), t
 
 
 # ---------------------------------------------------------------- fixed cases

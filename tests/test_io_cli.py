@@ -10,8 +10,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weyldim import InputError, Partition, dimension_polynomial
-from weyldim import cli, groebner
+from weyldim import InputError, Partition, RankOracle, dimension_polynomial
+from weyldim import cli, groebner, oracle
 from weyldim.cli import _COMMANDS, main
 from weyldim.io import (
     dumps,
@@ -380,6 +380,20 @@ class TestCli:
         assert out.returncode == 1
         assert out.stdout == ""
         assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
+
+    def test_check_stops_at_row_budget(self, capsys, monkeypatch, ex_file):
+        # a budget of exactly the rows at (0, 0) refuses the next point
+        first = RankOracle(dimension_polynomial(load_presentation(ex_file)).basis)
+        first.dimension((0, 0))
+        rows = sum(map(len, first._rows.values()))
+        monkeypatch.setattr(oracle, "MAX_ROWS", rows)
+        assert main(["check", ex_file, "--rmax", "2"]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.startswith("error: rank oracle: ")
+        assert out.err.endswith(
+            f" at r=(0, 1) are over the budget oracle.MAX_ROWS = {rows}\n"
+        )
 
     def test_eval_refuses_int64_overflow(self, tmp_path):
         # each block simplex fits the cell budget, the box of ~6.3e22 terms

@@ -3,11 +3,16 @@ import inspect
 import itertools
 import random
 import types
+from collections import Counter
+from math import gcd
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from weyldim import (
+    ExponentPair,
+    GroebnerBasis,
     IndexSet,
     InputError,
     ModuleElement,
@@ -29,7 +34,13 @@ from weyldim import (
 from weyldim import oracle as oracle_module
 from weyldim.terms import term_key
 
-from conftest import corpus_presentations, grid, two_term_presentation
+from conftest import (
+    assert_oracle_keys,
+    corpus_presentations,
+    grid,
+    ref_multiple,
+    two_term_presentation,
+)
 from test_weyl import weyl_elements
 
 
@@ -184,6 +195,146 @@ class TestColumnGrowth:
                 assert terms == sorted(
                     terms, key=lambda t: term_key(1, Term(*t), pres.P), reverse=True
                 ), label
+
+
+def rebased(G: GroebnerBasis, **change) -> GroebnerBasis:
+    """G's elements with its relations and multiplier bound replaced."""
+    fields = {"relations": G.relations, "multiplier_bound": G.multiplier_bound}
+    fields.update(change)
+    return GroebnerBasis(G.elements, G.P, G.m, G.certified, **fields)
+
+
+def two_block_basis() -> GroebnerBasis:
+    pres = two_term_presentation(1, 1, 2)
+    return complete_basis(pres.relations, pres.P, m=1)
+
+
+class TestBasisValidation:
+    def test_bound_without_relations(self):
+        with pytest.raises(InputError, match="no relations"):
+            RankOracle(rebased(two_block_basis(), relations=None))
+
+    def test_bound_too_short(self):
+        with pytest.raises(InputError, match="length 1, expected 2"):
+            RankOracle(rebased(two_block_basis(), multiplier_bound=(1,)))
+
+    def test_bound_too_long(self):
+        with pytest.raises(InputError, match="length 3, expected 2"):
+            RankOracle(rebased(two_block_basis(), multiplier_bound=(1, 1, 1)))
+
+    @pytest.mark.parametrize("bound", [(1.5, 0), (True, 0), ("1", 0), (-1, 0)])
+    def test_bound_entries(self, bound):
+        with pytest.raises(InputError, match="nonnegative integers"):
+            RankOracle(rebased(two_block_basis(), multiplier_bound=bound))
+
+    def test_relation_shapes(self):
+        G = two_block_basis()
+        wide = ModuleElement.single(3, 1, 1, (1, 0, 0), (0, 0, 0))
+        with pytest.raises(InputError, match="relation 0 is not an element of A_2"):
+            RankOracle(rebased(G, relations=(wide,)))
+
+
+def packed(theta: ExponentPair, P: Partition) -> tuple[int, ...]:
+    """theta in the oracle's blockwise layout: each block's alpha, then beta."""
+    alpha, beta = theta
+    return tuple(v for a, b in P.blocks for v in (*alpha[a:b], *beta[a:b]))
+
+
+@st.composite
+def oracle_cases(draw):
+    """Relations with fractional coefficients and multipliers on p blocks."""
+    p = draw(st.integers(1, 3))
+    P = Partition(tuple(draw(st.lists(st.integers(1, 2), min_size=p, max_size=p))))
+    n, m = P.n, draw(st.integers(1, 2))
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+    coeff = st.fractions(-5, 5, max_denominator=6).filter(bool)
+    term = st.tuples(st.integers(1, m), exps, exps, coeff)
+    rels = tuple(
+        ModuleElement(n, m, [((gen, (a, b)), c) for gen, a, b, c in terms])
+        for terms in draw(
+            st.lists(
+                st.lists(term, min_size=1, max_size=3, unique_by=lambda t: t[:3]),
+                min_size=1,
+                max_size=2,
+            )
+        )
+    )
+    thetas = draw(st.lists(st.builds(ExponentPair, exps, exps), min_size=1, max_size=4))
+    return P, m, rels, thetas
+
+
+class TestShiftedRows:
+    @given(oracle_cases())
+    def test_rows_match_direct_expansion(self, case):
+        P, m, rels, thetas = case
+        oracle = RankOracle(
+            GroebnerBasis(rels, P, m, (), relations=rels, multiplier_bound=(0,) * P.p)
+        )
+        for theta in thetas:
+            oracle._multiples(packed(theta, P))
+        term_of = {c: t for t, c in oracle._col.items()}
+        for theta in thetas:
+            for (cols, coeffs), g in zip(oracle._rows[packed(theta, P)], rels):
+                assert all(type(v) is int for v in cols + coeffs)
+                assert gcd(*coeffs) == 1
+                assert {term_of[c]: v for c, v in zip(cols, coeffs)} == ref_multiple(
+                    theta, g
+                )
+        oracle._pivot_keys((0,) * P.p)
+        assert_oracle_keys(oracle)
+
+    def test_one_expansion_per_d_part(self, monkeypatch):
+        calls = []
+        real = oracle_module.mono_mul
+
+        def spy(t1, t2):
+            calls.append((t1, t2))
+            return real(t1, t2)
+
+        monkeypatch.setattr(oracle_module, "mono_mul", spy)
+        for label, pres in corpus_presentations():
+            oracle = RankOracle(complete_basis(pres.relations, pres.P, m=pres.m))
+            calls.clear()
+            for r in grid(pres.P.p, 0, 1):
+                oracle.dimension(r)
+            zero = (0,) * pres.P.n
+            d_parts = {oracle_module._unpack_row(t, pres.P).beta for t in oracle._rows}
+            expect = Counter(
+                (ExponentPair(zero, b), t.theta)
+                for b in d_parts
+                for g in pres.relations
+                for t in g.terms
+            )
+            assert Counter(calls) == expect, label
+            # keys of columns added over several calls
+            assert_oracle_keys(oracle)
+
+
+class TestRowBudget:
+    def test_refused_before_any_row(self, monkeypatch):
+        monkeypatch.setattr(oracle_module, "MAX_ROWS", 5)
+        oracle = RankOracle(two_block_basis())
+        with pytest.raises(InputError) as err:
+            oracle.dimension((1, 1))
+        assert str(err.value).startswith("rank oracle: ")
+        assert str(err.value).endswith(
+            " relation multiples at r=(1, 1) are over the budget oracle.MAX_ROWS = 5"
+        )
+        assert not oracle._rows and not oracle._d_rows and not oracle._col
+
+    def test_counts_the_rows_it_builds(self, monkeypatch):
+        for label, pres in corpus_presentations()[::4]:
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            r = (1,) * pres.P.p
+            oracle = RankOracle(G)
+            value = oracle.dimension(r)
+            rows = sum(map(len, oracle._rows.values()))
+            with monkeypatch.context() as budget:
+                budget.setattr(oracle_module, "MAX_ROWS", rows)
+                assert RankOracle(G).dimension(r) == value, label
+                budget.setattr(oracle_module, "MAX_ROWS", rows - 1)
+                with pytest.raises(InputError, match=f"^rank oracle: {rows} relation"):
+                    RankOracle(G).dimension(r)
 
 
 # completion's reduction internals, which the rank oracle must not reach
