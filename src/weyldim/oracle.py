@@ -231,10 +231,10 @@ class RankOracle:
             return card_box
         bound = tuple(v + qv for v, qv in zip(r, self.slack))
         confirm = tuple(v + 1 for v in bound)
-        rows = weyl_dimension(self.P, confirm) * len(self.relations)
-        if rows > MAX_ROWS:
+        n_rows = weyl_dimension(self.P, confirm) * len(self.relations)
+        if n_rows > MAX_ROWS:
             raise InputError(
-                f"rank oracle: {rows} relation multiples at r={r} are over the "
+                f"rank oracle: {n_rows} relation multiples at r={r} are over the "
                 f"budget oracle.MAX_ROWS = {MAX_ROWS}"
             )
         # one enumeration at the confirmation bound; the certified rows are
