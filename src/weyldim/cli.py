@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input or usage error, 2 engine/oracle mismatch,
 from __future__ import annotations
 
 import argparse
-import itertools
 import re
 import sys
 
@@ -94,18 +93,31 @@ def _cmd_invariants(args) -> int:
     return 0
 
 
+def _prefixes(rmax: int, k: int):
+    """{0, ..., rmax}^k in lexicographic order, one tuple at a time."""
+    if k == 0:
+        yield ()
+        return
+    for head in _prefixes(rmax, k - 1):
+        for v in range(rmax + 1):
+            yield head + (v,)
+
+
 def _cmd_check(args) -> int:
     pres = wio.load_presentation(args.file)
     if args.rmax < 0:
         raise InputError(f"--rmax must be nonnegative, got {args.rmax}")
     rep = dimension_polynomial(pres)
     oracle = RankOracle(rep.basis)
-    # the oracle walks the grid lazily and refuses the first box over its
-    # cap, so only an accepted grid is ever built and counted
-    ranks = {
-        r: oracle.dimension(r)
-        for r in itertools.product(range(args.rmax + 1), repeat=pres.P.p)
-    }
+    # the grid in lexicographic order is one chain along the last axis per
+    # prefix; each chain shares one echelon.  Prefixes and chains are
+    # generated lazily and the oracle refuses the first box or row count
+    # over its budget, so only an accepted grid is ever built and counted
+    ranks = {}
+    for head in _prefixes(args.rmax, pres.P.p - 1):
+        chain = (head + (v,) for v in range(args.rmax + 1))
+        for v, rank in enumerate(oracle.dimensions(chain)):
+            ranks[head + (v,)] = rank
     counts = count_grid(rep.basis, list(ranks))
     points = []
     mismatches = 0

@@ -6,19 +6,20 @@ row reduction of relation multiples, kept as integer rows over integer
 column ids.  A multiple x^a d^b * g is the expansion of d^b * g with a
 added to every term's alpha, so each d-part b is expanded once and
 every multiplier sharing it is a shift; the term-order keys of new
-columns are read off their exponents in numpy.  The counted value never
-touches the closed-form or Groebner code paths; a completed basis,
-supplied by the caller, is consulted only for its input relations and
-for the multiplier-order bound that makes the row family provably
-sufficient, and a second pass one step past that bound re-checks the
-count.
+columns are read off their exponents in numpy.  One echelon serves a
+whole chain r^1 <= ... <= r^k of bounds: its row families are nested,
+and so are its boxes.  The counted value never touches the closed-form
+or Groebner code paths; a completed basis, supplied by the caller, is
+consulted only for its input relations and for the multiplier-order
+bound that makes the row family provably sufficient, and a final pass
+one step past the top bound re-checks every count.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -35,7 +36,8 @@ _NAIVE_BUDGET = 8
 MAX_BOX = 10**4
 
 # Most rows (multipliers at the confirmation bound times relations) one
-# `RankOracle.dimension` call builds and eliminates.
+# point of a `RankOracle.dimensions` chain may need; the chain builds and
+# eliminates those of its top point.
 MAX_ROWS = 1 << 19
 
 
@@ -163,13 +165,36 @@ class RankOracle:
     term of d^b * g is already normal (x's left of d's).  So d^b * g is
     expanded once per distinct b, and every theta = (a, b) shifts that
     expansion; the shift is injective, so the coefficients and their
-    content carry over unchanged.  A call only ranks the columns: pivot
-    key = term-order rank + in-box flag * ncols.  The order-1 key of a
-    term is its block orders, then each block's alpha and beta, then its
-    generator, and is computed in numpy for all new columns at once.
-    The count does not depend on the order inside each flag class, but
-    the fill-in does, and descending term order keeps it far lower than
-    first-seen order.
+    content carry over unchanged.  A call only ranks the columns, by
+    their term-order rank under the order-1 key: a term's block orders,
+    then each block's alpha and beta, then its generator, computed in
+    numpy for all new columns at once.
+
+    `dimensions` eliminates once for a whole chain r^1 <= ... <= r^k
+    (componentwise), and `dimension(r)` is a chain of one point.  A
+    column's level is the number of chain boxes that hold it, and its
+    pivot key is level * ncols + rank: the boxes are nested, so every
+    column outside box r^i keys below every column inside it, for every
+    i at once; for one point the level is the in-box flag.  The count
+    does not depend on the order inside each level, but the fill-in
+    does, and descending term order keeps it far lower than first-seen
+    order.
+
+    The rows enter in stages: first the thetas whose block sums fit
+    R_1 = r^1 + slack, then those that fit R_2, and so on; after stage i
+    the pivots of level k - i + 1 and up count the span inside box r^i,
+    which gives the first value at r^i.  The lead set of an echelon
+    depends only on the span, so these values come from exactly the
+    certified rows and equal what one call per point gives.  Then the
+    thetas up to R_k + 1 enter and every count is read again; each must
+    keep its first value.  This confirmation is at least as strong as
+    one step past each R_i, since S_{R_i + 1} is inside S_{R_k + 1} and a
+    box's pivot count only grows with the rows.  The chain's points are
+    read lazily and each is checked against `MAX_BOX` and `MAX_ROWS`, in
+    order, before any row of the chain is built.  A grid of p >= 2 is
+    not one chain: its boxes are not nested, so no column order puts the
+    outside of every box first; `check` walks it as one chain along the
+    last axis per prefix, which keeps its lexicographic order.
     """
 
     def __init__(self, basis: GroebnerBasis):
@@ -214,59 +239,88 @@ class RankOracle:
         self._rank = np.empty(0, dtype=np.int64)
 
     def dimension(self, r: Sequence[int]) -> int:
-        r = tuple(r)
-        if len(r) != self.P.p:
-            raise InputError(f"r has length {len(r)}, expected {self.P.p}")
-        # exact type: bool is an int subclass and floats do not index boxes
-        if any(type(v) is not int for v in r):
-            raise InputError(f"r must consist of integers: {r}")
-        if any(v < 0 for v in r):
-            return 0
-        card_box = weyl_dimension(self.P, r) * self.m
-        if card_box > MAX_BOX:
-            raise InputError(
-                f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
-            )
-        if not self.relations:
-            return card_box
-        bound = tuple(v + qv for v, qv in zip(r, self.slack))
-        confirm = tuple(v + 1 for v in bound)
-        n_rows = weyl_dimension(self.P, confirm) * len(self.relations)
-        if n_rows > MAX_ROWS:
-            raise InputError(
-                f"rank oracle: {n_rows} relation multiples at r={r} are over the "
-                f"budget oracle.MAX_ROWS = {MAX_ROWS}"
-            )
-        # one enumeration at the confirmation bound; the certified rows are
-        # the thetas whose block sums stay within one step less
-        V = box_vectors(self._sizes2, confirm)
-        inner = (np.add.reduceat(V, self._block_starts, axis=1) <= bound).all(axis=1)
-        passes = [
-            [self._multiples(row) for row in map(tuple, V[inner].tolist())],
-            [self._multiples(row) for row in map(tuple, V[~inner].tolist())],
-        ]
-        key = self._pivot_keys(r)
+        """dim M_r, as a chain of one point."""
+        return self.dimensions((r,))[0]
+
+    def dimensions(self, chain: Iterable[Sequence[int]]) -> list[int]:
+        """dim M_r at each point of a chain r^1 <= ... <= r^k, one echelon.
+
+        The points are read and checked lazily, in order: a point that does
+        not follow its predecessor componentwise, or whose box or row count
+        is over a budget, raises before any row of the chain is built.
+        """
+        P, m = self.P, self.m
+        points: list[tuple[int, ...]] = []
+        cards: list[int] = []
+        below = 0  # points with a negative entry: empty boxes, a prefix
+        prev = None
+        for r in chain:
+            r = tuple(r)
+            if len(r) != P.p:
+                raise InputError(f"r has length {len(r)}, expected {P.p}")
+            # exact type: bool is an int subclass and floats do not index boxes
+            if any(type(v) is not int for v in r):
+                raise InputError(f"r must consist of integers: {r}")
+            if prev is not None and any(a > b for a, b in zip(prev, r)):
+                raise InputError(f"chain points must not decrease: {r} follows {prev}")
+            prev = r
+            if any(v < 0 for v in r):
+                below += 1
+                continue
+            card_box = weyl_dimension(P, r) * m
+            if card_box > MAX_BOX:
+                raise InputError(
+                    f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
+                )
+            if self.relations:
+                confirm = tuple(v + qv + 1 for v, qv in zip(r, self.slack))
+                n_rows = weyl_dimension(P, confirm) * len(self.relations)
+                if n_rows > MAX_ROWS:
+                    raise InputError(
+                        f"rank oracle: {n_rows} relation multiples at r={r} are "
+                        f"over the budget oracle.MAX_ROWS = {MAX_ROWS}"
+                    )
+            points.append(r)
+            cards.append(card_box)
+        if not points or not self.relations:
+            return [0] * below + cards
+        k = len(points)
+        bounds = [tuple(v + qv for v, qv in zip(r, self.slack)) for r in points]
+        # one enumeration at the top point's confirmation bound; a theta's
+        # stage is the first point whose certified bound it fits, else k
+        V = box_vectors(self._sizes2, tuple(v + 1 for v in bounds[-1]))
+        sums = np.add.reduceat(V, self._block_starts, axis=1)
+        stage = k - sum((sums <= b).all(axis=1) for b in bounds)
+        stages: list[list] = [[] for _ in range(k + 1)]
+        for theta, s in zip(map(tuple, V.tolist()), stage.tolist()):
+            stages[s].append(self._multiples(theta))
+        key = self._pivot_keys(points)
         ncols = len(key)
         pivots: dict[int, dict[int, int]] = {}
-        in_box_pivots = 0
-        first = None
-        for rows in passes:
+        # pivots per level; the box of points[i] holds the levels k - i and up
+        at_level = [0] * (k + 1)
+
+        def count(i: int) -> int:
+            return cards[i] - sum(at_level[k - i:])
+
+        first = []
+        for s, rows in enumerate(stages):
             for multiples in rows:
                 for cols, coeffs in multiples:
                     lead = self._insert(
                         pivots, {key[c]: v for c, v in zip(cols, coeffs)}
                     )
-                    if lead >= ncols:
-                        in_box_pivots += 1
-            value = card_box - in_box_pivots
-            if first is None:
-                first = value
-            elif value != first:
+                    if lead >= 0:
+                        at_level[lead // ncols] += 1
+            if s < k:
+                first.append(count(s))
+        for i, r in enumerate(points):
+            if count(i) != first[i]:
                 raise VerificationError(
-                    f"rank at r={r} dropped from {first} to {value} past "
+                    f"rank at r={r} dropped from {first[i]} to {count(i)} past "
                     "the certified bound"
                 )
-        return first
+        return [0] * below + first
 
     def _multiples(self, packed: tuple[int, ...]) -> tuple:
         """Rows theta*g for every relation g, as primitive integer rows."""
@@ -309,8 +363,9 @@ class RankOracle:
             cols.append(c)
         return tuple(cols), coeffs
 
-    def _pivot_keys(self, r: tuple[int, ...]) -> list[int]:
-        """Per column id: its term-order rank, plus ncols if it lies in box r."""
+    def _pivot_keys(self, chain: Sequence[tuple[int, ...]]) -> list[int]:
+        """Per column id: its term-order rank, plus ncols times its level,
+        the number of the chain's boxes that hold it."""
         if self._new_terms:
             exps = np.array(
                 [alpha + beta for _, (alpha, beta) in self._new_terms], dtype=np.int64
@@ -328,8 +383,9 @@ class RankOracle:
             self._rank[order] = np.arange(len(order))
         ncols = len(self._rank)
         # the order-1 key opens with the block orders ord_1, ..., ord_p
-        flag = (self._keys[:, : self.P.p] <= r).all(axis=1)
-        return (self._rank + flag * ncols).tolist()
+        orders = self._keys[:, : self.P.p]
+        level = sum((orders <= r).all(axis=1) for r in chain)
+        return (self._rank + level * ncols).tolist()
 
     @staticmethod
     def _insert(pivots: dict, row: dict) -> int:

@@ -381,6 +381,17 @@ class TestCli:
         assert out.stdout == ""
         assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
 
+    def test_check_walks_a_huge_grid_lazily(self, tmp_path):
+        # a grid of 10^18 points: only the points up to the refused
+        # (0, 140) are ever generated
+        doc = {"n": 2, "partition": [1, 1], "m": 1, "relations": []}
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli_capped(["check", str(path), "--rmax", "1000000000"])
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
+
     def test_check_stops_at_row_budget(self, capsys, monkeypatch, ex_file):
         # a budget of exactly the rows at (0, 0) refuses the next point
         first = RankOracle(dimension_polynomial(load_presentation(ex_file)).basis)

@@ -197,6 +197,93 @@ class TestColumnGrowth:
                 ), label
 
 
+def chains_of(p: int, rmax: int) -> list[list[tuple[int, ...]]]:
+    """{0..rmax}^p in lexicographic order, as chains along the last axis,
+    then the diagonal and a staircase that repeats a point."""
+    lines = [
+        [head + (v,) for v in range(rmax + 1)]
+        for head in itertools.product(range(rmax + 1), repeat=p - 1)
+    ]
+    diagonal = [(v,) * p for v in range(rmax + 1)]
+    stairs = [(0,) * p]
+    for axis in range(p):
+        for _ in range(rmax):
+            top = list(stairs[-1])
+            top[axis] += 1
+            stairs.append(tuple(top))
+    stairs.insert(1, stairs[1])
+    return lines + [diagonal, stairs]
+
+
+class TestChains:
+    def test_chain_equals_point_calls(self):
+        for label, pres in corpus_presentations():
+            assert pres.P.p in (1, 2, 3), label
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            single = RankOracle(G)
+            expect = {r: single.dimension(r) for r in grid(pres.P.p, 0, 2)}
+            # one oracle over many chains, so columns are added between them
+            oracle = RankOracle(G)
+            for chain in chains_of(pres.P.p, 2):
+                values = oracle.dimensions(chain)
+                assert values == [expect[r] for r in chain], (label, chain)
+            assert_oracle_keys(oracle)
+
+    def test_one_point_chain_is_a_point_call(self):
+        oracle = x1_module_oracle()
+        assert oracle.dimensions([(3,)]) == [oracle.dimension((3,))] == [4]
+        assert oracle.dimensions([]) == []
+
+    def test_negative_points_lead_the_chain(self):
+        oracle = x1_module_oracle()
+        assert oracle.dimensions([(-3,), (-1,), (0,), (2,)]) == [0, 0, 1, 3]
+
+    def test_understated_slack_is_reported_at_the_first_point(self):
+        # the confirmation at the top bound adds x1*e1 to every box of the
+        # chain; the first point whose count drops is named
+        oracle = x1_module_oracle()
+        oracle.slack = (-3,)
+        with pytest.raises(VerificationError) as err:
+            oracle.dimensions([(1,), (2,)])
+        assert str(err.value) == (
+            "rank at r=(1,) dropped from 3 to 2 past the certified bound"
+        )
+
+    def test_non_chain_is_refused_before_any_row(self):
+        oracle = RankOracle(two_block_basis())
+        with pytest.raises(InputError) as err:
+            oracle.dimensions([(0, 0), (0, 1), (1, 0)])
+        assert str(err.value) == "chain points must not decrease: (1, 0) follows (0, 1)"
+        assert not oracle._rows and not oracle._col
+
+    def test_budgets_in_chain_order(self, monkeypatch):
+        # a budget of exactly the rows at (0, 0) refuses the next point of
+        # the chain before any row is built
+        G = two_block_basis()
+        first = RankOracle(G)
+        first.dimension((0, 0))
+        rows = sum(map(len, first._rows.values()))
+        monkeypatch.setattr(oracle_module, "MAX_ROWS", rows)
+        oracle = RankOracle(G)
+        with pytest.raises(InputError, match=r"at r=\(0, 1\) are over the budget"):
+            oracle.dimensions([(0, 0), (0, 1), (0, 2)])
+        assert not oracle._rows and not oracle._col
+
+    def test_points_are_read_lazily(self):
+        # an endless chain stops at the first box over the cap
+        oracle = RankOracle(complete_basis([], Partition((1,)), m=1))
+        read = []
+
+        def endless():
+            for v in itertools.count():
+                read.append(v)
+                yield (v,)
+
+        with pytest.raises(InputError, match="box of size 10011 exceeds"):
+            oracle.dimensions(endless())
+        assert read[-1] == 140 and len(read) == 141
+
+
 def rebased(G: GroebnerBasis, **change) -> GroebnerBasis:
     """G's elements with its relations and multiplier bound replaced."""
     fields = {"relations": G.relations, "multiplier_bound": G.multiplier_bound}
@@ -280,7 +367,7 @@ class TestShiftedRows:
                 assert {term_of[c]: v for c, v in zip(cols, coeffs)} == ref_multiple(
                     theta, g
                 )
-        oracle._pivot_keys((0,) * P.p)
+        oracle._pivot_keys([(0,) * P.p])
         assert_oracle_keys(oracle)
 
     def test_one_expansion_per_d_part(self, monkeypatch):
