@@ -10,21 +10,15 @@ from .errors import (
 from .weyl import (
     ExponentPair,
     Partition,
-    WeylElement,
-    element_orders,
     monomial_orders,
     weyl_dimension,
-    weyl_mul,
 )
 from .terms import (
     GammaTerm,
     ModuleElement,
     Term,
-    act,
-    gamma_divides,
     leader,
     rho,
-    term_compare,
     term_divides,
     term_lcm,
 )
@@ -32,7 +26,6 @@ from .groebner import (
     GroebnerBasis,
     complete_basis,
     is_groebner,
-    is_reduced,
     membership,
     multi_reduce,
     s_element,
@@ -55,13 +48,8 @@ from .engine import (
     count_grid,
     count_UVW,
     dimension_polynomial,
-    is_holonomic,
 )
-from .oracle import (
-    RankOracle,
-    enum_V_A,
-    naive_weyl_mul,
-)
+from .oracle import RankOracle
 
 __version__ = "0.1.0"
 
@@ -83,35 +71,25 @@ __all__ = [
     "Term",
     "VerificationError",
     "WeylDimError",
-    "WeylElement",
     "ZeroElementError",
-    "act",
     "bernstein_inequality_check",
     "bernstein_polynomial",
     "complete_basis",
     "count_grid",
     "count_UVW",
     "dimension_polynomial",
-    "element_orders",
-    "enum_V_A",
-    "gamma_divides",
     "interpolate",
     "invariant_set",
     "is_groebner",
-    "is_holonomic",
-    "is_reduced",
     "leader",
     "membership",
     "minimize",
     "monomial_orders",
     "multi_reduce",
-    "naive_weyl_mul",
     "omega",
     "rho",
     "s_element",
-    "term_compare",
     "term_divides",
     "term_lcm",
     "weyl_dimension",
-    "weyl_mul",
 ]

@@ -43,7 +43,7 @@ from .numpoly import (
     omega,
     shift_coeffs,
 )
-from .terms import ModuleElement, term_lcm
+from .terms import ModuleElement, check_rank, term_lcm
 from .weyl import ExponentPair, Partition, weyl_dimension
 
 # Most times `dimension_polynomial` moves its sample grid one step outwards
@@ -60,8 +60,7 @@ class Presentation:
     relations: tuple[ModuleElement, ...]
 
     def __post_init__(self):
-        if self.m < 1:
-            raise InputError(f"module rank must be >= 1, got {self.m}")
+        check_rank(self.m)
         for f in self.relations:
             if (f.n, f.m) != (self.P.n, self.m):
                 raise InputError("relation shape does not match the presentation")
@@ -332,11 +331,6 @@ def bernstein_polynomial(pres: Presentation) -> BernsteinReport:
     if e.denominator != 1:
         raise VerificationError(f"multiplicity {e} is not an integer")
     return BernsteinReport(psi, d, int(e), rep)
-
-
-def is_holonomic(report: DimensionReport) -> bool:
-    """Degree criterion: the total degree equals the number of variables."""
-    return report.holonomic
 
 
 def bernstein_inequality_check(report: DimensionReport, r: Sequence[int]) -> bool:

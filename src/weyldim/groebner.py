@@ -75,6 +75,7 @@ from .terms import (
     ModuleElement,
     Term,
     block_orders,
+    check_rank,
     leader,
     leader_term,
     rho,
@@ -228,20 +229,6 @@ def _eligible(w: Term, tail: tuple, r: _Reducer, caps: Sequence[int]) -> bool:
         and all(map(le, r.beta, w.theta.beta))
         and all(b + s <= cap for b, s, cap in zip(tail, r.slack, caps))
     )
-
-
-def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool:
-    """True when no term of f is eliminable by g at stage r."""
-    _check_stage(r, P, f.n)
-    f._check_compat(g)
-    if f.is_zero():
-        return True
-    if g.is_zero():
-        raise ZeroElementError("reduction against the zero element")
-    red = _reducer(g, r, P)
-    tails = {w: _term_orders(w, r, P)[1] for w in f.terms}
-    caps = _caps(tails.values())
-    return not any(_eligible(w, tail, red, caps) for w, tail in tails.items())
 
 
 def multi_reduce(
@@ -454,6 +441,7 @@ class GroebnerBasis:
         relations: Sequence[ModuleElement] | None = None,
         multiplier_bound: Vector | None = None,
     ):
+        check_rank(m)
         self.P = P
         self.m = m
         self.n = P.n
@@ -552,6 +540,8 @@ def complete_basis(
     is a basis always passes: a core element dominating g covers every
     leader g covers.  Every element is returned, the dropped ones too.
     """
+    if m is not None:
+        check_rank(m)
     gens = [g for g in generators if not g.is_zero()]
     if m is None:
         if not gens:
@@ -615,6 +605,10 @@ def membership(f: ModuleElement, G: GroebnerBasis) -> bool:
     """Whether f lies in the submodule generated by the basis."""
     if not G.fully_certified():
         raise InputError("membership needs a basis certified for all stages")
+    if (f.n, f.m) != (G.n, G.m):
+        raise InputError(
+            f"element of A_{f.n}^{f.m} tested against a basis of A_{G.n}^{G.m}"
+        )
     if f.is_zero():
         return True
     if not G.elements:

@@ -193,25 +193,6 @@ def class_table(
     return V, weights
 
 
-def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
-    """Rows of V that componentwise dominate no row of A."""
-    if A.shape[0] == 0:
-        return int(V.shape[0])
-    if V.shape[0] == 0:
-        return 0
-    count = 0
-    # rows per chunk shrink with the leaders, and columns are compared one
-    # at a time, so temporaries stay at 2^22 row-leader cells
-    chunk = max(1, (1 << 22) // A.shape[0])
-    for lo in range(0, V.shape[0], chunk):
-        part = V[lo:lo + chunk]
-        dom = np.ones((part.shape[0], A.shape[0]), dtype=bool)
-        for x in range(A.shape[1]):
-            dom &= part[:, x, None] >= A[None, :, x]
-        count += int((~dom.any(axis=1)).sum())
-    return count
-
-
 def classify_box(V, BS, L, SL, points, weights) -> tuple[np.ndarray, np.ndarray]:
     """Split weighted box rows into staircase complement and overshoot counts.
 

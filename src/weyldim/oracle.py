@@ -1,22 +1,20 @@
-"""Independent brute-force oracles used to cross-check the fast paths.
+"""An independent rank oracle for dim M_r, used to cross-check the engine.
 
-naive_weyl_mul rewrites words one commutator swap at a time; enum_V_A
-counts lattice points directly; RankOracle measures dim M_r by exact
-row reduction of relation multiples, kept as integer rows over integer
-column ids.  A multiple x^a d^b * g is the expansion of d^b * g with a
-added to every term's alpha, so each d-part b is expanded once and
-every multiplier sharing it is a shift; the term-order keys of new
-columns are read off their exponents in numpy.  One echelon serves a
-whole chain r^1 <= ... <= r^k of bounds: its row families are nested,
-and so are its boxes.  The counted value never touches the closed-form
-or Groebner code paths; a completed basis, supplied by the caller, is
-consulted only for its input relations and for the multiplier-order
-bound that makes the row family provably sufficient, and a final pass
-one step past the top bound re-checks every count.
+RankOracle measures dim M_r by exact row reduction of relation
+multiples, kept as integer rows over integer column ids.  A multiple
+x^a d^b * g is the expansion of d^b * g with a added to every term's
+alpha, so each d-part b is expanded once and every multiplier sharing
+it is a shift; the term-order keys of new columns are read off their
+exponents in numpy.  One echelon serves a whole chain r^1 <= ... <= r^k
+of bounds: its row families are nested, and so are its boxes.  The
+counted value never touches the closed-form or Groebner code paths; a
+completed basis, supplied by the caller, is consulted only for its
+input relations and for the multiplier-order bound that makes the row
+family provably sufficient, and a final pass one step past the top
+bound re-checks every count.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 from typing import Iterable, Sequence
@@ -25,12 +23,9 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis
-from .kernels import box_vectors, count_not_dominated
-from .numpoly import IndexSet
+from .kernels import box_vectors
 from .terms import ModuleElement
-from .weyl import ExponentPair, Partition, WeylElement, mono_mul, weyl_dimension
-
-_NAIVE_BUDGET = 8
+from .weyl import ExponentPair, Partition, mono_mul, weyl_dimension
 
 # Most box terms (the box size times the module rank) `RankOracle` ranks.
 MAX_BOX = 10**4
@@ -39,82 +34,6 @@ MAX_BOX = 10**4
 # point of a `RankOracle.dimensions` chain may need; the chain builds and
 # eliminates those of its top point.
 MAX_ROWS = 1 << 19
-
-
-def _word_of(theta: ExponentPair) -> tuple:
-    alpha, beta = theta
-    word = []
-    for i, e in enumerate(alpha):
-        word.extend([("x", i)] * e)
-    for i, e in enumerate(beta):
-        word.extend([("d", i)] * e)
-    return tuple(word)
-
-
-def _first_inversion(word: tuple) -> int:
-    for k in range(len(word) - 1):
-        if word[k][0] == "d" and word[k + 1][0] == "x":
-            return k
-    return -1
-
-
-def naive_weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
-    """Product computed by single commutator swaps on generator words.
-
-    Deliberately naive; inputs are capped at combined total degree 8.
-    """
-    if d1.n != d2.n:
-        raise InputError(f"mixed variable counts: {d1.n} vs {d2.n}")
-    n = d1.n
-
-    def degree(D: WeylElement) -> int:
-        return max(
-            (sum(a) + sum(b) for a, b in D.terms), default=0
-        )
-
-    if degree(d1) + degree(d2) > _NAIVE_BUDGET:
-        raise InputError(
-            f"naive product limited to combined degree {_NAIVE_BUDGET}"
-        )
-    pending: list[tuple[tuple, Fraction]] = []
-    for t1, c1 in d1.terms.items():
-        for t2, c2 in d2.terms.items():
-            pending.append((_word_of(t1) + _word_of(t2), c1 * c2))
-    acc: dict[ExponentPair, Fraction] = {}
-    while pending:
-        word, c = pending.pop()
-        k = _first_inversion(word)
-        if k < 0:
-            alpha = [0] * n
-            beta = [0] * n
-            for kind, i in word:
-                if kind == "x":
-                    alpha[i] += 1
-                else:
-                    beta[i] += 1
-            key = ExponentPair(tuple(alpha), tuple(beta))
-            s = acc.get(key, Fraction(0)) + c
-            if s == 0:
-                acc.pop(key, None)
-            else:
-                acc[key] = s
-            continue
-        d_sym, x_sym = word[k], word[k + 1]
-        swapped = word[:k] + (x_sym, d_sym) + word[k + 2:]
-        pending.append((swapped, c))
-        if d_sym[1] == x_sym[1]:
-            pending.append((word[:k] + word[k + 2:], c))
-    return WeylElement(n, acc)
-
-
-def enum_V_A(A: IndexSet, r: Sequence[int]) -> int:
-    """Count v in N^q with blockwise sums <= r dominating no point of A."""
-    r = tuple(r)
-    if len(r) != A.p:
-        raise InputError(f"r has length {len(r)}, expected {A.p}")
-    V = box_vectors(A.partition, r)
-    pts = np.array(sorted(A.points), dtype=np.int64).reshape(len(A.points), A.q)
-    return count_not_dominated(V, pts)
 
 
 def _unpack_row(row: tuple[int, ...], P: Partition) -> ExponentPair:

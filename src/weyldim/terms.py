@@ -17,10 +17,8 @@ from .weyl import (
     ExponentPair,
     Partition,
     Vector,
-    WeylElement,
     _check_vector,
     block_orders,
-    mono_mul,
     vsub,
 )
 
@@ -62,12 +60,6 @@ def term_key(i: int, t: Term, P: Partition):
     return monomial_key(i, t.theta, P) + (t.gen,)
 
 
-def term_compare(i: int, u: Term, v: Term, P: Partition) -> int:
-    """-1, 0, or 1 as u is below, equal to, or above v in the i-th order."""
-    ku, kv = term_key(i, u, P), term_key(i, v, P)
-    return (ku > kv) - (ku < kv)
-
-
 def term_divides(v: Term, u: Term) -> ExponentPair | None:
     """Quotient monomial theta with theta * v = u commutatively, else None.
 
@@ -91,6 +83,13 @@ def term_lcm(u: Term, v: Term) -> Term | None:
     return Term(u.gen, ExponentPair(alpha, beta))
 
 
+def check_rank(m) -> None:
+    """Reject a free module rank that is not an int >= 1."""
+    # exact type: bool is an int subclass and floats do not count
+    if type(m) is not int or m < 1:
+        raise InputError(f"free module rank must be an integer >= 1, got {m!r}")
+
+
 class ModuleElement:
     """A finite rational combination of terms of A_n^m.
 
@@ -107,8 +106,10 @@ class ModuleElement:
     __slots__ = ("n", "m", "terms", "_memo")
 
     def __init__(self, n: int, m: int, terms: Mapping[Term, Fraction] | Iterable):
-        if m < 1:
-            raise InputError(f"free module rank must be >= 1, got {m}")
+        # exact type: bool is an int subclass and floats do not count
+        if type(n) is not int or n < 1:
+            raise InputError(f"variable count must be an integer >= 1, got {n!r}")
+        check_rank(m)
         if isinstance(terms, Mapping):
             items = terms.items()
         else:
@@ -254,25 +255,6 @@ def leader_term(f: ModuleElement, i: int, P: Partition) -> Term:
     return leader(f, i, P)[0]
 
 
-def act(D: WeylElement, f: ModuleElement) -> ModuleElement:
-    """Module action of an algebra element, componentwise on generators."""
-    if D.n != f.n:
-        raise InputError(f"mixed variable counts: {D.n} vs {f.n}")
-    acc: dict[Term, Fraction] = {}
-    for theta_d, cd in D.terms.items():
-        for (gen, theta_f), cf in f.terms.items():
-            c = cd * cf
-            for key, w in mono_mul(theta_d, theta_f):
-                t = Term(gen, key)
-                s = acc.get(t)
-                s = c * w if s is None else s + c * w
-                if s:
-                    acc[t] = s
-                else:
-                    del acc[t]
-    return ModuleElement._trusted(f.n, f.m, acc)
-
-
 def rho(f: ModuleElement, P: Partition) -> GammaTerm:
     """Shape datum: per-order leader gaps d_i plus the first leader."""
     head = leader_term(f, 1, P)
@@ -282,12 +264,3 @@ def rho(f: ModuleElement, P: Partition) -> GammaTerm:
         ui = leader_term(f, i, P)
         d.append(block_orders(ui.theta, P)[i - 1] - base[i - 1])
     return GammaTerm(tuple(d), head)
-
-
-def gamma_divides(g: GammaTerm, f: GammaTerm) -> bool:
-    """Divisibility of shape data: heads divide, gaps componentwise <=."""
-    if len(g.d) != len(f.d):
-        raise InputError("shape data from different partitions")
-    if term_divides(g.head, f.head) is None:
-        return False
-    return all(x <= y for x, y in zip(g.d, f.d))

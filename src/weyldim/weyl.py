@@ -1,21 +1,23 @@
-"""Exact arithmetic in the Weyl algebra A_n over the rationals.
+"""Partitions, normal monomials and their products in the Weyl algebra A_n.
 
-Elements are kept in normal form: finite sums c * x^alpha * d^beta with
-the x factors written before the d factors.  A Partition groups the n
-variables into p consecutive blocks; every grading in the package is
-taken blockwise with x_i and d_i weighted equally.
+A normal monomial x^alpha d^beta writes the x factors before the d
+factors.  `mono_mul` expands the product of two of them in that normal
+form, with integer weights; every product the package forms goes
+through it.  A Partition groups the n variables into p consecutive
+blocks; every grading in the package is taken blockwise with x_i and d_i
+weighted equally, and `weyl_dimension` counts the monomials within
+blockwise bounds.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
 from operator import add, sub
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
-from .errors import InputError, ZeroElementError
+from .errors import InputError
 
 Vector = tuple[int, ...]
 
@@ -62,15 +64,6 @@ class Partition:
             out.append((start, start + s))
             start += s
         return tuple(out)
-
-    def block_of(self, i: int) -> int:
-        """Block index (0-based) containing variable i (0-based)."""
-        if not 0 <= i < self.n:
-            raise InputError(f"variable index {i} out of range for n={self.n}")
-        for j, (a, b) in enumerate(self.blocks):
-            if a <= i < b:
-                return j
-        raise AssertionError("unreachable")
 
     def collapse(self) -> "Partition":
         """The single-block partition (n,) of the same variables."""
@@ -138,173 +131,6 @@ def mono_mul(t1: ExponentPair, t2: ExponentPair) -> list[tuple[ExponentPair, int
         (ExponentPair(tuple(map(sub, alpha, k)), tuple(map(sub, beta, k))), c)
         for k, c in swaps
     ]
-
-
-class WeylElement:
-    """A finite rational combination of normal monomials in A_n.
-
-    The public constructor validates and merges its input.  Internally
-    built elements go through `_trusted`, which wraps a dict that is
-    already clean: every key an `ExponentPair` of two length-n vectors of
-    nonnegative ints, every value a nonzero `Fraction`.  Arithmetic on
-    valid elements keeps that invariant, so it skips the checks.
-    """
-
-    __slots__ = ("n", "terms")
-
-    def __init__(self, n: int, terms: Mapping[ExponentPair, Fraction] | Iterable):
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
-        clean: dict[ExponentPair, Fraction] = {}
-        for key, c in items:
-            c = Fraction(c)
-            if c == 0:
-                continue
-            alpha = _check_vector(key[0], n, "alpha")
-            beta = _check_vector(key[1], n, "beta")
-            k = ExponentPair(alpha, beta)
-            c = clean.get(k, Fraction(0)) + c
-            if c == 0:
-                clean.pop(k, None)
-            else:
-                clean[k] = c
-        self.n = n
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, n: int, terms: dict[ExponentPair, Fraction]) -> "WeylElement":
-        """Wrap a clean term dict (see the class docstring) without checks."""
-        self = object.__new__(cls)
-        self.n = n
-        self.terms = terms
-        return self
-
-    @classmethod
-    def zero(cls, n: int) -> "WeylElement":
-        return cls(n, {})
-
-    @classmethod
-    def one(cls, n: int) -> "WeylElement":
-        z = (0,) * n
-        return cls(n, {ExponentPair(z, z): Fraction(1)})
-
-    @classmethod
-    def monomial(cls, n: int, alpha, beta, coeff=1) -> "WeylElement":
-        return cls(n, {ExponentPair(tuple(alpha), tuple(beta)): Fraction(coeff)})
-
-    @classmethod
-    def x(cls, i: int, n: int) -> "WeylElement":
-        a = tuple(1 if j == i else 0 for j in range(n))
-        return cls.monomial(n, a, (0,) * n)
-
-    @classmethod
-    def d(cls, i: int, n: int) -> "WeylElement":
-        b = tuple(1 if j == i else 0 for j in range(n))
-        return cls.monomial(n, (0,) * n, b)
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.n == other.n
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
-
-    def __add__(self, other: "WeylElement") -> "WeylElement":
-        self._check_compat(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = acc.get(k)
-            s = c if s is None else s + c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return WeylElement._trusted(self.n, acc)
-
-    def __neg__(self) -> "WeylElement":
-        return WeylElement._trusted(self.n, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "WeylElement") -> "WeylElement":
-        self._check_compat(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = acc.get(k)
-            s = -c if s is None else s - c
-            if s:
-                acc[k] = s
-            else:
-                del acc[k]
-        return WeylElement._trusted(self.n, acc)
-
-    def scale(self, c) -> "WeylElement":
-        c = Fraction(c)
-        if c == 0:
-            return WeylElement.zero(self.n)
-        return WeylElement._trusted(self.n, {k: c * v for k, v in self.terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, WeylElement):
-            return weyl_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalar on the left only; algebra products must use weyl_mul order
-        return self.scale(other)
-
-    def _check_compat(self, other: "WeylElement"):
-        if self.n != other.n:
-            raise InputError(f"mixed variable counts: {self.n} vs {other.n}")
-
-    def __repr__(self):
-        if self.is_zero():
-            return "WeylElement(0)"
-        bits = []
-        for (alpha, beta), c in sorted(self.terms.items()):
-            xs = "".join(f"x{i+1}^{e}" for i, e in enumerate(alpha) if e)
-            ds = "".join(f"d{i+1}^{e}" for i, e in enumerate(beta) if e)
-            bits.append(f"{c}*{xs or ''}{ds or ''}" if (xs or ds) else f"{c}")
-        return "WeylElement(" + " + ".join(bits) + ")"
-
-
-def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
-    """Noncommutative product, result in normal form."""
-    d1._check_compat(d2)
-    acc: dict[ExponentPair, Fraction] = {}
-    for t1, c1 in d1.terms.items():
-        for t2, c2 in d2.terms.items():
-            c12 = c1 * c2
-            for key, w in mono_mul(t1, t2):
-                s = acc.get(key)
-                s = c12 * w if s is None else s + c12 * w
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
-    return WeylElement._trusted(d1.n, acc)
-
-
-def element_orders(D: WeylElement, P: Partition) -> tuple[int, Vector]:
-    """Total and blockwise orders of a nonzero element, maxima over support."""
-    if D.is_zero():
-        raise ZeroElementError("order of the zero element is undefined")
-    if P.n != D.n:
-        raise InputError(f"partition covers {P.n} variables, element has {D.n}")
-    total = 0
-    per_block = [0] * P.p
-    for theta in D.terms:
-        t, bo = monomial_orders(theta, P)
-        total = max(total, t)
-        for j, v in enumerate(bo):
-            per_block[j] = max(per_block[j], v)
-    return total, tuple(per_block)
 
 
 def weyl_dimension(P: Partition, r: Vector) -> int:

@@ -1,4 +1,9 @@
-"""Shared builders for the test suite.
+"""Shared builders and independent references for the test suite.
+
+The references (rational monomial polynomials, a rational Weyl algebra,
+a word-rewriting product, brute-force counts) are defined here and not in
+a module of their own: perfbench's tests load this file by path, with only
+`perfbench/` and `src/` importable.
 
 Everything random is seeded so the suite is reproducible; the corpus
 builders reroll any draw that presents the zero module.
@@ -13,12 +18,14 @@ import sys
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, gcd, lcm
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
+import numpy as np
 from hypothesis import settings
 
 from weyldim import (
     ExponentPair,
+    GammaTerm,
     IndexSet,
     InputError,
     ModuleElement,
@@ -26,14 +33,17 @@ from weyldim import (
     Partition,
     Presentation,
     Term,
-    WeylElement,
+    ZeroElementError,
     complete_basis,
     count_UVW,
     minimize,
+    term_divides,
 )
+from weyldim.groebner import _caps, _check_stage, _eligible, _reducer, _term_orders
+from weyldim.kernels import box_vectors
 from weyldim.numpoly import Index, MonoPoly
-from weyldim.terms import act, term_key
-from weyldim.weyl import mono_mul
+from weyldim.terms import term_key
+from weyldim.weyl import _check_vector, mono_mul
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -186,6 +196,310 @@ def ref_monomial_view(f: NumericalPolynomial) -> MonoPoly:
                 term = mp_mul(term, shifted_binomial(f.p, axis, i, i))
         acc = mp_add(acc, term)
     return acc
+
+
+# ------------------------------------------------------ algebra references
+#
+# The library multiplies only monomials (`weyl.mono_mul`).  The rational
+# Weyl algebra below, its module action and the brute-force counts are
+# the independent references the tests compare it against.
+
+
+class WeylElement:
+    """A finite rational combination of normal monomials in A_n.
+
+    The public constructor validates and merges its input.  Internally
+    built elements go through `_trusted`, which wraps a dict that is
+    already clean: every key an `ExponentPair` of two length-n vectors of
+    nonnegative ints, every value a nonzero `Fraction`.  Arithmetic on
+    valid elements keeps that invariant, so it skips the checks.
+    """
+
+    __slots__ = ("n", "terms")
+
+    def __init__(self, n: int, terms: Mapping[ExponentPair, Fraction] | Iterable):
+        if isinstance(terms, Mapping):
+            items = terms.items()
+        else:
+            items = terms
+        clean: dict[ExponentPair, Fraction] = {}
+        for key, c in items:
+            c = Fraction(c)
+            if c == 0:
+                continue
+            alpha = _check_vector(key[0], n, "alpha")
+            beta = _check_vector(key[1], n, "beta")
+            k = ExponentPair(alpha, beta)
+            c = clean.get(k, Fraction(0)) + c
+            if c == 0:
+                clean.pop(k, None)
+            else:
+                clean[k] = c
+        self.n = n
+        self.terms = clean
+
+    @classmethod
+    def _trusted(cls, n: int, terms: dict[ExponentPair, Fraction]) -> "WeylElement":
+        """Wrap a clean term dict (see the class docstring) without checks."""
+        self = object.__new__(cls)
+        self.n = n
+        self.terms = terms
+        return self
+
+    @classmethod
+    def zero(cls, n: int) -> "WeylElement":
+        return cls(n, {})
+
+    @classmethod
+    def one(cls, n: int) -> "WeylElement":
+        z = (0,) * n
+        return cls(n, {ExponentPair(z, z): Fraction(1)})
+
+    @classmethod
+    def monomial(cls, n: int, alpha, beta, coeff=1) -> "WeylElement":
+        return cls(n, {ExponentPair(tuple(alpha), tuple(beta)): Fraction(coeff)})
+
+    @classmethod
+    def x(cls, i: int, n: int) -> "WeylElement":
+        a = tuple(1 if j == i else 0 for j in range(n))
+        return cls.monomial(n, a, (0,) * n)
+
+    @classmethod
+    def d(cls, i: int, n: int) -> "WeylElement":
+        b = tuple(1 if j == i else 0 for j in range(n))
+        return cls.monomial(n, (0,) * n, b)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return (
+            isinstance(other, WeylElement)
+            and self.n == other.n
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.n, frozenset(self.terms.items())))
+
+    def __add__(self, other: "WeylElement") -> "WeylElement":
+        self._check_compat(other)
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            s = acc.get(k)
+            s = c if s is None else s + c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return WeylElement._trusted(self.n, acc)
+
+    def __neg__(self) -> "WeylElement":
+        return WeylElement._trusted(self.n, {k: -c for k, c in self.terms.items()})
+
+    def __sub__(self, other: "WeylElement") -> "WeylElement":
+        self._check_compat(other)
+        acc = dict(self.terms)
+        for k, c in other.terms.items():
+            s = acc.get(k)
+            s = -c if s is None else s - c
+            if s:
+                acc[k] = s
+            else:
+                del acc[k]
+        return WeylElement._trusted(self.n, acc)
+
+    def scale(self, c) -> "WeylElement":
+        c = Fraction(c)
+        if c == 0:
+            return WeylElement.zero(self.n)
+        return WeylElement._trusted(self.n, {k: c * v for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if isinstance(other, WeylElement):
+            return weyl_mul(self, other)
+        return self.scale(other)
+
+    def __rmul__(self, other):
+        # scalar on the left only; algebra products must use weyl_mul order
+        return self.scale(other)
+
+    def _check_compat(self, other: "WeylElement"):
+        if self.n != other.n:
+            raise InputError(f"mixed variable counts: {self.n} vs {other.n}")
+
+    def __repr__(self):
+        if self.is_zero():
+            return "WeylElement(0)"
+        bits = []
+        for (alpha, beta), c in sorted(self.terms.items()):
+            xs = "".join(f"x{i+1}^{e}" for i, e in enumerate(alpha) if e)
+            ds = "".join(f"d{i+1}^{e}" for i, e in enumerate(beta) if e)
+            bits.append(f"{c}*{xs or ''}{ds or ''}" if (xs or ds) else f"{c}")
+        return "WeylElement(" + " + ".join(bits) + ")"
+
+
+def weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
+    """Noncommutative product, result in normal form."""
+    d1._check_compat(d2)
+    acc: dict[ExponentPair, Fraction] = {}
+    for t1, c1 in d1.terms.items():
+        for t2, c2 in d2.terms.items():
+            c12 = c1 * c2
+            for key, w in mono_mul(t1, t2):
+                s = acc.get(key)
+                s = c12 * w if s is None else s + c12 * w
+                if s:
+                    acc[key] = s
+                else:
+                    del acc[key]
+    return WeylElement._trusted(d1.n, acc)
+
+
+def act(D: WeylElement, f: ModuleElement) -> ModuleElement:
+    """Module action of an algebra element, componentwise on generators."""
+    if D.n != f.n:
+        raise InputError(f"mixed variable counts: {D.n} vs {f.n}")
+    acc: dict[Term, Fraction] = {}
+    for theta_d, cd in D.terms.items():
+        for (gen, theta_f), cf in f.terms.items():
+            c = cd * cf
+            for key, w in mono_mul(theta_d, theta_f):
+                t = Term(gen, key)
+                s = acc.get(t)
+                s = c * w if s is None else s + c * w
+                if s:
+                    acc[t] = s
+                else:
+                    del acc[t]
+    return ModuleElement._trusted(f.n, f.m, acc)
+
+
+def term_compare(i: int, u: Term, v: Term, P: Partition) -> int:
+    """-1, 0, or 1 as u is below, equal to, or above v in the i-th order."""
+    ku, kv = term_key(i, u, P), term_key(i, v, P)
+    return (ku > kv) - (ku < kv)
+
+
+def gamma_divides(g: GammaTerm, f: GammaTerm) -> bool:
+    """Divisibility of shape data: heads divide, gaps componentwise <=."""
+    if len(g.d) != len(f.d):
+        raise InputError("shape data from different partitions")
+    if term_divides(g.head, f.head) is None:
+        return False
+    return all(x <= y for x, y in zip(g.d, f.d))
+
+
+def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool:
+    """True when no term of f is eliminable by g at stage r."""
+    _check_stage(r, P, f.n)
+    f._check_compat(g)
+    if f.is_zero():
+        return True
+    if g.is_zero():
+        raise ZeroElementError("reduction against the zero element")
+    red = _reducer(g, r, P)
+    tails = {w: _term_orders(w, r, P)[1] for w in f.terms}
+    caps = _caps(tails.values())
+    return not any(_eligible(w, tail, red, caps) for w, tail in tails.items())
+
+
+_NAIVE_BUDGET = 8
+
+
+def _word_of(theta: ExponentPair) -> tuple:
+    alpha, beta = theta
+    word = []
+    for i, e in enumerate(alpha):
+        word.extend([("x", i)] * e)
+    for i, e in enumerate(beta):
+        word.extend([("d", i)] * e)
+    return tuple(word)
+
+
+def _first_inversion(word: tuple) -> int:
+    for k in range(len(word) - 1):
+        if word[k][0] == "d" and word[k + 1][0] == "x":
+            return k
+    return -1
+
+
+def naive_weyl_mul(d1: WeylElement, d2: WeylElement) -> WeylElement:
+    """Product computed by single commutator swaps on generator words.
+
+    Deliberately naive; inputs are capped at combined total degree 8.
+    """
+    if d1.n != d2.n:
+        raise InputError(f"mixed variable counts: {d1.n} vs {d2.n}")
+    n = d1.n
+
+    def degree(D: WeylElement) -> int:
+        return max(
+            (sum(a) + sum(b) for a, b in D.terms), default=0
+        )
+
+    if degree(d1) + degree(d2) > _NAIVE_BUDGET:
+        raise InputError(
+            f"naive product limited to combined degree {_NAIVE_BUDGET}"
+        )
+    pending: list[tuple[tuple, Fraction]] = []
+    for t1, c1 in d1.terms.items():
+        for t2, c2 in d2.terms.items():
+            pending.append((_word_of(t1) + _word_of(t2), c1 * c2))
+    acc: dict[ExponentPair, Fraction] = {}
+    while pending:
+        word, c = pending.pop()
+        k = _first_inversion(word)
+        if k < 0:
+            alpha = [0] * n
+            beta = [0] * n
+            for kind, i in word:
+                if kind == "x":
+                    alpha[i] += 1
+                else:
+                    beta[i] += 1
+            key = ExponentPair(tuple(alpha), tuple(beta))
+            s = acc.get(key, Fraction(0)) + c
+            if s == 0:
+                acc.pop(key, None)
+            else:
+                acc[key] = s
+            continue
+        d_sym, x_sym = word[k], word[k + 1]
+        swapped = word[:k] + (x_sym, d_sym) + word[k + 2:]
+        pending.append((swapped, c))
+        if d_sym[1] == x_sym[1]:
+            pending.append((word[:k] + word[k + 2:], c))
+    return WeylElement(n, acc)
+
+
+def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
+    """Rows of V that componentwise dominate no row of A."""
+    if A.shape[0] == 0:
+        return int(V.shape[0])
+    if V.shape[0] == 0:
+        return 0
+    count = 0
+    # rows per chunk shrink with the leaders, and columns are compared one
+    # at a time, so temporaries stay at 2^22 row-leader cells
+    chunk = max(1, (1 << 22) // A.shape[0])
+    for lo in range(0, V.shape[0], chunk):
+        part = V[lo:lo + chunk]
+        dom = np.ones((part.shape[0], A.shape[0]), dtype=bool)
+        for x in range(A.shape[1]):
+            dom &= part[:, x, None] >= A[None, :, x]
+        count += int((~dom.any(axis=1)).sum())
+    return count
+
+
+def enum_V_A(A: IndexSet, r: Sequence[int]) -> int:
+    """Count v in N^q with blockwise sums <= r dominating no point of A."""
+    r = tuple(r)
+    if len(r) != A.p:
+        raise InputError(f"r has length {len(r)}, expected {A.p}")
+    V = box_vectors(A.partition, r)
+    pts = np.array(sorted(A.points), dtype=np.int64).reshape(len(A.points), A.q)
+    return count_not_dominated(V, pts)
 
 
 # --------------------------------------------------- rank-oracle references

@@ -14,16 +14,21 @@ import time
 from fractions import Fraction
 
 from conftest import (
+    WeylElement,
     binom_product,
     canonicalize,
     corpus_presentations,
     derivative_presentation,
+    enum_V_A,
     extend_with,
+    gamma_divides,
     mp_add,
     mp_scale,
+    naive_weyl_mul,
     random_index_sets,
     random_weyl,
     two_term_presentation,
+    weyl_mul,
     worked_pair,
 )
 
@@ -34,19 +39,14 @@ from weyldim import (
     Partition,
     Presentation,
     RankOracle,
-    WeylElement,
     bernstein_inequality_check,
     bernstein_polynomial,
     complete_basis,
     count_UVW,
     dimension_polynomial,
-    enum_V_A,
-    gamma_divides,
-    naive_weyl_mul,
     omega,
     rho,
     s_element,
-    weyl_mul,
 )
 
 Reports = list[tuple[str, Presentation, DimensionReport]]

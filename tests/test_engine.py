@@ -4,12 +4,12 @@ import itertools
 import pytest
 
 from weyldim import (
+    GroebnerBasis,
     InputError,
     ModuleElement,
     NumericalPolynomial,
     Partition,
     Presentation,
-    WeylElement,
     bernstein_inequality_check,
     bernstein_polynomial,
     complete_basis,
@@ -18,12 +18,12 @@ from weyldim import (
     dimension_polynomial,
     interpolate,
     invariant_set,
-    is_holonomic,
     weyl_dimension,
 )
 from weyldim.engine import _symbolic_applicable
 
 from conftest import (
+    WeylElement,
     binom_product,
     canonicalize,
     corpus_presentations,
@@ -50,6 +50,22 @@ class TestPresentation:
             Presentation(P, 0, ())
         with pytest.raises(InputError):
             Presentation(P, 1, (ModuleElement.basis_vector(1, 2, 1),))
+
+    @pytest.mark.parametrize("bad", [True, 2.0, 1.5, 0])
+    def test_counts_must_be_positive_ints(self, bad):
+        # a bool or float rank would reach the counts and the documents
+        P = Partition((1,))
+        rel = ModuleElement.basis_vector(1, 2, 1)
+        for build in (
+            lambda: ModuleElement(1, bad, {}),
+            lambda: ModuleElement(bad, 1, {}),
+            lambda: Presentation(P, bad, ()),
+            lambda: GroebnerBasis([], P, bad, certified=[]),
+            lambda: complete_basis([], P, m=bad),
+            lambda: complete_basis([rel], P, m=bad),
+        ):
+            with pytest.raises(InputError):
+                build()
 
     def test_empty_relations_allowed(self):
         pres = Presentation(Partition((2,)), 3, ())
@@ -116,7 +132,6 @@ class TestDimensionPolynomial:
         assert rep.phi == NumericalPolynomial(2, {(1, 1): 1})
         assert rep.psi_path == "interpolation"
         assert rep.holonomic
-        assert is_holonomic(rep)
 
     def test_zero_module(self):
         P = Partition((1, 1))
@@ -205,7 +220,7 @@ class TestHolonomy:
     def test_explicit_n_override(self):
         for pres in (derivative_presentation(), two_term_presentation(1, 1, 2)):
             rep = dimension_polynomial(pres)
-            assert is_holonomic(rep) == rep.holonomic
+            assert rep.holonomic == (rep.phi.degree_data()[0] == pres.P.n)
 
 
 class TestInequalityCheck:

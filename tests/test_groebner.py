@@ -16,12 +16,9 @@ from weyldim import (
     Partition,
     RankOracle,
     WeylDimError,
-    WeylElement,
     ZeroElementError,
-    act,
     complete_basis,
     is_groebner,
-    is_reduced,
     leader,
     membership,
     multi_reduce,
@@ -32,7 +29,6 @@ from weyldim import groebner
 from weyldim.terms import (
     Term,
     block_orders,
-    gamma_divides,
     leader_term,
     term_divides,
     term_key,
@@ -40,9 +36,13 @@ from weyldim.terms import (
 from weyldim.weyl import ExponentPair, mono_mul
 
 from conftest import (
+    WeylElement,
     _dense_presentation,
+    act,
     corpus_presentations,
     derivative_presentation,
+    gamma_divides,
+    is_reduced,
     random_module_element,
     worked_pair,
 )
@@ -747,6 +747,23 @@ class TestMembership:
         P, h1, h2, _ = worked_pair()
         G = complete_basis([h1, h2], P)
         assert not membership(ModuleElement.basis_vector(2, 2, 1), G)
+
+    def test_shape_checked_before_shortcuts(self):
+        # a zero element, and any element tested against an empty basis,
+        # must have the basis' shape too, as reduction checks for the rest
+        P, h1, h2, _ = worked_pair()
+        G = complete_basis([h1, h2], P)
+        empty = complete_basis([], Partition((1,)), m=1)
+        for f, basis in (
+            (ModuleElement.zero(2, 1), G),
+            (ModuleElement.zero(1, 2), G),
+            (ModuleElement.zero(2, 1), empty),
+            (ModuleElement.basis_vector(3, 5, 1), empty),
+        ):
+            with pytest.raises(InputError):
+                membership(f, basis)
+        assert membership(ModuleElement.zero(1, 1), empty)
+        assert not membership(ModuleElement.basis_vector(1, 1, 1), empty)
 
     def test_needs_certification(self):
         P, h1, h2, _ = worked_pair()

@@ -18,10 +18,9 @@ from weyldim.kernels import (
     box_vectors,
     class_table,
     classify_box,
-    count_not_dominated,
 )
 
-from conftest import grid
+from conftest import count_not_dominated, grid
 
 def ref_not_dominated(V, A):
     points = A.tolist()

@@ -12,7 +12,6 @@ from weyldim import (
     IndexSet,
     InputError,
     NumericalPolynomial,
-    enum_V_A,
     interpolate,
     invariant_set,
     minimize,
@@ -23,6 +22,7 @@ from weyldim.numpoly import MonoPoly, binom_int, binomial_sum, k_numerator, shif
 from conftest import (
     binom_product,
     canonicalize,
+    enum_V_A,
     grid,
     mp_add,
     mp_eval,

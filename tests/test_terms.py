@@ -11,20 +11,16 @@ from weyldim import (
     ModuleElement,
     Partition,
     Term,
-    WeylElement,
     ZeroElementError,
-    act,
-    gamma_divides,
     leader,
     rho,
-    term_compare,
     term_divides,
     term_lcm,
 )
 from weyldim.terms import leader_term, term_key
 from weyldim.weyl import ExponentPair, mono_mul
 
-from conftest import worked_pair
+from conftest import WeylElement, act, gamma_divides, term_compare, worked_pair
 from test_weyl import weyl_elements
 
 

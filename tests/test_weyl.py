@@ -5,17 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weyldim import (
-    InputError,
-    Partition,
-    WeylElement,
-    ZeroElementError,
-    element_orders,
-    monomial_orders,
-    weyl_dimension,
-    weyl_mul,
-)
+from weyldim import InputError, Partition, monomial_orders, weyl_dimension
 from weyldim.weyl import ExponentPair, mono_mul
+
+from conftest import WeylElement, weyl_mul
 
 
 def vecs(n: int, hi: int = 2):
@@ -37,7 +30,6 @@ class TestPartition:
         assert P.n == 6
         assert P.p == 3
         assert P.blocks == ((0, 2), (2, 3), (3, 6))
-        assert [P.block_of(i) for i in range(6)] == [0, 0, 1, 2, 2, 2]
         assert P.collapse() == Partition((6,))
 
     def test_rejects_bad_sizes(self):
@@ -51,10 +43,6 @@ class TestPartition:
             with pytest.raises(InputError):
                 Partition(sizes)
 
-    def test_block_of_range(self):
-        with pytest.raises(InputError):
-            Partition((2,)).block_of(2)
-
     def test_list_sizes_become_a_tuple(self):
         # a partition keys caches, so it must hash whatever the sizes came as
         P = Partition([1, 1])
@@ -67,22 +55,6 @@ class TestOrders:
         P = Partition((1, 1))
         theta = ExponentPair((2, 0), (0, 3))
         assert monomial_orders(theta, P) == (5, (2, 3))
-
-    def test_element_orders(self):
-        P = Partition((1, 1))
-        D = WeylElement(
-            2,
-            {((2, 0), (0, 3)): Fraction(1), ((0, 0), (1, 0)): Fraction(-1)},
-        )
-        assert element_orders(D, P) == (5, (2, 3))
-
-    def test_element_orders_zero(self):
-        with pytest.raises(ZeroElementError):
-            element_orders(WeylElement.zero(2), Partition((2,)))
-
-    def test_element_orders_shape(self):
-        with pytest.raises(InputError):
-            element_orders(WeylElement.one(2), Partition((3,)))
 
     def test_weyl_dimension(self):
         assert weyl_dimension(Partition((1, 1)), (3, 3)) == 100
