@@ -36,15 +36,15 @@ G, and a core element that dominates g covers it as well, so the core is a
 basis, its S-elements and the dropped elements reduce to zero, and the
 certificate accepts exactly the bases that checking every pair of G does.
 
-Coefficients come back as exact `Fraction`s, but completion computes on
-ints.  Each element keeps one primitive integer row in its memo, built
-once: its terms with int coefficients of content 1, equal to k * g for a
-rational k > 0 held as two ints.  `s_element` combines two rows, and
-`multi_reduce` carries the remainder as an int dict over one rational
-scale and eliminates by pseudo-division, so a step pays a few gcds, not
-one per term it touches.  Which terms a step may eliminate depends only
-on the support, so the steps, and with them the exact results, are those
-of reduction over `Fraction`s.
+Completion computes on ints.  Every element is stored as its primitive
+integer row: int coefficients of content 1, equal to k * g for a rational
+k > 0 held as two ints (see `terms.ModuleElement`).  `s_element` combines
+two rows, and `multi_reduce` carries the remainder as an int dict over
+one rational scale and eliminates by pseudo-division, so a step pays a
+few gcds, not one per term it touches.  Both return their int dict as the
+result's row, and neither reads the `Fraction` view.  Which terms a step
+may eliminate depends only on the support, so the steps, and with them
+the exact results, are those of reduction over `Fraction`s.
 
 Each element also carries a multiplier-order bound B: a vector with
 ord_j(D) <= B_j for every coefficient D of some way of writing the element
@@ -62,11 +62,10 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
-from math import gcd, lcm
+from math import gcd
 from operator import add, eq, le, neg, sub
 from typing import NamedTuple, Sequence
 
@@ -74,6 +73,7 @@ from .errors import InputError, WeylDimError, ZeroElementError
 from .terms import (
     ModuleElement,
     Term,
+    _primitive,
     block_orders,
     check_rank,
     leader,
@@ -99,34 +99,6 @@ def _check_stage(r, P: Partition, n: int) -> None:
         raise InputError(f"partition covers {P.n} variables, element has {n}")
 
 
-def _int_row(g: ModuleElement) -> tuple[tuple, int, int]:
-    """g as a primitive integer row, kept in g's memo so it is built once.
-
-    Returns (row, kn, kd): row lists g's terms in dict order as (Term, int)
-    pairs of content 1, and row = (kn / kd) * g with kn, kd > 0 coprime.
-    """
-    hit = g._memo.get("row")
-    if hit is not None:
-        return hit
-    cs = g.terms.values()
-    den = lcm(*(c.denominator for c in cs))
-    ints = [c.numerator * (den // c.denominator) for c in cs]
-    # a prime dividing den divides no numerator of a term whose denominator
-    # carries its full power in den, so den and the content are coprime
-    cont = gcd(*ints) or 1
-    out = g._memo["row"] = (
-        tuple(zip(g.terms, [v // cont for v in ints])),
-        den,
-        cont,
-    )
-    return out
-
-
-def _in_row(c: Fraction, kn: int, kd: int) -> int:
-    """The int that the coefficient c of g becomes in g's row (kn / kd) * g."""
-    return c.numerator * kn // (c.denominator * kd)
-
-
 class _Reducer(NamedTuple):
     """What a reduction step at one stage needs of a reducer g."""
 
@@ -147,8 +119,7 @@ def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
     hit = g._memo.get(memo_key)
     if hit is not None:
         return hit
-    head, c = leader(g, r, P)
-    _, kn, kd = _int_row(g)
+    head = leader_term(g, r, P)
     hbo = block_orders(head.theta, P)
     slack = tuple(
         block_orders(leader_term(g, i, P).theta, P)[i - 1] - hbo[i - 1]
@@ -157,7 +128,7 @@ def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
     out = g._memo[memo_key] = _Reducer(
         head.gen,
         *head.theta,
-        _in_row(c, kn, kd),
+        g.row[head],
         _term_orders(head, r, P)[0],
         slack,
     )
@@ -181,7 +152,7 @@ def _shifted(g: ModuleElement, q: ExponentPair) -> tuple[tuple[Term, int], ...]:
     if hit is None:
         hit = memo[q] = tuple(
             (_term(gen, key), cg * wt)
-            for (gen, theta), cg in _int_row(g)[0]
+            for (gen, theta), cg in g.row.items()
             for key, wt in mono_mul(q, theta)
         )
     return hit
@@ -189,15 +160,12 @@ def _shifted(g: ModuleElement, q: ExponentPair) -> tuple[tuple[Term, int], ...]:
 
 def _monic(g: ModuleElement, P: Partition) -> ModuleElement:
     """g scaled to leading coefficient 1 under the first order, keeping its row."""
-    row, kn, kd = _int_row(g)
-    c = leader(g, 1, P)[1]
-    out = g.scale(1 / c)
-    # row = k * g = (k * c) * out, and k * c is row's coefficient at the head
-    lead = _in_row(c, kn, kd)
+    # row = k * g = (k * c) * out for g's leading coefficient c, and k * c
+    # is row's coefficient at the head
+    row, lead = g.row, g.row[leader_term(g, 1, P)]
     if lead < 0:
-        row, lead = tuple((t, -v) for t, v in row), -lead
-    out._memo["row"] = (row, lead, 1)
-    return out
+        row, lead = {t: -v for t, v in row.items()}, -lead
+    return ModuleElement._trusted(g.n, g.m, row, lead, 1)
 
 
 @lru_cache(maxsize=65536)
@@ -256,8 +224,8 @@ def multi_reduce(
     let c = work[w] and h = gcd(c, a): the step multiplies work by a / h
     (both signs flipped if that is negative, which keeps the scale
     positive) and subtracts (c / h) * theta * row term by term, then
-    divides work by its content.  The scale follows.  The remainder is
-    divided by the scale once, at return, and keeps work as its row.  Each
+    divides work by its content.  The scale follows.  At return work is
+    the remainder's primitive row and the scale its kn / kd.  Each
     step removes exactly the rational multiple of theta * g that reduction
     over `Fraction`s removes, so the support after every step, and with
     it every later choice, is the same.
@@ -305,8 +273,8 @@ def multi_reduce(
         negs.append(red.neg_key)
         reds.append((idx, red))
     steps: list[tuple[int, ExponentPair]] = []
-    row, sn, sd = _int_row(f)
-    work = dict(row)  # the remainder is work / scale, scale = sn / sd > 0
+    # the remainder is work / scale, scale = sn / sd > 0
+    work, sn, sd = dict(f.row), f.kn, f.kd
     orders = {t: _term_orders(t, r, P) for t in work}
     caps = _caps(tail for _, tail in orders.values())
     # terms not yet found ineligible, least negated key first; cancelled
@@ -366,11 +334,9 @@ def multi_reduce(
         sn, sd = sn // h, sd // h
         if lowered and work:
             caps = _caps(orders[t][1] for t in work)
-    rem = ModuleElement._trusted(
-        f.n, f.m, {t: Fraction(v * sd, sn) for t, v in work.items()}
-    )
-    rem._memo["row"] = (tuple(work.items()), sn, sd)
-    return rem, steps
+    if not work:
+        sn = sd = 1  # the zero element's form
+    return ModuleElement._trusted(f.n, f.m, work, sn, sd), steps
 
 
 def s_element(
@@ -404,22 +370,7 @@ def s_element(
                 acc[t] = s
             else:
                 del acc[t]
-    if not acc:
-        return ModuleElement.zero(f.n, f.m)
-    # dividing by the content, signed as l_f * l_g, leaves the primitive
-    # row (kn / kd) * S with kn = |l_f * l_g|, kd = |content| * h
-    num, cont = rf.lead * rg.lead, gcd(*acc.values())
-    if num < 0:
-        num, cont = -num, -cont
-    row = tuple((t, v // cont) for t, v in acc.items())
-    den = abs(cont) * h
-    k = gcd(num, den)
-    kn, kd = num // k, den // k
-    out = ModuleElement._trusted(
-        f.n, f.m, {t: Fraction(v * kd, kn) for t, v in row}
-    )
-    out._memo["row"] = (row, kn, kd)
-    return out
+    return ModuleElement._trusted(f.n, f.m, *_primitive(acc, rf.lead * rg.lead, h))
 
 
 class GroebnerBasis:
@@ -574,8 +525,8 @@ def complete_basis(
             continue
         # s = t_a * G[a] - t_b * G[b], and s - rem = sum_k Q_k * G[k], the
         # support of Q_k being the thetas of the steps (k, theta)
-        lcm = term_lcm(leader_term(G[a], stage, P), leader_term(G[b], stage, P))
-        lifts = [(k, term_divides(leader_term(G[k], stage, P), lcm)) for k in (a, b)]
+        top = term_lcm(leader_term(G[a], stage, P), leader_term(G[b], stage, P))
+        lifts = [(k, term_divides(leader_term(G[k], stage, P), top)) for k in (a, b)]
         shifts = (map(add, block_orders(q, P), bounds[k]) for k, q in lifts + steps)
         bounds.append(tuple(map(max, *shifts)))
         G.append(_monic(rem, P))

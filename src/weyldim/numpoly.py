@@ -210,6 +210,13 @@ def interpolate(
     base = tuple(base)
     degs = tuple(degs)
     p = len(base)
+    # exact type: bool is an int subclass and floats do not count
+    ints = p >= 1 and len(degs) == p and all(type(v) is int for v in base + degs)
+    if not ints or min(degs) < 0:
+        raise InputError(
+            f"interpolation needs base and degs of one length >= 1 holding "
+            f"integers, degs >= 0; got base={base}, degs={degs}"
+        )
     vals: dict[Index, int] = {}
     for off in itertools.product(*(range(d + 1) for d in degs)):
         vals[off] = f(tuple(b + o for b, o in zip(base, off)))

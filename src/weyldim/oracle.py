@@ -15,7 +15,7 @@ bound re-checks every count.
 """
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import gcd
 from operator import add
 from typing import Iterable, Sequence
 
@@ -47,15 +47,6 @@ def _unpack_row(row: tuple[int, ...], P: Partition) -> ExponentPair:
         beta[a:b] = row[col + w:col + 2 * w]
         col += 2 * w
     return ExponentPair(tuple(alpha), tuple(beta))
-
-
-def _integer_relation(g: ModuleElement) -> list[tuple[int, ExponentPair, int]]:
-    """Terms of g as (gen, theta, coeff) with all denominators cleared."""
-    den = lcm(*(c.denominator for c in g.terms.values()))
-    return [
-        (t.gen, t.theta, c.numerator * (den // c.denominator))
-        for t, c in g.terms.items()
-    ]
 
 
 class RankOracle:
@@ -144,7 +135,6 @@ class RankOracle:
         self._packed_order = [
             j for a, b in P.blocks for j in (*range(a, b), *range(P.n + a, P.n + b))
         ]
-        self._int_relations = [_integer_relation(g) for g in relations]
         # beta -> one primitive row of d^beta * g per relation, as
         # ((gen, ExponentPair) per term, coefficients)
         self._d_rows: dict[tuple[int, ...], tuple] = {}
@@ -249,7 +239,7 @@ class RankOracle:
             d_rows = self._d_rows.get(b)
             if d_rows is None:
                 d_rows = self._d_rows[b] = tuple(
-                    self._d_row(b, rel) for rel in self._int_relations
+                    self._d_row(b, rel) for rel in self.relations
                 )
             hit = self._rows[packed] = tuple(
                 self._shift_row(terms, coeffs, a) for terms, coeffs in d_rows
@@ -257,11 +247,11 @@ class RankOracle:
         return hit
 
     @staticmethod
-    def _d_row(b: tuple[int, ...], rel: list) -> tuple[tuple, tuple]:
-        """d^b * rel over the integers, content divided out."""
+    def _d_row(b: tuple[int, ...], rel: ModuleElement) -> tuple[tuple, tuple]:
+        """d^b * rel over the integers, from rel's row, content divided out."""
         d_b = ExponentPair((0,) * len(b), b)
         acc: dict[tuple[int, ExponentPair], int] = {}
-        for gen, theta_g, c in rel:
+        for (gen, theta_g), c in rel.row.items():
             for key, w in mono_mul(d_b, theta_g):
                 t = (gen, key)
                 acc[t] = acc.get(t, 0) + c * w

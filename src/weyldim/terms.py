@@ -10,6 +10,7 @@ smaller term).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, ZeroElementError
@@ -35,10 +36,16 @@ class GammaTerm(NamedTuple):
     head: Term
 
 
+def _check_order(i, P: Partition) -> None:
+    """Reject an order index that is not an int in 1..p."""
+    # exact type: bool is an int subclass and floats do not count
+    if type(i) is not int or not 1 <= i <= P.p:
+        raise InputError(f"order index {i!r} out of range 1..{P.p}")
+
+
 def monomial_key(i: int, theta: ExponentPair, P: Partition):
     """Comparison key of a monomial under the i-th order (i is 1-based)."""
-    if not 1 <= i <= P.p:
-        raise InputError(f"order index {i} out of range 1..{P.p}")
+    _check_order(i, P)
     alpha, beta = theta
     bo = block_orders(theta, P)
     j = i - 1
@@ -93,17 +100,25 @@ def check_rank(m) -> None:
 class ModuleElement:
     """A finite rational combination of terms of A_n^m.
 
-    The public constructor validates and merges its input.  Internally
-    built elements go through `_trusted`, which wraps a dict that is
-    already clean: every key a `Term` whose generator and exponents are in
-    range, every value a nonzero `Fraction`.  Arithmetic on valid elements
-    keeps that invariant, so it skips the checks.
+    Stored as a primitive integer row: `row` maps each term to a nonzero
+    int, the ints have content 1, and row = (kn / kd) * element for
+    coprime ints kn, kd > 0.  The zero element is the empty row with
+    kn = kd = 1.  This form is unique, so equality compares it directly.
+    `terms` reads the coefficients back as `Fraction`s, built anew on each
+    read.
+
+    The public constructor validates and merges its input, then derives
+    the row.  Internally built elements go through `_trusted`, which wraps
+    a row that is already in this form, every key a `Term` whose generator
+    and exponents are in range.  Arithmetic on valid elements keeps that
+    invariant, so it skips the checks.  A row is never changed once
+    wrapped, so elements may share one.
     """
 
-    # _memo holds data derived from the terms on demand: leaders per
-    # (partition, order), and the reduction module's integer row and
-    # reducer data
-    __slots__ = ("n", "m", "terms", "_memo")
+    # _memo holds data derived from the row on demand: leaders per
+    # (partition, order), and the reduction module's reducer data and
+    # shifted rows
+    __slots__ = ("n", "m", "row", "kn", "kd", "_memo")
 
     def __init__(self, n: int, m: int, terms: Mapping[Term, Fraction] | Iterable):
         # exact type: bool is an int subclass and floats do not count
@@ -132,18 +147,22 @@ class ModuleElement:
                 clean.pop(t, None)
             else:
                 clean[t] = c
+        den = lcm(*(c.denominator for c in clean.values()))
+        ints = {t: c.numerator * (den // c.denominator) for t, c in clean.items()}
         self.n = n
         self.m = m
-        self.terms = clean
+        self.row, self.kn, self.kd = _primitive(ints, den)
         self._memo: dict = {}
 
     @classmethod
-    def _trusted(cls, n: int, m: int, terms: dict[Term, Fraction]) -> "ModuleElement":
-        """Wrap a clean term dict (see the class docstring) without checks."""
+    def _trusted(cls, n: int, m: int, row: dict, kn: int, kd: int) -> "ModuleElement":
+        """Wrap a row already in primitive form (see the class docstring)."""
         self = object.__new__(cls)
         self.n = n
         self.m = m
-        self.terms = terms
+        self.row = row
+        self.kn = kn
+        self.kd = kd
         self._memo = {}
         return self
 
@@ -161,18 +180,24 @@ class ModuleElement:
         z = (0,) * n
         return cls.single(n, m, gen, z, z)
 
+    @property
+    def terms(self) -> dict[Term, Fraction]:
+        """The coefficients as exact `Fraction`s, in row order."""
+        kn, kd = self.kn, self.kd
+        return {t: Fraction(v * kd, kn) for t, v in self.row.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.row
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ModuleElement)
-            and (self.n, self.m) == (other.n, other.m)
-            and self.terms == other.terms
+            and (self.n, self.m, self.kn, self.kd, self.row)
+            == (other.n, other.m, other.kn, other.kd, other.row)
         )
 
     def __hash__(self):
-        return hash((self.n, self.m, frozenset(self.terms.items())))
+        return hash((self.n, self.m, self.kn, self.kd, frozenset(self.row.items())))
 
     def _check_compat(self, other: "ModuleElement"):
         if (self.n, self.m) != (other.n, other.m):
@@ -182,43 +207,51 @@ class ModuleElement:
 
     def __add__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_compat(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = acc.get(k)
-            s = c if s is None else s + c
+        # acc = kn_f * kn_g * (f + g) = row_f * kd_f * kn_g + row_g * kd_g * kn_f
+        a, b = self.kd * other.kn, other.kd * self.kn
+        acc = {t: a * v for t, v in self.row.items()}
+        for t, v in other.row.items():
+            s = acc.get(t, 0) + b * v
             if s:
-                acc[k] = s
+                acc[t] = s
             else:
-                del acc[k]
-        return ModuleElement._trusted(self.n, self.m, acc)
+                del acc[t]
+        return ModuleElement._trusted(
+            self.n, self.m, *_primitive(acc, self.kn * other.kn)
+        )
 
     def __neg__(self) -> "ModuleElement":
         return ModuleElement._trusted(
-            self.n, self.m, {k: -c for k, c in self.terms.items()}
+            self.n, self.m, {t: -v for t, v in self.row.items()}, self.kn, self.kd
         )
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         self._check_compat(other)
-        acc = dict(self.terms)
-        for k, c in other.terms.items():
-            s = acc.get(k)
-            s = -c if s is None else s - c
+        # acc = kn_f * kn_g * (f - g), as in `__add__`
+        a, b = self.kd * other.kn, other.kd * self.kn
+        acc = {t: a * v for t, v in self.row.items()}
+        for t, v in other.row.items():
+            s = acc.get(t, 0) - b * v
             if s:
-                acc[k] = s
+                acc[t] = s
             else:
-                del acc[k]
-        return ModuleElement._trusted(self.n, self.m, acc)
+                del acc[t]
+        return ModuleElement._trusted(
+            self.n, self.m, *_primitive(acc, self.kn * other.kn)
+        )
 
     def scale(self, c) -> "ModuleElement":
         c = Fraction(c)
         if c == 0:
             return ModuleElement.zero(self.n, self.m)
+        # c * f = (kd / (kn * c.denominator)) * (c.numerator * row)
+        acc = {t: c.numerator * v for t, v in self.row.items()}
         return ModuleElement._trusted(
-            self.n, self.m, {k: c * v for k, v in self.terms.items()}
+            self.n, self.m, *_primitive(acc, self.kn * c.denominator, self.kd)
         )
 
     def coeff(self, t: Term) -> Fraction:
-        return self.terms.get(t, Fraction(0))
+        return Fraction(self.row.get(t, 0) * self.kd, self.kn)
 
     def sorted_terms(self, P: Partition) -> list[tuple[Term, Fraction]]:
         """Terms by descending first order; canonical for serialization."""
@@ -237,16 +270,33 @@ class ModuleElement:
         return "ModuleElement(" + " + ".join(bits) + ")"
 
 
+def _primitive(acc: dict[Term, int], num: int, den: int = 1) -> tuple[dict, int, int]:
+    """(row, kn, kd) of the element (den / num) * acc, in primitive form.
+
+    acc maps terms to nonzero ints, num != 0 and den > 0 are ints, and an
+    empty acc gives the zero element's form.
+    """
+    if not acc:
+        return {}, 1, 1
+    cont = gcd(*acc.values())
+    if num < 0:
+        num, cont = -num, -cont
+    kd = den * abs(cont)
+    h = gcd(num, kd)
+    return {t: v // cont for t, v in acc.items()}, num // h, kd // h
+
+
 def leader(f: ModuleElement, i: int, P: Partition) -> tuple[Term, Fraction]:
     """Greatest term of f under the i-th order, with its coefficient."""
     if f.is_zero():
         raise ZeroElementError("leader of the zero element is undefined")
+    _check_order(i, P)
     cache_key = (P.sizes, i)
     hit = f._memo.get(cache_key)
     if hit is not None:
         return hit
-    best = max(f.terms, key=lambda t: term_key(i, t, P))
-    out = (best, f.terms[best])
+    best = max(f.row, key=lambda t: term_key(i, t, P))
+    out = (best, Fraction(f.row[best] * f.kd, f.kn))
     f._memo[cache_key] = out
     return out
 

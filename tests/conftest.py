@@ -372,7 +372,7 @@ def act(D: WeylElement, f: ModuleElement) -> ModuleElement:
                     acc[t] = s
                 else:
                     del acc[t]
-    return ModuleElement._trusted(f.n, f.m, acc)
+    return ModuleElement(f.n, f.m, acc)
 
 
 def term_compare(i: int, u: Term, v: Term, P: Partition) -> int:

@@ -127,15 +127,15 @@ ONE2 = ExponentPair((0, 0), (0, 0))
 
 
 def assert_int_row(g):
-    """g's cached integer row is primitive, in g's term order, and k * g."""
-    row, kn, kd = g._memo["row"]
+    """g's stored integer row is primitive, in g's term order, and k * g."""
+    row, kn, kd = g.row, g.kn, g.kd
     assert type(kn) is int and type(kd) is int
     assert kn > 0 and kd > 0 and gcd(kn, kd) == 1
-    assert all(type(v) is int for _, v in row)
-    assert [t for t, _ in row] == list(g.terms)
-    assert gcd(*(v for _, v in row)) == (1 if row else 0)
+    assert all(type(v) is int for v in row.values())
+    assert list(row) == list(g.terms)
+    assert gcd(*row.values()) == (1 if row else 0)
     k = Fraction(kn, kd)
-    assert all(v == k * g.terms[t] for t, v in row)
+    assert all(v == k * g.terms[t] for t, v in row.items())
 
 
 def on_e1(terms):
@@ -429,7 +429,7 @@ class TestShifted:
     def fresh(self, g, q):
         return [
             (Term(gen, key), cg * wt)
-            for (gen, theta), cg in groebner._int_row(g)[0]
+            for (gen, theta), cg in g.row.items()
             for key, wt in mono_mul(q, theta)
         ]
 
@@ -449,9 +449,7 @@ class TestShifted:
         q = ExponentPair((1, 1), (1, 0))
         parent = groebner._shifted(g, q)
         copy = groebner._monic(g, P)
-        assert groebner._int_row(copy)[0] == tuple(
-            (t, -v) for t, v in groebner._int_row(g)[0]
-        )
+        assert list(copy.row.items()) == [(t, -v) for t, v in g.row.items()]
         out = groebner._shifted(copy, q)
         assert out == tuple((t, -v) for t, v in parent)
         assert list(out) == self.fresh(copy, q)

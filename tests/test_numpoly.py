@@ -203,6 +203,18 @@ class TestInterpolate:
         out = interpolate((5,), (1,), lambda r: 3 * r[0] + 1)
         assert out == NumericalPolynomial(1, {(1,): 3, (0,): -2})
 
+    @pytest.mark.parametrize(
+        "base, degs",
+        [((0, 0), (1,)), ((0,), (-1,)), ((True,), (1,))],
+        ids=["length-mismatch", "negative-degree", "bool-base"],
+    )
+    def test_rejects_bad_grid(self, base, degs):
+        def f(r):
+            raise AssertionError("sampled a rejected grid")
+
+        with pytest.raises(InputError, match="interpolation needs"):
+            interpolate(base, degs, f)
+
     @given(st.data())
     def test_matches_reference(self, data):
         p = data.draw(st.integers(1, 3))

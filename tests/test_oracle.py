@@ -455,6 +455,6 @@ class TestIndependence:
         assert not REDUCTION_INTERNALS & set(vars(oracle_module))
         funcs = list(_own_functions(oracle_module))
         names = {f.__qualname__ for f in funcs}
-        assert {"_integer_relation", "RankOracle.dimension", "RankOracle._insert"} <= names
+        assert {"RankOracle._d_row", "RankOracle.dimension", "RankOracle._insert"} <= names
         for f in funcs:
             assert not REDUCTION_INTERNALS & set(_code_names(f.__code__)), f.__qualname__

@@ -6,6 +6,10 @@ modules are held to the same rule.  And every function and method that
 `src/weyldim` defines is run by the command line over a few corpus
 presentations, apart from a short list of entry points for library
 callers, so that test-only code lives under `tests/`.
+
+`Fraction`s stay at the edges: only the element type, the numerical
+polynomials and the JSON layer import `fractions`, and completion and the
+rank oracle never read an element's `Fraction` view.
 """
 import ast
 import json
@@ -16,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from weyldim import ModuleElement, RankOracle, complete_basis
 from weyldim import io as wio
 
 from conftest import corpus_presentations
@@ -44,6 +49,47 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["os", "lcm"]
 
 
+def imports(source: str, module: str) -> bool:
+    """Whether source imports the top-level module, in either import form."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            if any(a.name.split(".")[0] == module for a in node.names):
+                return True
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            if node.module.split(".")[0] == module:
+                return True
+    return False
+
+
+def test_fractions_imported_only_at_the_edges():
+    assert imports("from fractions import Fraction\n", "fractions")
+    assert imports("import fractions as fr\n", "fractions")
+    assert not imports("from .terms import Fraction\n", "fractions")
+    importers = {m for m in MODULES if imports((SRC / m).read_text(), "fractions")}
+    assert importers <= {"terms.py", "numpoly.py", "io.py"}
+
+
+def test_completion_and_oracle_read_no_fractions(monkeypatch):
+    corpus = dict(corpus_presentations())
+    reads = []
+    view = ModuleElement.terms
+
+    def counted(self):
+        reads.append(self)
+        return view.fget(self)
+
+    monkeypatch.setattr(ModuleElement, "terms", property(counted))
+    for label in REACH_CASES:
+        pres = corpus[label]
+        G = complete_basis(pres.relations, pres.P, m=pres.m)
+        assert reads == [], label
+        RankOracle(G).dimensions([(0,) * pres.P.p, (1,) * pres.P.p])
+        assert reads == [], label
+    # the patched view counts
+    G.elements[0].terms
+    assert len(reads) == 1
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_no_unused_imports(module):
     assert unused_imports((SRC / module).read_text()) == []
@@ -65,6 +111,7 @@ NOT_RUN_BY_CLI = {
     "terms.ModuleElement.single",
     "terms.ModuleElement.basis_vector",
     "terms.ModuleElement.coeff",
+    "terms.ModuleElement.scale",
     "engine.bernstein_inequality_check",
     "engine.count_UVW",
     "numpoly.invariant_set",

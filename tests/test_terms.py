@@ -149,6 +149,15 @@ class TestModuleElement:
         with pytest.raises(ZeroElementError):
             leader(ModuleElement.zero(1, 1), 1, Partition((1,)))
 
+    @pytest.mark.parametrize("i", [True, 1.0])
+    def test_leader_rejects_inexact_order_index(self, i):
+        # i == 1, so i also finds the order-1 leader that sits in the memo
+        P, h1, _, _ = worked_pair()
+        leader(h1, 1, P)
+        for f in (h1, ModuleElement(h1.n, h1.m, h1.terms)):
+            with pytest.raises(InputError, match="order index"):
+                leader(f, i, P)
+
 
 class TestWorkedLeaders:
     def test_leaders_and_rho(self):
