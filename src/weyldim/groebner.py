@@ -377,10 +377,10 @@ class GroebnerBasis:
     """A completed basis with cached leader data and certification marks.
 
     A basis from `complete_basis` also keeps `relations`, the nonzero
-    input family as given, and `multiplier_bound`: every element is a
-    combination sum_i D_i * relations[i] with ord_j(D_i) <=
-    multiplier_bound[j] (see the module docstring for the recurrence).
-    A hand-built basis has None in both.
+    input family as given, and `bounds`, aligned with `elements`: element
+    k is a combination sum_i D_i * relations[i] with ord_j(D_i) <=
+    bounds[k][j] (see the module docstring for the recurrence).  A
+    hand-built basis has None in both.
     """
 
     def __init__(
@@ -390,7 +390,7 @@ class GroebnerBasis:
         m: int,
         certified: Sequence[int],
         relations: Sequence[ModuleElement] | None = None,
-        multiplier_bound: Vector | None = None,
+        bounds: Sequence[Vector] | None = None,
     ):
         check_rank(m)
         self.P = P
@@ -399,9 +399,7 @@ class GroebnerBasis:
         self.elements = tuple(elements)
         self.certified = tuple(sorted(certified))
         self.relations = tuple(relations) if relations is not None else None
-        self.multiplier_bound = (
-            tuple(multiplier_bound) if multiplier_bound is not None else None
-        )
+        self.bounds = tuple(map(tuple, bounds)) if bounds is not None else None
         for g in self.elements:
             if g.is_zero():
                 raise ZeroElementError("zero element in a basis")
@@ -420,6 +418,13 @@ class GroebnerBasis:
             tuple(block_orders(ld[i][0].theta, P)[i] for ld in self.leaders)
             for i in range(P.p)
         )
+
+    @property
+    def multiplier_bound(self) -> Vector | None:
+        """The componentwise max of `bounds`, zero for no elements."""
+        if self.bounds is None:
+            return None
+        return tuple(map(max, zip((0,) * self.P.p, *self.bounds)))
 
     def fully_certified(self) -> bool:
         return self.certified == tuple(range(1, self.P.p + 1))
@@ -481,7 +486,7 @@ def complete_basis(
     Inserted elements are fully reduced remainders, made monic under the
     first order.  Raises if the basis grows past MAX_ELEMENTS.  Each
     element's multiplier-order bound is carried along as the module
-    docstring describes; the basis keeps their componentwise max.
+    docstring describes, and the basis keeps them.
 
     The certificate checks the core, the elements no other element
     dominates, with `is_groebner` at every stage, and reduces each other
@@ -548,8 +553,7 @@ def complete_basis(
     for i, g in enumerate(G):
         if i not in kept and not multi_reduce(g, basis.elements, 1, P)[0].is_zero():
             raise WeylDimError("completion failed certification at stage 1")
-    bound = tuple(map(max, zip((0,) * p, *bounds)))
-    return GroebnerBasis(G, P, m, certified, relations=gens, multiplier_bound=bound)
+    return GroebnerBasis(G, P, m, certified, relations=gens, bounds=bounds)
 
 
 def membership(f: ModuleElement, G: GroebnerBasis) -> bool:

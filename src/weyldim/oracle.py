@@ -9,14 +9,15 @@ exponents in numpy.  One echelon serves a whole chain r^1 <= ... <= r^k
 of bounds: its row families are nested, and so are its boxes.  The
 counted value never touches the closed-form or Groebner code paths; a
 completed basis, supplied by the caller, is consulted only for its
-input relations and for the multiplier-order bound that makes the row
-family provably sufficient, and a final pass one step past the top
-bound re-checks every count.
+input relations and for its elements' blockwise orders and
+multiplier-order bounds, which size a row family per point that is
+provably sufficient, and a final pass one step past the top point's
+family re-checks every count.
 """
 from __future__ import annotations
 
 from math import gcd
-from operator import add
+from operator import add, le
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis
 from .kernels import box_vectors
 from .terms import ModuleElement
-from .weyl import ExponentPair, Partition, mono_mul, weyl_dimension
+from .weyl import ExponentPair, Partition, block_orders, mono_mul, weyl_dimension
 
 # Most box terms (the box size times the module rank) `RankOracle` ranks.
 MAX_BOX = 10**4
@@ -52,20 +53,44 @@ def _unpack_row(row: tuple[int, ...], P: Partition) -> ExponentPair:
 class RankOracle:
     """dim M_r by exact fraction-free elimination over the integers.
 
-    Rows are the relation multiples theta*g with theta bounded blockwise
-    by r plus a certified slack; dim M_r is the box size minus the
-    dimension of their span inside the box, read off an echelon whose
-    columns outside the box eliminate first.  The relations g are
-    `basis.relations` and the slack is `basis.multiplier_bound`: every
-    basis element is sum_i D_i * g_i with ord_j(D_i) within the slack,
-    and reduction by the certified basis writes a kernel element
-    supported inside box r with quotients inside the box, so theta up to
-    r plus the slack suffice.  The bound is carried through completion
-    as an upper bound on the true multiplier orders (products add orders
-    at most, sums only cancel), so it can only over-provision rows.  A
-    confirmation pass one step further must leave the count unchanged.
-    A call whose confirmation pass would take more than `MAX_ROWS` rows
-    is refused before any row is built.
+    Rows are the relation multiples theta*g_i with ord(theta) <= R(r)
+    blockwise; dim M_r is the box size minus the dimension of their span
+    inside the box, read off an echelon whose columns outside the box
+    eliminate first.  The relations g_i are `basis.relations`.  R(r) is
+    the componentwise max of r - ord(g) + B(g) over the elements g of the
+    basis with ord(g) <= r, where ord(g) is the componentwise max of the
+    blockwise orders of g's terms and B(g) is g's own multiplier-order
+    bound from `basis.bounds`; where no element fits, R(r) is -1 in every
+    block and no theta fits it.  This row family is sufficient:
+
+    - Take f in N inside box r.  Stage-1 reduction by the certified
+      basis takes f to zero, as in `membership`.  Each step subtracts
+      c * theta * g with theta * g inside box r: the first-order leader
+      has the largest ord_1 of g's terms, and the caps of the later
+      orders start at r_i or below and only fall.
+    - ord_j(theta * g) = ord_j(theta) + ord_j(g) exactly.  Take the term
+      t of g with the largest ord_j, and among those the largest total
+      degree.  Only a term t + (k, k) of g could cancel the top term of
+      theta * t, and such a term would have a larger ord_j, or the same
+      ord_j and a larger total degree.
+    - So ord(g) <= r and ord(theta) <= r - ord(g).  Each element g is
+      sum_i D_i * g_i with ord(D_i) <= B(g), so f lies in the span of the
+      theta' * g_i with ord(theta') <= R(r).  If no element fits, then N
+      meets box r in zero and no row is needed.
+    - R(r) grows with r and never exceeds r plus the whole basis'
+      bound, `basis.multiplier_bound`.
+
+    B is carried through completion as an upper bound on the true
+    multiplier orders (products add orders at most, sums only cancel),
+    so it can only over-provision rows.  The trade-off: the row family
+    leans on the certified basis for its elements' orders and bounds, not
+    only for the relations and one maximum, so a point no element fits
+    gets its first value from no rows at all.  The oracle still shares no
+    counting or reduction code with the engine, and a confirmation pass
+    one step further, at R(r) + 1 and so at least the relations
+    themselves, must leave the count unchanged.  A call whose
+    confirmation pass would take more than `MAX_ROWS` rows is refused
+    before any row is built.
 
     The matrix is indexed as in F4.  Every term gets an integer column id
     the first time it appears, and every multiple theta*g is built once
@@ -91,44 +116,57 @@ class RankOracle:
     order.
 
     The rows enter in stages: first the thetas whose block sums fit
-    R_1 = r^1 + slack, then those that fit R_2, and so on; after stage i
-    the pivots of level k - i + 1 and up count the span inside box r^i,
+    R(r^1), then those that fit R(r^2), and so on; after stage i the
+    pivots of level k - i + 1 and up count the span inside box r^i,
     which gives the first value at r^i.  The lead set of an echelon
     depends only on the span, so these values come from exactly the
     certified rows and equal what one call per point gives.  Then the
-    thetas up to R_k + 1 enter and every count is read again; each must
-    keep its first value.  This confirmation is at least as strong as
-    one step past each R_i, since S_{R_i + 1} is inside S_{R_k + 1} and a
-    box's pivot count only grows with the rows.  The chain's points are
-    read lazily and each is checked against `MAX_BOX` and `MAX_ROWS`, in
-    order, before any row of the chain is built.  A grid of p >= 2 is
-    not one chain: its boxes are not nested, so no column order puts the
-    outside of every box first; `check` walks it as one chain along the
-    last axis per prefix, which keeps its lexicographic order.
+    thetas up to R(r^k) + 1 enter and every count is read again; each
+    must keep its first value.  This confirmation is at least as strong
+    as one step past each R(r^i), since S_{R(r^i) + 1} is inside
+    S_{R(r^k) + 1} and a box's pivot count only grows with the rows.
+    The chain's points are read lazily and each is checked against
+    `MAX_BOX` and `MAX_ROWS`, in order, before any row of the chain is
+    built.  A grid of p >= 2 is not one chain: its boxes are not nested,
+    so no column order puts the outside of every box first; `check`
+    walks it as one chain along the last axis per prefix, which keeps
+    its lexicographic order.
     """
 
     def __init__(self, basis: GroebnerBasis):
-        P, bound, relations = basis.P, basis.multiplier_bound, basis.relations
-        if bound is None:
-            raise InputError("basis carries no multiplier bound; use complete_basis")
+        P, bounds, relations = basis.P, basis.bounds, basis.relations
+        if bounds is None:
+            raise InputError("basis carries no multiplier bounds; use complete_basis")
         if relations is None:
-            raise InputError("basis carries a multiplier bound but no relations")
-        if len(bound) != P.p:
+            raise InputError("basis carries multiplier bounds but no relations")
+        if len(bounds) != len(basis.elements):
             raise InputError(
-                f"multiplier bound has length {len(bound)}, expected {P.p}"
+                f"basis carries {len(bounds)} multiplier bounds, expected "
+                f"{len(basis.elements)}, one per element"
             )
-        # exact type: bool is an int subclass and floats do not bound orders
-        if any(type(v) is not int or v < 0 for v in bound):
-            raise InputError(
-                f"multiplier bound must consist of nonnegative integers: {bound}"
-            )
+        for k, bound in enumerate(bounds):
+            if len(bound) != P.p:
+                raise InputError(
+                    f"multiplier bound {k} has length {len(bound)}, expected {P.p}"
+                )
+            # exact type: bool is an int subclass and floats do not bound orders
+            if any(type(v) is not int or v < 0 for v in bound):
+                raise InputError(
+                    f"multiplier bound {k} must consist of nonnegative integers: "
+                    f"{bound}"
+                )
         for i, g in enumerate(relations):
             if not isinstance(g, ModuleElement) or (g.n, g.m) != (P.n, basis.m):
                 raise InputError(f"relation {i} is not an element of A_{P.n}^{basis.m}")
         self.P = P
         self.m = basis.m
         self.relations = relations
-        self.slack = bound
+        # (ord(g), B(g)) per basis element: the componentwise max of its
+        # terms' block orders, and its own multiplier-order bound
+        self.element_bounds = [
+            (tuple(map(max, zip(*(block_orders(t.theta, P) for t in g.row)))), b)
+            for g, b in zip(basis.elements, bounds)
+        ]
         self._sizes2 = tuple(2 * s for s in P.sizes)
         self._block_starts = np.cumsum((0,) + self._sizes2[:-1])
         # global (alpha, beta) positions in blockwise-packed order
@@ -147,6 +185,15 @@ class RankOracle:
         self._keys = np.empty((0, P.p + 2 * P.n + 1), dtype=np.int64)
         self._rank = np.empty(0, dtype=np.int64)
 
+    def _row_bound(self, r: tuple[int, ...]) -> tuple[int, ...]:
+        """R(r), or -1 in every block where no element fits box r."""
+        fits = [
+            [v - o + b for v, o, b in zip(r, order, bound)]
+            for order, bound in self.element_bounds
+            if all(map(le, order, r))
+        ]
+        return tuple(map(max, zip((-1,) * self.P.p, *fits)))
+
     def dimension(self, r: Sequence[int]) -> int:
         """dim M_r, as a chain of one point."""
         return self.dimensions((r,))[0]
@@ -161,6 +208,7 @@ class RankOracle:
         P, m = self.P, self.m
         points: list[tuple[int, ...]] = []
         cards: list[int] = []
+        bounds: list[tuple[int, ...]] = []  # R(r) per point
         below = 0  # points with a negative entry: empty boxes, a prefix
         prev = None
         for r in chain:
@@ -181,8 +229,9 @@ class RankOracle:
                 raise InputError(
                     f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
                 )
+            bound = self._row_bound(r)
             if self.relations:
-                confirm = tuple(v + qv + 1 for v, qv in zip(r, self.slack))
+                confirm = tuple(v + 1 for v in bound)
                 n_rows = weyl_dimension(P, confirm) * len(self.relations)
                 if n_rows > MAX_ROWS:
                     raise InputError(
@@ -191,12 +240,12 @@ class RankOracle:
                     )
             points.append(r)
             cards.append(card_box)
+            bounds.append(bound)
         if not points or not self.relations:
             return [0] * below + cards
         k = len(points)
-        bounds = [tuple(v + qv for v, qv in zip(r, self.slack)) for r in points]
         # one enumeration at the top point's confirmation bound; a theta's
-        # stage is the first point whose certified bound it fits, else k
+        # stage is the first point whose row bound it fits, else k
         V = box_vectors(self._sizes2, tuple(v + 1 for v in bounds[-1]))
         sums = np.add.reduceat(V, self._block_starts, axis=1)
         stage = k - sum((sums <= b).all(axis=1) for b in bounds)

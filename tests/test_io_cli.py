@@ -393,9 +393,10 @@ class TestCli:
         assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
 
     def test_check_stops_at_row_budget(self, capsys, monkeypatch, ex_file):
-        # a budget of exactly the rows at (0, 0) refuses the next point
+        # a budget of exactly the rows at (1, 1) refuses (1, 2), the first
+        # point of the grid's walk that needs more
         first = RankOracle(dimension_polynomial(load_presentation(ex_file)).basis)
-        first.dimension((0, 0))
+        first.dimension((1, 1))
         rows = sum(map(len, first._rows.values()))
         monkeypatch.setattr(oracle, "MAX_ROWS", rows)
         assert main(["check", ex_file, "--rmax", "2"]) == 1
@@ -403,7 +404,7 @@ class TestCli:
         assert out.out == ""
         assert out.err.startswith("error: rank oracle: ")
         assert out.err.endswith(
-            f" at r=(0, 1) are over the budget oracle.MAX_ROWS = {rows}\n"
+            f" at r=(1, 2) are over the budget oracle.MAX_ROWS = {rows}\n"
         )
 
     def test_eval_refuses_int64_overflow(self, tmp_path):

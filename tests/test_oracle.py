@@ -32,6 +32,7 @@ from weyldim.terms import term_key
 
 from conftest import (
     WeylElement,
+    _dense_presentation,
     assert_oracle_keys,
     corpus_presentations,
     enum_V_A,
@@ -118,19 +119,16 @@ class TestRankOracle:
     def test_long_combination_regression(self):
         # e1 enters the span only through degree-4 multipliers; short
         # truncations leave a plateau at the wrong value
-        P = Partition((1,))
-        r1 = ModuleElement(1, 2, {(1, ((0,), (0,))): -2, (1, ((2,), (0,))): -2})
-        r2 = ModuleElement(1, 2, {(1, ((0,), (1,))): -3, (1, ((2,), (1,))): 1})
-        oracle = RankOracle(complete_basis([r1, r2], P, m=2))
+        oracle = RankOracle(long_combination_basis())
         assert [oracle.dimension((r,)) for r in range(5)] == [1, 3, 6, 10, 15]
 
     def test_extra_slack_is_stable(self):
-        pres = two_term_presentation(1, 0, 2)
-        G = complete_basis(pres.relations, pres.P, m=1)
-        oracle, wider = RankOracle(G), RankOracle(G)
-        wider.slack = tuple(s + 2 for s in wider.slack)
-        for r in grid(2, 0, 2):
-            assert oracle.dimension(r) == wider.dimension(r)
+        # every element's bound widened by 2 adds rows, not pivots in a box
+        for label, pres in corpus_presentations():
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            oracle, wider = RankOracle(G), RankOracle(widened(G, 2))
+            for r in grid(pres.P.p, 0, 2):
+                assert oracle.dimension(r) == wider.dimension(r), (label, r)
 
     def test_matches_engine_on_sample_draws(self):
         sample = [pres for label, pres in corpus_presentations() if "n2p1" in label]
@@ -142,10 +140,39 @@ class TestRankOracle:
                 assert oracle.dimension((r,)) == count_UVW(G, (r,))[2]
 
 
-def x1_module_oracle() -> RankOracle:
-    """Oracle of A_1 / A_1 x1: dim M_r = r + 1 next to a box of C(r + 2, 2)."""
+def x1_module_basis() -> GroebnerBasis:
+    """Basis of A_1 / A_1 x1: dim M_r = r + 1 next to a box of C(r + 2, 2)."""
     rel = ModuleElement.single(1, 1, 1, (1,), (0,))
-    return RankOracle(complete_basis([rel], Partition((1,)), m=1))
+    return complete_basis([rel], Partition((1,)), m=1)
+
+
+def x1_module_oracle() -> RankOracle:
+    return RankOracle(x1_module_basis())
+
+
+def long_combination_basis() -> GroebnerBasis:
+    """Two relations on P = (1,) whose basis holds e1 only through
+    degree-4 multipliers."""
+    P = Partition((1,))
+    r1 = ModuleElement(1, 2, {(1, ((0,), (0,))): -2, (1, ((2,), (0,))): -2})
+    r2 = ModuleElement(1, 2, {(1, ((0,), (1,))): -3, (1, ((2,), (1,))): 1})
+    return complete_basis([r1, r2], P, m=2)
+
+
+def widened(G: GroebnerBasis, by: int) -> GroebnerBasis:
+    """G with every element's multiplier bound raised by `by` in each block."""
+    return rebased(G, bounds=[tuple(v + by for v in b) for b in G.bounds])
+
+
+def understate(oracle: RankOracle, bound: tuple[int, ...]) -> None:
+    """Give every element of the oracle's basis the multiplier bound `bound`,
+    which the constructor refuses when it is negative."""
+    oracle.element_bounds = [(order, bound) for order, _ in oracle.element_bounds]
+
+
+def built_rows(oracle: RankOracle) -> int:
+    """Relation multiples the oracle has built so far."""
+    return sum(map(len, oracle._rows.values()))
 
 
 class TestRankOracleContract:
@@ -156,15 +183,22 @@ class TestRankOracleContract:
                 oracle.dimension(r)
 
     def test_slack_must_be_a_nonnegative_int(self):
-        oracle, wider = x1_module_oracle(), x1_module_oracle()
-        wider.slack = tuple(s + 3 for s in wider.slack)
+        G = x1_module_basis()
+        oracle, wider = RankOracle(G), RankOracle(widened(G, 2))
         assert oracle.dimension((2,)) == wider.dimension((2,)) == 3
 
+    def test_no_element_fits(self):
+        # x1*e1 has order 1, so box (0,) meets no element: the count is the
+        # box size, and only the confirmation builds rows, the relation's
+        oracle = x1_module_oracle()
+        assert oracle.dimension((0,)) == 1
+        assert list(oracle._rows) == [(0, 0)] and built_rows(oracle) == 1
+
     def test_rank_drop_past_the_bound_is_reported(self):
-        # a slack below the certified bound leaves x1*e1 out of the first
+        # a bound below the certified one leaves x1*e1 out of the first
         # pass, so the confirmation pass finds one more box pivot
         oracle = x1_module_oracle()
-        oracle.slack = (-3,)
+        understate(oracle, (-2,))
         with pytest.raises(VerificationError) as err:
             oracle.dimension((2,))
         assert str(err.value) == (
@@ -242,7 +276,7 @@ class TestChains:
         # the confirmation at the top bound adds x1*e1 to every box of the
         # chain; the first point whose count drops is named
         oracle = x1_module_oracle()
-        oracle.slack = (-3,)
+        understate(oracle, (-2,))
         with pytest.raises(VerificationError) as err:
             oracle.dimensions([(1,), (2,)])
         assert str(err.value) == (
@@ -257,16 +291,17 @@ class TestChains:
         assert not oracle._rows and not oracle._col
 
     def test_budgets_in_chain_order(self, monkeypatch):
-        # a budget of exactly the rows at (0, 0) refuses the next point of
-        # the chain before any row is built
+        # a budget of exactly the rows at (1, 1), which no element fits,
+        # refuses the next point of the chain, which one element fits,
+        # before any row is built
         G = two_block_basis()
         first = RankOracle(G)
-        first.dimension((0, 0))
-        rows = sum(map(len, first._rows.values()))
+        first.dimension((1, 1))
+        rows = built_rows(first)
         monkeypatch.setattr(oracle_module, "MAX_ROWS", rows)
         oracle = RankOracle(G)
-        with pytest.raises(InputError, match=r"at r=\(0, 1\) are over the budget"):
-            oracle.dimensions([(0, 0), (0, 1), (0, 2)])
+        with pytest.raises(InputError, match=r"at r=\(1, 2\) are over the budget"):
+            oracle.dimensions([(0, 0), (1, 1), (1, 2), (2, 2)])
         assert not oracle._rows and not oracle._col
 
     def test_points_are_read_lazily(self):
@@ -285,8 +320,8 @@ class TestChains:
 
 
 def rebased(G: GroebnerBasis, **change) -> GroebnerBasis:
-    """G's elements with its relations and multiplier bound replaced."""
-    fields = {"relations": G.relations, "multiplier_bound": G.multiplier_bound}
+    """G's elements with its relations and multiplier bounds replaced."""
+    fields = {"relations": G.relations, "bounds": G.bounds}
     fields.update(change)
     return GroebnerBasis(G.elements, G.P, G.m, G.certified, **fields)
 
@@ -303,16 +338,29 @@ class TestBasisValidation:
 
     def test_bound_too_short(self):
         with pytest.raises(InputError, match="length 1, expected 2"):
-            RankOracle(rebased(two_block_basis(), multiplier_bound=(1,)))
+            RankOracle(rebased(two_block_basis(), bounds=[(1,)]))
 
     def test_bound_too_long(self):
         with pytest.raises(InputError, match="length 3, expected 2"):
-            RankOracle(rebased(two_block_basis(), multiplier_bound=(1, 1, 1)))
+            RankOracle(rebased(two_block_basis(), bounds=[(1, 1, 1)]))
 
     @pytest.mark.parametrize("bound", [(1.5, 0), (True, 0), ("1", 0), (-1, 0)])
     def test_bound_entries(self, bound):
         with pytest.raises(InputError, match="nonnegative integers"):
-            RankOracle(rebased(two_block_basis(), multiplier_bound=bound))
+            RankOracle(rebased(two_block_basis(), bounds=[bound]))
+
+    def test_one_bound_per_element(self):
+        # a short list would drop the last elements from every row bound
+        G = long_combination_basis()
+        count = len(G.elements)
+        assert count > 1
+        for bounds in (G.bounds[:-1], G.bounds + G.bounds[:1], ()):
+            with pytest.raises(InputError) as err:
+                RankOracle(rebased(G, bounds=bounds))
+            assert str(err.value) == (
+                f"basis carries {len(bounds)} multiplier bounds, expected "
+                f"{count}, one per element"
+            )
 
     def test_relation_shapes(self):
         G = two_block_basis()
@@ -354,9 +402,8 @@ class TestShiftedRows:
     @given(oracle_cases())
     def test_rows_match_direct_expansion(self, case):
         P, m, rels, thetas = case
-        oracle = RankOracle(
-            GroebnerBasis(rels, P, m, (), relations=rels, multiplier_bound=(0,) * P.p)
-        )
+        zero = [(0,) * P.p] * len(rels)
+        oracle = RankOracle(GroebnerBasis(rels, P, m, (), relations=rels, bounds=zero))
         for theta in thetas:
             oracle._multiples(packed(theta, P))
         term_of = {c: t for t, c in oracle._col.items()}
@@ -399,15 +446,31 @@ class TestShiftedRows:
 
 class TestRowBudget:
     def test_refused_before_any_row(self, monkeypatch):
-        monkeypatch.setattr(oracle_module, "MAX_ROWS", 5)
-        oracle = RankOracle(two_block_basis())
+        # one row fewer than the point needs
+        G = two_block_basis()
+        first = RankOracle(G)
+        first.dimension((1, 2))
+        rows = built_rows(first) - 1
+        assert rows > 0
+        monkeypatch.setattr(oracle_module, "MAX_ROWS", rows)
+        oracle = RankOracle(G)
         with pytest.raises(InputError) as err:
-            oracle.dimension((1, 1))
-        assert str(err.value).startswith("rank oracle: ")
-        assert str(err.value).endswith(
-            " relation multiples at r=(1, 1) are over the budget oracle.MAX_ROWS = 5"
+            oracle.dimension((1, 2))
+        assert str(err.value) == (
+            f"rank oracle: {rows + 1} relation multiples at r=(1, 2) are over the "
+            f"budget oracle.MAX_ROWS = {rows}"
         )
         assert not oracle._rows and not oracle._d_rows and not oracle._col
+
+    @pytest.mark.parametrize(
+        "seed, sizes, r, value", [(11, (2, 1), (2, 2), 180), (13, (2, 2), (1, 1), 50)]
+    )
+    def test_dense_box_that_no_element_fits(self, seed, sizes, r, value):
+        # the whole basis' bound would ask for 200,200 and 300,300 rows
+        pres = _dense_presentation(seed, sizes)
+        oracle = RankOracle(complete_basis(pres.relations, pres.P, m=pres.m))
+        assert oracle.dimension(r) == value
+        assert built_rows(oracle) <= 2
 
     def test_counts_the_rows_it_builds(self, monkeypatch):
         for label, pres in corpus_presentations()[::4]:
@@ -415,7 +478,7 @@ class TestRowBudget:
             r = (1,) * pres.P.p
             oracle = RankOracle(G)
             value = oracle.dimension(r)
-            rows = sum(map(len, oracle._rows.values()))
+            rows = built_rows(oracle)
             with monkeypatch.context() as budget:
                 budget.setattr(oracle_module, "MAX_ROWS", rows)
                 assert RankOracle(G).dimension(r) == value, label
