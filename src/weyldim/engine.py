@@ -43,8 +43,8 @@ from .numpoly import (
     omega,
     shift_coeffs,
 )
-from .terms import ModuleElement, check_rank, term_lcm
-from .weyl import ExponentPair, Partition, weyl_dimension
+from .terms import ModuleElement, check_rank
+from .weyl import Partition, weyl_dimension
 
 # Most times `dimension_polynomial` moves its sample grid one step outwards
 # before it gives up on finding the stabilization threshold.
@@ -66,20 +66,6 @@ class Presentation:
                 raise InputError("relation shape does not match the presentation")
 
 
-def pack_exponents(theta: ExponentPair, P: Partition) -> tuple[int, ...]:
-    """Exponents rearranged blockwise: block j's x then d entries."""
-    alpha, beta = theta
-    out: list[int] = []
-    for a, b in P.blocks:
-        out.extend(alpha[a:b])
-        out.extend(beta[a:b])
-    return tuple(out)
-
-
-def _doubled_sizes(P: Partition) -> tuple[int, ...]:
-    return tuple(2 * s for s in P.sizes)
-
-
 def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Per counted generator: its weight, first-leader rows and their slacks.
 
@@ -98,7 +84,7 @@ def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]
     out = []
     for gen, idxs in sorted(by_gen.items()):
         L = np.array(
-            [pack_exponents(G.leaders[j][0][0].theta, P) for j in idxs],
+            [P.pack(G.leaders[j][0][0].theta) for j in idxs],
             dtype=np.int64,
         ).reshape(len(idxs), 2 * P.n)
         SL = np.array(
@@ -122,27 +108,19 @@ def count_grid(
     into one weighted table, and every bound is read off that table.
     """
     P = G.P
-    points = [tuple(r) for r in points]
-    for r in points:
-        if len(r) != P.p:
-            raise InputError(f"r has length {len(r)}, expected {P.p}")
-        # exact type: bool is an int subclass and floats do not index boxes
-        if any(type(v) is not int for v in r):
-            raise InputError(f"r must consist of integers: {r}")
+    points = [P.check_bound(r) for r in points]
     top = [max(col) for col in zip(*points)]
     if min(top, default=-1) < 0:
         return [(0, 0, 0)] * len(points)
-    sizes2 = _doubled_sizes(P)
-    cols = np.cumsum((0,) + sizes2)
     card_v = [0] * len(points)
     card_vp = [0] * len(points)
     for weight, L, SL in _first_leaders(G):
         blocks = [
-            block_classes(q, b, L[:, cols[j]:cols[j + 1]])
-            for j, (q, b) in enumerate(zip(sizes2, top))
+            block_classes(q, b, L[:, start:stop])
+            for q, b, (start, stop) in zip(P.widths, top, P.packed_blocks)
         ]
         V, weights = class_table(blocks)
-        BS = block_sum_matrix(V, sizes2)
+        BS = block_sum_matrix(V, P.widths)
         v, vp = classify_box(V, BS, L, SL, points, weights)
         card_v = [a + weight * b for a, b in zip(card_v, v.tolist())]
         card_vp = [a + weight * b for a, b in zip(card_vp, vp.tolist())]
@@ -155,11 +133,10 @@ def count_UVW(G: GroebnerBasis, r: Sequence[int]) -> tuple[int, int, int]:
 
 
 def _omega_part(G: GroebnerBasis) -> NumericalPolynomial:
-    sizes2 = _doubled_sizes(G.P)
     total = NumericalPolynomial.zero(G.P.p)
     for weight, L, _ in _first_leaders(G):
         points = tuple(sorted(map(tuple, L.tolist())))
-        total = total + omega(IndexSet(points, sizes2)).scale(weight)
+        total = total + omega(IndexSet(points, G.P.widths)).scale(weight)
     return total
 
 
@@ -171,7 +148,7 @@ def _psi_symbolic(G: GroebnerBasis) -> NumericalPolynomial:
     """
     P = G.P
     p = P.p
-    sizes2 = _doubled_sizes(P)
+    sizes2 = P.widths
     later = list(range(1, p))  # order positions 2..p, 0-based
     terms = []
     for j in range(len(G.elements)):
@@ -188,29 +165,23 @@ def _psi_symbolic(G: GroebnerBasis) -> NumericalPolynomial:
 
 
 def _symbolic_applicable(G: GroebnerBasis) -> bool:
-    heads = [ld[0][0] for ld in G.leaders]
-    for a in range(len(heads)):
-        for b in range(a + 1, len(heads)):
-            if term_lcm(heads[a], heads[b]) is not None:
-                return False
-    return True
+    """True when the first leaders sit on pairwise distinct generators,
+    so no two of them have a common multiple."""
+    gens = [ld[0][0].gen for ld in G.leaders]
+    return len(set(gens)) == len(gens)
 
 
 def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
     """Starting bounds past which all closed-form counts are exact."""
     P = G.P
-    sizes2 = _doubled_sizes(P)
     leaders = _first_leaders(G)
     out = []
-    cum = [0]
-    for s in sizes2:
-        cum.append(cum[-1] + s)
-    for j in range(P.p):
+    for j, (start, stop) in enumerate(P.packed_blocks):
         c_max = max(G.c[j], default=0)
         stair = 0
         for _, L, _ in leaders:
-            top = int(L[:, cum[j]:cum[j + 1]].max(axis=0, initial=0).sum())
-            stair = max(stair, top - sizes2[j])
+            top = int(L[:, start:stop].max(axis=0, initial=0).sum())
+            stair = max(stair, top - P.widths[j])
         out.append(1 + max(c_max, stair, 0))
     return tuple(out)
 
@@ -245,7 +216,7 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
     P = pres.P
     p = P.p
     G = complete_basis(pres.relations, P, m=pres.m)
-    sizes2 = _doubled_sizes(P)
+    sizes2 = P.widths
     base = _base_threshold(G)
     # the first grid reaches base + 2s + 2 per axis; refuse an oversized
     # block simplex or sample grid before omega and the grid are built

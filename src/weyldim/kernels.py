@@ -8,7 +8,9 @@ equal set of dominated leader blocks (`block_classes`), multiplies the
 classes of all blocks out into one weighted table of representative
 rows (`class_table`), and reads every bound it needs off that table in
 one `classify_box` call.  The full box (`box_vectors`) is still built,
-and cached, for the rank oracle.
+and cached, for the rank oracle.  Both are products of per-block
+tables, formed in one place (`_product`); the box is the product of
+the block simplices with unit weights.
 
 Every simplex, box and class table is bounded by MAX_CELLS int64
 cells (rows times width), checked from binomials before anything is
@@ -115,20 +117,27 @@ def box_vectors(sizes: tuple[int, ...], r: tuple[int, ...]) -> np.ndarray:
         return out
     total = prod(comb(b + q, q) for q, b in zip(sizes, r))
     _check_cells(total, sum(sizes), f"the box of block widths {sizes} at bound {r}")
-    blocks = [_sum_bounded(q, b) for q, b in zip(sizes, r)]
-    counts = [blk.shape[0] for blk in blocks]
-    out = np.empty((total, sum(sizes)), dtype=np.int64)
-    col = 0
-    reps_after = total
-    for blk, cnt in zip(blocks, counts):
-        reps_after //= cnt
-        reps_before = total // (cnt * reps_after)
-        tiled = np.repeat(blk, reps_after, axis=0)
-        tiled = np.tile(tiled, (reps_before, 1))
-        out[:, col:col + blk.shape[1]] = tiled
-        col += blk.shape[1]
+    out = _product([_sum_bounded(q, b) for q, b in zip(sizes, r)])
     out.flags.writeable = False
     return out
+
+
+def _product(tables: list[np.ndarray]) -> np.ndarray:
+    """Every row that joins one row of each 2-d table, in table order.
+
+    The first table varies slowest, so sorted tables give sorted rows.
+    Each table is broadcast into its columns of the result, so nothing
+    but the result is allocated.
+    """
+    shape = tuple(len(t) for t in tables)
+    out = np.empty((*shape, sum(t.shape[1] for t in tables)), dtype=np.int64)
+    col = 0
+    for j, t in enumerate(tables):
+        axes = [1] * len(shape)
+        axes[j] = len(t)
+        out[..., col:col + t.shape[1]] = t.reshape(*axes, t.shape[1])
+        col += t.shape[1]
+    return out.reshape(-1, out.shape[-1])
 
 
 def block_sum_matrix(V: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
@@ -182,14 +191,10 @@ def class_table(
         raise InputError(
             f"box counting: a box of {box} terms overflows the exact int64 counts"
         )
-    shape = tuple(len(counts) for _, counts in blocks)
     width = sum(rows.shape[1] for rows, _ in blocks)
-    _check_cells(prod(shape), width, "the combined class table")
-    idx = np.indices(shape).reshape(len(shape), -1)
-    V = np.hstack([rows[i] for (rows, _), i in zip(blocks, idx)])
-    weights = np.ones(idx.shape[1], dtype=np.int64)
-    for (_, counts), i in zip(blocks, idx):
-        weights *= counts[i]
+    _check_cells(prod(len(c) for _, c in blocks), width, "the combined class table")
+    V = _product([rows for rows, _ in blocks])
+    weights = _product([counts[:, None] for _, counts in blocks]).prod(axis=1)
     return V, weights
 
 

@@ -51,8 +51,9 @@ class NumericalPolynomial:
     __slots__ = ("p", "coeffs")
 
     def __init__(self, p: int, coeffs: Mapping[Index, int]):
-        if p < 1:
-            raise InputError(f"need at least one variable, got p={p}")
+        # exact type: bool is an int subclass and floats do not count
+        if type(p) is not int or p < 1:
+            raise InputError(f"need at least one variable, got p={p!r}")
         clean: dict[Index, int] = {}
         for k, c in coeffs.items():
             k = tuple(k)

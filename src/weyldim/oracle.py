@@ -4,15 +4,16 @@ RankOracle measures dim M_r by exact row reduction of relation
 multiples, kept as integer rows over integer column ids.  A multiple
 x^a d^b * g is the expansion of d^b * g with a added to every term's
 alpha, so each d-part b is expanded once and every multiplier sharing
-it is a shift; the term-order keys of new columns are read off their
-exponents in numpy.  One echelon serves a whole chain r^1 <= ... <= r^k
-of bounds: its row families are nested, and so are its boxes.  The
-counted value never touches the closed-form or Groebner code paths; a
-completed basis, supplied by the caller, is consulted only for its
-input relations and for its elements' blockwise orders and
-multiplier-order bounds, which size a row family per point that is
-provably sufficient, and a final pass one step past the top point's
-family re-checks every count.
+it is a shift.  Columns are keyed by flat (generator, packed exponents)
+tuples in the `Partition` layout, and the term-order keys of new
+columns are read off those tuples in numpy.  One echelon serves a whole
+chain r^1 <= ... <= r^k of bounds: its row families are nested, and so
+are its boxes.  The counted value never touches the closed-form or
+Groebner code paths; a completed basis, supplied by the caller, is
+consulted only for its input relations and for its elements' blockwise
+orders and multiplier-order bounds, which size a row family per point
+that is provably sufficient, and a final pass one step past the top
+point's family re-checks every count.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis
 from .kernels import box_vectors
 from .terms import ModuleElement
-from .weyl import ExponentPair, Partition, block_orders, mono_mul, weyl_dimension
+from .weyl import ExponentPair, block_orders, mono_mul, weyl_dimension
 
 # Most box terms (the box size times the module rank) `RankOracle` ranks.
 MAX_BOX = 10**4
@@ -35,19 +36,6 @@ MAX_BOX = 10**4
 # point of a `RankOracle.dimensions` chain may need; the chain builds and
 # eliminates those of its top point.
 MAX_ROWS = 1 << 19
-
-
-def _unpack_row(row: tuple[int, ...], P: Partition) -> ExponentPair:
-    """Blockwise-packed exponent row back to global (alpha, beta)."""
-    alpha = [0] * P.n
-    beta = [0] * P.n
-    col = 0
-    for a, b in P.blocks:
-        w = b - a
-        alpha[a:b] = row[col:col + w]
-        beta[a:b] = row[col + w:col + 2 * w]
-        col += 2 * w
-    return ExponentPair(tuple(alpha), tuple(beta))
 
 
 class RankOracle:
@@ -95,15 +83,17 @@ class RankOracle:
     The matrix is indexed as in F4.  Every term gets an integer column id
     the first time it appears, and every multiple theta*g is built once
     per oracle as a primitive integer row of (column ids, coefficients).
-    Rows come from the identity x^a d^b * g = x^a * (d^b * g): left
-    multiplication by x^a only adds a to every term's alpha, since each
-    term of d^b * g is already normal (x's left of d's).  So d^b * g is
-    expanded once per distinct b, and every theta = (a, b) shifts that
-    expansion; the shift is injective, so the coefficients and their
-    content carry over unchanged.  A call only ranks the columns, by
-    their term-order rank under the order-1 key: a term's block orders,
-    then each block's alpha and beta, then its generator, computed in
-    numpy for all new columns at once.
+    A column is keyed by the flat tuple (gen, *P.pack(theta)) of its
+    term.  Rows come from the identity x^a d^b * g = x^a * (d^b * g):
+    left multiplication by x^a only adds a to every term's alpha, since
+    each term of d^b * g is already normal (x's left of d's).  So d^b * g
+    is expanded and packed once per distinct b, and every theta = (a, b)
+    shifts that expansion by adding one packed x-vector to each key; the
+    shift is injective, so the coefficients and their content carry over
+    unchanged.  A call only ranks the columns, by their term-order rank
+    under the order-1 key: a term's block orders, then its packed
+    exponents, then its generator, computed in numpy for all new columns
+    at once.
 
     `dimensions` eliminates once for a whole chain r^1 <= ... <= r^k
     (componentwise), and `dimension(r)` is a chain of one point.  A
@@ -167,21 +157,15 @@ class RankOracle:
             (tuple(map(max, zip(*(block_orders(t.theta, P) for t in g.row)))), b)
             for g, b in zip(basis.elements, bounds)
         ]
-        self._sizes2 = tuple(2 * s for s in P.sizes)
-        self._block_starts = np.cumsum((0,) + self._sizes2[:-1])
-        # global (alpha, beta) positions in blockwise-packed order
-        self._packed_order = [
-            j for a, b in P.blocks for j in (*range(a, b), *range(P.n + a, P.n + b))
-        ]
         # beta -> one primitive row of d^beta * g per relation, as
-        # ((gen, ExponentPair) per term, coefficients)
+        # ((gen, *packed) per term, coefficients)
         self._d_rows: dict[tuple[int, ...], tuple] = {}
         # packed theta -> one (cols, coeffs) row of theta*g per relation
         self._rows: dict[tuple[int, ...], tuple[tuple[tuple, tuple], ...]] = {}
-        # column state: an id per term and, per id, its order-1 term key;
-        # the key array covers the columns up to the last call
-        self._col: dict[tuple[int, ExponentPair], int] = {}
-        self._new_terms: list[tuple[int, ExponentPair]] = []
+        # column state: an id per (gen, *packed) term key and, per id, its
+        # order-1 term key; the key array covers the columns up to the last call
+        self._col: dict[tuple[int, ...], int] = {}
+        self._new_terms: list[tuple[int, ...]] = []
         self._keys = np.empty((0, P.p + 2 * P.n + 1), dtype=np.int64)
         self._rank = np.empty(0, dtype=np.int64)
 
@@ -212,12 +196,7 @@ class RankOracle:
         below = 0  # points with a negative entry: empty boxes, a prefix
         prev = None
         for r in chain:
-            r = tuple(r)
-            if len(r) != P.p:
-                raise InputError(f"r has length {len(r)}, expected {P.p}")
-            # exact type: bool is an int subclass and floats do not index boxes
-            if any(type(v) is not int for v in r):
-                raise InputError(f"r must consist of integers: {r}")
+            r = P.check_bound(r)
             if prev is not None and any(a > b for a, b in zip(prev, r)):
                 raise InputError(f"chain points must not decrease: {r} follows {prev}")
             prev = r
@@ -246,8 +225,8 @@ class RankOracle:
         k = len(points)
         # one enumeration at the top point's confirmation bound; a theta's
         # stage is the first point whose row bound it fits, else k
-        V = box_vectors(self._sizes2, tuple(v + 1 for v in bounds[-1]))
-        sums = np.add.reduceat(V, self._block_starts, axis=1)
+        V = box_vectors(P.widths, tuple(v + 1 for v in bounds[-1]))
+        sums = np.add.reduceat(V, [a for a, _ in P.packed_blocks], axis=1)
         stage = k - sum((sums <= b).all(axis=1) for b in bounds)
         stages: list[list] = [[] for _ in range(k + 1)]
         for theta, s in zip(map(tuple, V.tolist()), stage.tolist()):
@@ -284,36 +263,40 @@ class RankOracle:
         """Rows theta*g for every relation g, as primitive integer rows."""
         hit = self._rows.get(packed)
         if hit is None:
-            a, b = _unpack_row(packed, self.P)
+            P = self.P
+            a, b = P.unpack(packed)
             d_rows = self._d_rows.get(b)
             if d_rows is None:
                 d_rows = self._d_rows[b] = tuple(
                     self._d_row(b, rel) for rel in self.relations
                 )
+            # the generator entry of a key does not shift
+            shift = (0, *P.pack(ExponentPair(a, (0,) * P.n)))
             hit = self._rows[packed] = tuple(
-                self._shift_row(terms, coeffs, a) for terms, coeffs in d_rows
+                self._shift_row(keys, coeffs, shift) for keys, coeffs in d_rows
             )
         return hit
 
-    @staticmethod
-    def _d_row(b: tuple[int, ...], rel: ModuleElement) -> tuple[tuple, tuple]:
-        """d^b * rel over the integers, from rel's row, content divided out."""
+    def _d_row(self, b: tuple[int, ...], rel: ModuleElement) -> tuple[tuple, tuple]:
+        """d^b * rel over the integers, from rel's row, content divided out;
+        its terms as (gen, *packed) keys."""
         d_b = ExponentPair((0,) * len(b), b)
-        acc: dict[tuple[int, ExponentPair], int] = {}
+        acc: dict[tuple[int, ...], int] = {}
         for (gen, theta_g), c in rel.row.items():
-            for key, w in mono_mul(d_b, theta_g):
-                t = (gen, key)
+            for theta, w in mono_mul(d_b, theta_g):
+                t = (gen, *self.P.pack(theta))
                 acc[t] = acc.get(t, 0) + c * w
         acc = {t: v for t, v in acc.items() if v}
         g = gcd(*acc.values())
         return tuple(acc), tuple(v // g for v in acc.values())
 
-    def _shift_row(self, terms: tuple, coeffs: tuple, a: tuple[int, ...]) -> tuple:
-        """x^a times a row of d^b * g: a added to every alpha; new terms get ids."""
+    def _shift_row(self, keys: tuple, coeffs: tuple, shift: tuple[int, ...]) -> tuple:
+        """x^a times a row of d^b * g: the packed x^a added to every key;
+        new terms get ids."""
         col = self._col
         cols = []
-        for gen, (alpha, beta) in terms:
-            t = (gen, ExponentPair(tuple(map(add, alpha, a)), beta))
+        for t in keys:
+            t = tuple(map(add, t, shift))
             c = col.get(t)
             if c is None:
                 c = col[t] = len(col)
@@ -325,13 +308,12 @@ class RankOracle:
         """Per column id: its term-order rank, plus ncols times its level,
         the number of the chain's boxes that hold it."""
         if self._new_terms:
-            exps = np.array(
-                [alpha + beta for _, (alpha, beta) in self._new_terms], dtype=np.int64
-            )[:, self._packed_order]
-            gens = np.array([gen for gen, _ in self._new_terms], dtype=np.int64)
+            new = np.array(self._new_terms, dtype=np.int64)
+            gens, exps = new[:, 0], new[:, 1:]
             self._new_terms = []
             # the order-1 key: block orders, packed exponents, generator
-            orders = np.add.reduceat(exps, self._block_starts, axis=1)
+            starts = [a for a, _ in self.P.packed_blocks]
+            orders = np.add.reduceat(exps, starts, axis=1)
             self._keys = np.concatenate(
                 (self._keys, np.column_stack((orders, exps, gens)))
             )

@@ -226,19 +226,7 @@ class ModuleElement:
         )
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
-        self._check_compat(other)
-        # acc = kn_f * kn_g * (f - g), as in `__add__`
-        a, b = self.kd * other.kn, other.kd * self.kn
-        acc = {t: a * v for t, v in self.row.items()}
-        for t, v in other.row.items():
-            s = acc.get(t, 0) - b * v
-            if s:
-                acc[t] = s
-            else:
-                del acc[t]
-        return ModuleElement._trusted(
-            self.n, self.m, *_primitive(acc, self.kn * other.kn)
-        )
+        return self + (-other)
 
     def scale(self, c) -> "ModuleElement":
         c = Fraction(c)

@@ -6,7 +6,10 @@ form, with integer weights; every product the package forms goes
 through it.  A Partition groups the n variables into p consecutive
 blocks; every grading in the package is taken blockwise with x_i and d_i
 weighted equally, and `weyl_dimension` counts the monomials within
-blockwise bounds.
+blockwise bounds.  The Partition also owns the packed layout that the
+counting kernels and the rank oracle index by: block by block, each
+block's x exponents then its d exponents (`pack`, `unpack`), and the
+check of a blockwise bound r (`check_bound`).
 """
 from __future__ import annotations
 
@@ -58,16 +61,57 @@ class Partition:
     @cached_property
     def blocks(self) -> tuple[tuple[int, int], ...]:
         """Half-open index ranges (start, stop) of each block."""
-        out = []
-        start = 0
-        for s in self.sizes:
-            out.append((start, start + s))
-            start += s
-        return tuple(out)
+        return _ranges(self.sizes)
+
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        """Width 2 n_j of each block in the packed layout."""
+        return tuple(2 * s for s in self.sizes)
+
+    @cached_property
+    def packed_blocks(self) -> tuple[tuple[int, int], ...]:
+        """Half-open ranges (start, stop) of each block in the packed layout."""
+        return _ranges(self.widths)
+
+    @cached_property
+    def packed_order(self) -> tuple[int, ...]:
+        """Positions in alpha + beta of the packed entries, in packed order."""
+        n = self.n
+        return tuple(
+            j for a, b in self.blocks for j in (*range(a, b), *range(n + a, n + b))
+        )
+
+    def pack(self, theta: ExponentPair) -> Vector:
+        """Exponents rearranged blockwise: block j's x then d entries."""
+        flat = theta[0] + theta[1]
+        return tuple(flat[j] for j in self.packed_order)
+
+    def unpack(self, packed: Vector) -> ExponentPair:
+        """Packed exponents back to (alpha, beta)."""
+        flat = [0] * (2 * self.n)
+        for j, v in zip(self.packed_order, packed):
+            flat[j] = v
+        return ExponentPair(tuple(flat[: self.n]), tuple(flat[self.n:]))
+
+    def check_bound(self, r) -> Vector:
+        """r as a tuple, refused unless it is p exact ints."""
+        r = tuple(r)
+        if len(r) != self.p:
+            raise InputError(f"r has length {len(r)}, expected {self.p}")
+        # exact type: bool is an int subclass and floats do not index boxes
+        if any(type(v) is not int for v in r):
+            raise InputError(f"r must consist of integers: {r}")
+        return r
 
     def collapse(self) -> "Partition":
         """The single-block partition (n,) of the same variables."""
         return Partition((self.n,))
+
+
+def _ranges(widths: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Consecutive half-open ranges of the given widths, from 0."""
+    ends = tuple(itertools.accumulate(widths))
+    return tuple(zip((0, *ends), ends))
 
 
 def _check_vector(v, n: int, what: str) -> Vector:
@@ -135,11 +179,7 @@ def mono_mul(t1: ExponentPair, t2: ExponentPair) -> list[tuple[ExponentPair, int
 
 def weyl_dimension(P: Partition, r: Vector) -> int:
     """Number of monomials with blockwise orders bounded by r."""
-    r = tuple(r)
-    if len(r) != P.p:
-        raise InputError(f"r has length {len(r)}, expected {P.p}")
-    if any(type(v) is not int for v in r):
-        raise InputError(f"r must consist of integers: {r}")
+    r = P.check_bound(r)
     if any(v < 0 for v in r):
         return 0
-    return prod(comb(v + 2 * s, 2 * s) for v, s in zip(r, P.sizes))
+    return prod(comb(v + w, w) for v, w in zip(r, P.widths))

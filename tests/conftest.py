@@ -523,11 +523,17 @@ def ref_multiple(theta: ExponentPair, g: ModuleElement) -> dict:
     return {k: v // content for k, v in acc.items()}
 
 
+def column_term(key: tuple, P: Partition) -> Term:
+    """The term of a rank-oracle column key (gen, *packed exponents)."""
+    return Term(key[0], P.unpack(key[1:]))
+
+
 def assert_oracle_keys(oracle) -> None:
     """Every keyed column of the oracle carries its order-1 term key."""
     assert len(oracle._keys) == len(oracle._col)
     for t, c in oracle._col.items():
-        assert tuple(oracle._keys[c].tolist()) == term_key(1, Term(*t), oracle.P), t
+        term = column_term(t, oracle.P)
+        assert tuple(oracle._keys[c].tolist()) == term_key(1, term, oracle.P), t
 
 
 # ---------------------------------------------------------------- fixed cases

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from weyldim import GroebnerBasis, InputError, ModuleElement, Partition
-from weyldim.engine import count_grid, pack_exponents
+from weyldim.engine import count_grid
 from weyldim.kernels import (
     MAX_CELLS,
     _check_cells,
@@ -123,7 +123,7 @@ def ref_grid(G, points):
     P = G.P
     sizes2 = tuple(2 * s for s in P.sizes)
     L = np.array(
-        [pack_exponents(ld[0][0].theta, P) for ld in G.leaders], dtype=np.int64
+        [P.pack(ld[0][0].theta) for ld in G.leaders], dtype=np.int64
     )
     SL = np.array(
         [[G.c[i][j] - G.b[i][j] for i in range(P.p)] for j in range(len(G.leaders))],
@@ -142,6 +142,7 @@ class TestBoxVectors:
         sizes = (2, 1)
         for r in grid(2, 0, 3):
             V = box_vectors(sizes, r)
+            assert V.tolist() == sorted(V.tolist())
             assert V.shape[0] == len(set(map(tuple, V.tolist())))
             assert V.shape[0] == comb(r[0] + 2, 2) * (r[1] + 1)
             BS = block_sum_matrix(V, sizes)

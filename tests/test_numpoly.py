@@ -117,6 +117,11 @@ class TestNumericalPolynomial:
         with pytest.raises(InputError):
             NumericalPolynomial(1, {(1,): Fraction(1, 2)})
 
+    def test_variable_count_must_be_an_int(self):
+        for p in (True, 2.0, 1.5, "1", None):
+            with pytest.raises(InputError, match="need at least one variable"):
+                NumericalPolynomial(p, {})
+
     def test_rejects_booleans_and_floats(self):
         for coeffs in ({(True,): 1}, {(1.0,): 1}, {(1,): True}, {(1,): 2.0}):
             with pytest.raises(InputError):

@@ -18,7 +18,6 @@ from weyldim import (
     ModuleElement,
     Partition,
     RankOracle,
-    Term,
     VerificationError,
     complete_basis,
     count_grid,
@@ -34,6 +33,7 @@ from conftest import (
     WeylElement,
     _dense_presentation,
     assert_oracle_keys,
+    column_term,
     corpus_presentations,
     enum_V_A,
     grid,
@@ -225,9 +225,12 @@ class TestColumnGrowth:
                     for cols, coeffs in multiples:
                         assert all(type(v) is int for v in cols + coeffs), label
                 # columns rank in descending term order, the largest first
-                terms = sorted(oracle._col, key=lambda t: oracle._rank[oracle._col[t]])
+                terms = [
+                    column_term(t, pres.P)
+                    for t in sorted(oracle._col, key=lambda t: oracle._rank[oracle._col[t]])
+                ]
                 assert terms == sorted(
-                    terms, key=lambda t: term_key(1, Term(*t), pres.P), reverse=True
+                    terms, key=lambda t: term_key(1, t, pres.P), reverse=True
                 ), label
 
 
@@ -331,6 +334,31 @@ def two_block_basis() -> GroebnerBasis:
     return complete_basis(pres.relations, pres.P, m=1)
 
 
+@pytest.mark.parametrize(
+    "r, message",
+    [
+        ((1,), "r has length 1, expected 2"),
+        ((True, 1), "r must consist of integers: (True, 1)"),
+        ((1.0, 1), "r must consist of integers: (1.0, 1)"),
+    ],
+    ids=["short", "bool", "float"],
+)
+@pytest.mark.parametrize(
+    "count",
+    [
+        lambda G, r: count_grid(G, [r]),
+        lambda G, r: RankOracle(G).dimensions([r]),
+        lambda G, r: weyl_dimension(G.P, r),
+    ],
+    ids=["count_grid", "dimensions", "weyl_dimension"],
+)
+def test_bound_refused_alike(count, r, message):
+    # the engine, the oracle and the box size check a bound in one place
+    with pytest.raises(InputError) as err:
+        count(two_block_basis(), r)
+    assert str(err.value) == message
+
+
 class TestBasisValidation:
     def test_bound_without_relations(self):
         with pytest.raises(InputError, match="no relations"):
@@ -369,12 +397,6 @@ class TestBasisValidation:
             RankOracle(rebased(G, relations=(wide,)))
 
 
-def packed(theta: ExponentPair, P: Partition) -> tuple[int, ...]:
-    """theta in the oracle's blockwise layout: each block's alpha, then beta."""
-    alpha, beta = theta
-    return tuple(v for a, b in P.blocks for v in (*alpha[a:b], *beta[a:b]))
-
-
 @st.composite
 def oracle_cases(draw):
     """Relations with fractional coefficients and multipliers on p blocks."""
@@ -405,10 +427,10 @@ class TestShiftedRows:
         zero = [(0,) * P.p] * len(rels)
         oracle = RankOracle(GroebnerBasis(rels, P, m, (), relations=rels, bounds=zero))
         for theta in thetas:
-            oracle._multiples(packed(theta, P))
-        term_of = {c: t for t, c in oracle._col.items()}
+            oracle._multiples(P.pack(theta))
+        term_of = {c: column_term(t, P) for t, c in oracle._col.items()}
         for theta in thetas:
-            for (cols, coeffs), g in zip(oracle._rows[packed(theta, P)], rels):
+            for (cols, coeffs), g in zip(oracle._rows[P.pack(theta)], rels):
                 assert all(type(v) is int for v in cols + coeffs)
                 assert gcd(*coeffs) == 1
                 assert {term_of[c]: v for c, v in zip(cols, coeffs)} == ref_multiple(
@@ -432,7 +454,7 @@ class TestShiftedRows:
             for r in grid(pres.P.p, 0, 1):
                 oracle.dimension(r)
             zero = (0,) * pres.P.n
-            d_parts = {oracle_module._unpack_row(t, pres.P).beta for t in oracle._rows}
+            d_parts = {pres.P.unpack(t).beta for t in oracle._rows}
             expect = Counter(
                 (ExponentPair(zero, b), t.theta)
                 for b in d_parts

@@ -43,6 +43,18 @@ class TestPartition:
             with pytest.raises(InputError):
                 Partition(sizes)
 
+    def test_packed_layout(self):
+        P = Partition((2, 1))
+        assert P.widths == (4, 2)
+        assert P.packed_blocks == ((0, 4), (4, 6))
+        assert P.pack(ExponentPair((1, 2, 3), (4, 5, 6))) == (1, 2, 4, 5, 3, 6)
+
+    @given(st.data())
+    def test_unpack_inverts_pack(self, data):
+        P = Partition(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4)))
+        theta = data.draw(st.builds(ExponentPair, vecs(P.n, 5), vecs(P.n, 5)))
+        assert P.unpack(P.pack(theta)) == theta
+
     def test_list_sizes_become_a_tuple(self):
         # a partition keys caches, so it must hash whatever the sizes came as
         P = Partition([1, 1])
