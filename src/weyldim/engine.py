@@ -43,7 +43,7 @@ from .numpoly import (
     omega,
     shift_coeffs,
 )
-from .terms import ModuleElement, check_rank
+from .terms import Leader, ModuleElement, check_rank, leader_data
 from .weyl import Partition, weyl_dimension
 
 # Most times `dimension_polynomial` moves its sample grid one step outwards
@@ -75,23 +75,18 @@ def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]
     number.  Entries come in generator order.
     """
     P = G.P
-    by_gen: dict[int, list[int]] = {}
-    for j, ld in enumerate(G.leaders):
-        by_gen.setdefault(ld[0][0].gen, []).append(j)
+    by_gen: dict[int, list[Leader]] = {}
+    for g in G.elements:
+        ld = leader_data(g, 1, P)
+        by_gen.setdefault(ld.term.gen, []).append(ld)
     free = G.m - len(by_gen)
     if free:
         by_gen[next(g for g in itertools.count(1) if g not in by_gen)] = []
     out = []
-    for gen, idxs in sorted(by_gen.items()):
-        L = np.array(
-            [P.pack(G.leaders[j][0][0].theta) for j in idxs],
-            dtype=np.int64,
-        ).reshape(len(idxs), 2 * P.n)
-        SL = np.array(
-            [[G.c[i][j] - G.b[i][j] for i in range(P.p)] for j in idxs],
-            dtype=np.int64,
-        ).reshape(len(idxs), P.p)
-        out.append((1 if idxs else free, L, SL))
+    for gen, lds in sorted(by_gen.items()):
+        L = np.array([P.pack(ld.term.theta) for ld in lds], dtype=np.int64)
+        SL = np.array([(0, *ld.slack) for ld in lds], dtype=np.int64)
+        out.append((1 if lds else free, L.reshape(-1, 2 * P.n), SL.reshape(-1, P.p)))
     return out
 
 
@@ -151,9 +146,12 @@ def _psi_symbolic(G: GroebnerBasis) -> NumericalPolynomial:
     sizes2 = P.widths
     later = list(range(1, p))  # order positions 2..p, 0-based
     terms = []
-    for j in range(len(G.elements)):
-        c_f = [shift_coeffs(q, G.c[i][j]) for i, q in enumerate(sizes2)]
-        b_f = [shift_coeffs(q, G.b[i][j]) for i, q in enumerate(sizes2)]
+    for g in G.elements:
+        # per order i: ord_i of the first leader b, and of the i-th, b + slack
+        ld = leader_data(g, 1, P)
+        bs = list(zip(sizes2, ld.orders, (0, *ld.slack)))
+        c_f = [shift_coeffs(q, b + s) for q, b, s in bs]
+        b_f = [shift_coeffs(q, b) for q, b, _ in bs]
         for size in range(1, p):
             for K in itertools.combinations(later, size):
                 factors = [
@@ -167,7 +165,7 @@ def _psi_symbolic(G: GroebnerBasis) -> NumericalPolynomial:
 def _symbolic_applicable(G: GroebnerBasis) -> bool:
     """True when the first leaders sit on pairwise distinct generators,
     so no two of them have a common multiple."""
-    gens = [ld[0][0].gen for ld in G.leaders]
+    gens = [leader_data(g, 1, G.P).term.gen for g in G.elements]
     return len(set(gens)) == len(gens)
 
 
@@ -177,7 +175,8 @@ def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
     leaders = _first_leaders(G)
     out = []
     for j, (start, stop) in enumerate(P.packed_blocks):
-        c_max = max(G.c[j], default=0)
+        # the greatest ord_j of any element's j-th leader
+        c_max = max([0] + [leader_data(g, j + 1, P).orders[j] for g in G.elements])
         stair = 0
         for _, L, _ in leaders:
             top = int(L[:, start:stop].max(axis=0, initial=0).sum())

@@ -9,13 +9,13 @@ each step tries only the reducers whose leader is no greater than the
 term, since no greater leader divides it.  The caps move as the remainder
 changes, but only downwards, so a term found ineligible never needs a
 second look (see `multi_reduce`).  Work that repeats across steps is done
-once: each reducer's leader data once per stage, kept with the element;
-each product q * g of a reducer's integer row with a monomial q once,
-kept with the element too (`_shifted`); and each term's order data once
-per stage and partition, in a bounded cache shared by every call
-(`_term_orders`).  Completion runs staged from the last order down to the
-first; every nonzero reduced S-element is inserted and re-opens the pair
-queues of its stage and all later stages.
+once: each element's leader record per stage (`terms.leader_data`), which
+S-elements and the core read too; each product q * g of a reducer's
+integer row with a monomial q, kept with the element (`_shifted`); and
+each term's order data per stage and partition, in a bounded cache shared
+by every call (`_term_orders`).  Completion runs staged from the last
+order down to the first; every nonzero reduced S-element is inserted and
+re-opens the pair queues of its stage and all later stages.
 
 The finished basis G is certified through a core.  Element j dominates
 element i when, at every stage r, j's r-th leader divides i's (the same
@@ -51,12 +51,13 @@ ord_j(D) <= B_j for every coefficient D of some way of writing the element
 as sum_i D_i * g_i over the input relations g_i.  Inputs start at zero.
 An element inserted from the pair (a, b) at stage r is
 t_a * G[a] - t_b * G[b] - sum_k Q_k * G[k], with t_a, t_b the monomials
-that lift the stage-r leaders to their lcm and Q_k the quotients of the
-reduction.  Q_k's support is the thetas of the reduction's steps (k, theta)
-(see `multi_reduce`), so the bound is the componentwise max of ord(t_a) +
-B[a], ord(t_b) + B[b] and ord(theta) + B[k] over those steps.  This is
-sound because every term of a product D1 * D2 has ord_j <= ord_j(D1) +
-ord_j(D2), and summing terms can only cancel them.
+that lift the stage-r leaders to their lcm (`_lifts`) and Q_k the
+quotients of the reduction.  Q_k's support is the thetas of the
+reduction's steps (k, theta) (see `multi_reduce`), so the bound is the
+componentwise max of ord(t_a) + B[a], ord(t_b) + B[b] and
+ord(theta) + B[k] over those steps.  This is sound because every term of
+a product D1 * D2 has ord_j <= ord_j(D1) + ord_j(D2), and summing terms
+can only cancel them.
 """
 from __future__ import annotations
 
@@ -67,18 +68,19 @@ from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
 from math import gcd
 from operator import add, eq, le, neg, sub
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .errors import InputError, WeylDimError, ZeroElementError
 from .terms import (
+    Leader,
     ModuleElement,
     Term,
     _primitive,
     block_orders,
+    check_cover,
     check_rank,
-    leader,
+    leader_data,
     leader_term,
-    rho,
     term_divides,
     term_key,
     term_lcm,
@@ -95,44 +97,7 @@ def _check_stage(r, P: Partition, n: int) -> None:
     # exact type: bool is an int subclass
     if type(r) is not int or not 1 <= r <= P.p:
         raise InputError(f"stage {r!r} out of range 1..{P.p}")
-    if n != P.n:
-        raise InputError(f"partition covers {P.n} variables, element has {n}")
-
-
-class _Reducer(NamedTuple):
-    """What a reduction step at one stage needs of a reducer g."""
-
-    gen: int  # the stage-order leader's generator and exponents
-    alpha: Vector
-    beta: Vector
-    lead: int  # the stage-order leader's coefficient in g's row
-    neg_key: tuple  # the stage-order leader's term key, negated
-    # per later order i: ord_i of g's i-th leader minus ord_i of its
-    # stage-order leader, so theta * g stays within cap_i exactly when the
-    # term theta * leader has ord_i + slack_i <= cap_i
-    slack: tuple[int, ...]
-
-
-def _reducer(g: ModuleElement, r: int, P: Partition) -> _Reducer:
-    """Reducer data of g at stage r, kept with g's leaders so it is built once."""
-    memo_key = ("reducer", P.sizes, r)
-    hit = g._memo.get(memo_key)
-    if hit is not None:
-        return hit
-    head = leader_term(g, r, P)
-    hbo = block_orders(head.theta, P)
-    slack = tuple(
-        block_orders(leader_term(g, i, P).theta, P)[i - 1] - hbo[i - 1]
-        for i in range(r + 1, P.p + 1)
-    )
-    out = g._memo[memo_key] = _Reducer(
-        head.gen,
-        *head.theta,
-        g.row[head],
-        _term_orders(head, r, P)[0],
-        slack,
-    )
-    return out
+    check_cover(n, P)
 
 
 # one Term object per term of the memoised products, however many hold it
@@ -162,7 +127,7 @@ def _monic(g: ModuleElement, P: Partition) -> ModuleElement:
     """g scaled to leading coefficient 1 under the first order, keeping its row."""
     # row = k * g = (k * c) * out for g's leading coefficient c, and k * c
     # is row's coefficient at the head
-    row, lead = g.row, g.row[leader_term(g, 1, P)]
+    row, lead = g.row, leader_data(g, 1, P).lead
     if lead < 0:
         row, lead = {t: -v for t, v in row.items()}, -lead
     return ModuleElement._trusted(g.n, g.m, row, lead, 1)
@@ -186,16 +151,18 @@ def _caps(tails) -> list[int]:
     return [max(col) for col in zip(*tails)]
 
 
-def _eligible(w: Term, tail: tuple, r: _Reducer, caps: Sequence[int]) -> bool:
-    """Whether r's stage-order leader divides w and theta * r fits the caps.
+def _eligible(w: Term, tail: tuple, ld: Leader, caps: Sequence[int]) -> bool:
+    """Whether the reducer whose stage-order leader record is ld may
+    eliminate w: its leader divides w, and theta times it fits the caps.
 
     tail holds ord_i(w) for each later order i.
     """
+    (gen, (alpha, beta)), _, _, _, slack = ld
     return (
-        w.gen == r.gen
-        and all(map(le, r.alpha, w.theta.alpha))
-        and all(map(le, r.beta, w.theta.beta))
-        and all(b + s <= cap for b, s, cap in zip(tail, r.slack, caps))
+        w.gen == gen
+        and all(map(le, alpha, w.theta.alpha))
+        and all(map(le, beta, w.theta.beta))
+        and all(b + s <= cap for b, s, cap in zip(tail, slack, caps))
     )
 
 
@@ -266,10 +233,10 @@ def multi_reduce(
     # beside their negated keys, ascending
     by_gen: dict[int, tuple[list, list]] = {}
     for idx, red in sorted(
-        enumerate(_reducer(g, r, P) for g in G),
+        enumerate(leader_data(g, r, P) for g in G),
         key=lambda ir: ir[1].neg_key,  # stable: equal leaders stay in list order
     ):
-        negs, reds = by_gen.setdefault(red.gen, ([], []))
+        negs, reds = by_gen.setdefault(red.term.gen, ([], []))
         negs.append(red.neg_key)
         reds.append((idx, red))
     steps: list[tuple[int, ExponentPair]] = []
@@ -295,9 +262,10 @@ def multi_reduce(
                 break
         else:
             continue  # stays in the remainder for good
+        u = red.term.theta
         q = ExponentPair(
-            tuple(map(sub, w.theta.alpha, red.alpha)),
-            tuple(map(sub, w.theta.beta, red.beta)),
+            tuple(map(sub, w.theta.alpha, u.alpha)),
+            tuple(map(sub, w.theta.beta, u.beta)),
         )
         # work <- mult * work - e * theta * row, with the lead of theta * row
         # being red.lead, cancels w; mult > 0 keeps the scale positive
@@ -350,31 +318,37 @@ def s_element(
     f._check_compat(g)
     if f.is_zero() or g.is_zero():
         raise ZeroElementError("critical pair with a zero element")
-    uf, ug = leader_term(f, r, P), leader_term(g, r, P)
-    lcm_term = term_lcm(uf, ug)
-    if lcm_term is None:
+    lifts = _lifts(f, g, r, P)
+    if lifts is None:
         return ModuleElement.zero(f.n, f.m)
     # with rows row = k * f, lead l = k * (f's leader coefficient), the
     # S-element is q_f * row_f / l_f - q_g * row_g / l_g; acc holds it
     # times l_f * l_g / h
-    rf, rg = _reducer(f, r, P), _reducer(g, r, P)
-    h = gcd(rf.lead, rg.lead)
+    lf, lg = leader_data(f, r, P).lead, leader_data(g, r, P).lead
+    h = gcd(lf, lg)
     acc: dict[Term, int] = {}
-    for q, el, mult in (
-        (term_divides(uf, lcm_term), f, rg.lead // h),
-        (term_divides(ug, lcm_term), g, -(rf.lead // h)),
-    ):
+    for el, q, mult in zip((f, g), lifts, (lg // h, -(lf // h))):
         for t, v in _shifted(el, q):
             s = acc.get(t, 0) + mult * v
             if s:
                 acc[t] = s
             else:
                 del acc[t]
-    return ModuleElement._trusted(f.n, f.m, *_primitive(acc, rf.lead * rg.lead, h))
+    return ModuleElement._trusted(f.n, f.m, *_primitive(acc, lf * lg, h))
+
+
+def _lifts(f: ModuleElement, g: ModuleElement, r: int, P: Partition):
+    """The monomials that lift f's and g's r-th leaders to their lcm, or
+    None when the leaders sit on different generators."""
+    uf, ug = leader_term(f, r, P), leader_term(g, r, P)
+    top = term_lcm(uf, ug)
+    if top is None:
+        return None
+    return term_divides(uf, top), term_divides(ug, top)
 
 
 class GroebnerBasis:
-    """A completed basis with cached leader data and certification marks.
+    """A completed basis with its certification marks.
 
     A basis from `complete_basis` also keeps `relations`, the nonzero
     input family as given, and `bounds`, aligned with `elements`: element
@@ -405,19 +379,6 @@ class GroebnerBasis:
                 raise ZeroElementError("zero element in a basis")
             if (g.n, g.m) != (self.n, m):
                 raise InputError("basis element shape mismatch")
-        self.leaders = tuple(
-            tuple(leader(g, i, P) for i in range(1, P.p + 1)) for g in self.elements
-        )
-        self.rho = tuple(rho(g, P) for g in self.elements)
-        # order shifts: b[i][j] for the first leader, c[i][j] for the i-th
-        self.b = tuple(
-            tuple(block_orders(ld[0][0].theta, P)[i] for ld in self.leaders)
-            for i in range(P.p)
-        )
-        self.c = tuple(
-            tuple(block_orders(ld[i][0].theta, P)[i] for ld in self.leaders)
-            for i in range(P.p)
-        )
 
     @property
     def multiplier_bound(self) -> Vector | None:
@@ -430,17 +391,14 @@ class GroebnerBasis:
         return self.certified == tuple(range(1, self.P.p + 1))
 
 
-def _dominates(rj: Sequence[_Reducer], ri: Sequence[_Reducer]) -> bool:
-    """Whether the element with per-stage reducers rj dominates the one with ri.
+def _dominates(lj: Sequence[Leader], li: Sequence[Leader]) -> bool:
+    """Whether the element with per-stage leaders lj dominates the one with li.
 
     At every stage its leader divides the other's and its slack is no larger.
     """
     return all(
-        a.gen == b.gen
-        and all(map(le, a.alpha, b.alpha))
-        and all(map(le, a.beta, b.beta))
-        and all(map(le, a.slack, b.slack))
-        for a, b in zip(rj, ri)
+        term_divides(a.term, b.term) is not None and all(map(le, a.slack, b.slack))
+        for a, b in zip(lj, li)
     )
 
 
@@ -449,13 +407,13 @@ def _core(G: Sequence[ModuleElement], P: Partition) -> list[int]:
 
     Of elements that dominate each other only the first is kept.
     """
-    reds = [[_reducer(g, r, P) for r in range(1, P.p + 1)] for g in G]
+    lds = [[leader_data(g, r, P) for r in range(1, P.p + 1)] for g in G]
     return [
         i
-        for i, ri in enumerate(reds)
+        for i, li in enumerate(lds)
         if not any(
-            j != i and _dominates(rj, ri) and (j < i or not _dominates(ri, rj))
-            for j, rj in enumerate(reds)
+            j != i and _dominates(lj, li) and (j < i or not _dominates(li, lj))
+            for j, lj in enumerate(lds)
         )
     ]
 
@@ -530,9 +488,8 @@ def complete_basis(
             continue
         # s = t_a * G[a] - t_b * G[b], and s - rem = sum_k Q_k * G[k], the
         # support of Q_k being the thetas of the steps (k, theta)
-        top = term_lcm(leader_term(G[a], stage, P), leader_term(G[b], stage, P))
-        lifts = [(k, term_divides(leader_term(G[k], stage, P), top)) for k in (a, b)]
-        shifts = (map(add, block_orders(q, P), bounds[k]) for k, q in lifts + steps)
+        lifts = zip((a, b), _lifts(G[a], G[b], stage, P))
+        shifts = (map(add, block_orders(q, P), bounds[k]) for k, q in [*lifts, *steps])
         bounds.append(tuple(map(max, *shifts)))
         G.append(_monic(rem, P))
         if len(G) > MAX_ELEMENTS:

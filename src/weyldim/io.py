@@ -30,7 +30,7 @@ from .engine import BernsteinReport, DimensionReport, Presentation
 from .errors import InputError
 from .groebner import GroebnerBasis
 from .numpoly import InvariantReport, NumericalPolynomial
-from .terms import ModuleElement
+from .terms import ModuleElement, leader, rho
 from .weyl import Partition
 
 
@@ -190,9 +190,10 @@ def polynomial_doc(poly: NumericalPolynomial) -> dict:
 
 def basis_doc(G: GroebnerBasis) -> dict:
     elements = []
-    for g, leaders, shape in zip(G.elements, G.leaders, G.rho):
+    for g in G.elements:
         leaders_doc = []
-        for i, (t, c) in enumerate(leaders, start=1):
+        for i in range(1, G.P.p + 1):
+            t, c = leader(g, i, G.P)
             leaders_doc.append(
                 {
                     "order": i,
@@ -202,6 +203,7 @@ def basis_doc(G: GroebnerBasis) -> dict:
                     "coeff": frac_str(c),
                 }
             )
+        shape = rho(g, G.P)
         elements.append(
             {
                 "terms": element_doc(g, G.P),

@@ -6,11 +6,16 @@ ord_i, the remaining blockwise orders by ascending block index, block i's
 x exponents then d exponents, every other block's x then d exponents by
 ascending block index, and finally the generator index (smaller index =
 smaller term).
+
+Every layer reads an element's leaders from one record per (element,
+partition, order), built once by `leader_data` and kept with the element;
+`leader`, `leader_term` and `rho` are views of it.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import neg
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, ZeroElementError
@@ -46,21 +51,11 @@ def _check_order(i, P: Partition) -> None:
 def monomial_key(i: int, theta: ExponentPair, P: Partition):
     """Comparison key of a monomial under the i-th order (i is 1-based)."""
     _check_order(i, P)
-    alpha, beta = theta
     bo = block_orders(theta, P)
+    packed = P.pack(theta)
     j = i - 1
-    key = [bo[j]]
-    key.extend(bo[:j])
-    key.extend(bo[j + 1:])
-    a, b = P.blocks[j]
-    key.extend(alpha[a:b])
-    key.extend(beta[a:b])
-    for k, (a, b) in enumerate(P.blocks):
-        if k == j:
-            continue
-        key.extend(alpha[a:b])
-        key.extend(beta[a:b])
-    return tuple(key)
+    a, b = P.packed_blocks[j]
+    return (bo[j], *bo[:j], *bo[j + 1:], *packed[a:b], *packed[:a], *packed[b:])
 
 
 def term_key(i: int, t: Term, P: Partition):
@@ -107,17 +102,17 @@ class ModuleElement:
     `terms` reads the coefficients back as `Fraction`s, built anew on each
     read.
 
-    The public constructor validates and merges its input, then derives
-    the row.  Internally built elements go through `_trusted`, which wraps
-    a row that is already in this form, every key a `Term` whose generator
-    and exponents are in range.  Arithmetic on valid elements keeps that
-    invariant, so it skips the checks.  A row is never changed once
-    wrapped, so elements may share one.
+    The public constructor takes int or `Fraction` coefficients only,
+    validates and merges its input, then derives the row.  Internally
+    built elements go through `_trusted`, which wraps a row that is
+    already in this form, every key a `Term` whose generator and exponents
+    are in range.  Arithmetic on valid elements keeps that invariant, so
+    it skips the checks.  A row is never changed once wrapped, so elements
+    may share one.
     """
 
-    # _memo holds data derived from the row on demand: leaders per
-    # (partition, order), and the reduction module's reducer data and
-    # shifted rows
+    # _memo holds data derived from the row on demand: the leader records
+    # per (partition, order), and the reduction module's shifted rows
     __slots__ = ("n", "m", "row", "kn", "kd", "_memo")
 
     def __init__(self, n: int, m: int, terms: Mapping[Term, Fraction] | Iterable):
@@ -125,22 +120,23 @@ class ModuleElement:
         if type(n) is not int or n < 1:
             raise InputError(f"variable count must be an integer >= 1, got {n!r}")
         check_rank(m)
-        if isinstance(terms, Mapping):
-            items = terms.items()
-        else:
-            items = terms
+        items = terms.items() if isinstance(terms, Mapping) else terms
         clean: dict[Term, Fraction] = {}
-        for key, c in items:
-            c = Fraction(c)
+        for item in items:
+            try:
+                (gen, (alpha, beta)), c = item
+            except (TypeError, ValueError):
+                msg = f"not a ((gen, (alpha, beta)), coeff) pair: {item!r}"
+                raise InputError(msg) from None
+            c = _exact(c)
             if c == 0:
                 continue
-            gen, theta = key
             if type(gen) is not int:  # bool included
                 raise InputError(f"generator index must be an integer, got {gen!r}")
             if not 1 <= gen <= m:
                 raise InputError(f"generator index {gen} out of range 1..{m}")
-            alpha = _check_vector(theta[0], n, "alpha")
-            beta = _check_vector(theta[1], n, "beta")
+            alpha = _check_vector(alpha, n, "alpha")
+            beta = _check_vector(beta, n, "beta")
             t = Term(gen, ExponentPair(alpha, beta))
             c = clean.get(t, Fraction(0)) + c
             if c == 0:
@@ -172,8 +168,7 @@ class ModuleElement:
 
     @classmethod
     def single(cls, n: int, m: int, gen: int, alpha, beta, coeff=1) -> "ModuleElement":
-        t = Term(gen, ExponentPair(tuple(alpha), tuple(beta)))
-        return cls(n, m, {t: Fraction(coeff)})
+        return cls(n, m, [((gen, (alpha, beta)), coeff)])
 
     @classmethod
     def basis_vector(cls, n: int, m: int, gen: int) -> "ModuleElement":
@@ -229,7 +224,7 @@ class ModuleElement:
         return self + (-other)
 
     def scale(self, c) -> "ModuleElement":
-        c = Fraction(c)
+        c = _exact(c)
         if c == 0:
             return ModuleElement.zero(self.n, self.m)
         # c * f = (kd / (kn * c.denominator)) * (c.numerator * row)
@@ -258,6 +253,15 @@ class ModuleElement:
         return "ModuleElement(" + " + ".join(bits) + ")"
 
 
+def _exact(c) -> Fraction:
+    """c as a Fraction, refused unless it is an int or a Fraction."""
+    # exact type: bool is an int subclass; floats and strings are not exact,
+    # and a string's exponent expands without bound
+    if type(c) is not int and not isinstance(c, Fraction):
+        raise InputError(f"coefficient must be an int or a Fraction, got {c!r}")
+    return Fraction(c)
+
+
 def _primitive(acc: dict[Term, int], num: int, den: int = 1) -> tuple[dict, int, int]:
     """(row, kn, kd) of the element (den / num) * acc, in primitive form.
 
@@ -274,31 +278,59 @@ def _primitive(acc: dict[Term, int], num: int, den: int = 1) -> tuple[dict, int,
     return {t: v // cont for t, v in acc.items()}, num // h, kd // h
 
 
-def leader(f: ModuleElement, i: int, P: Partition) -> tuple[Term, Fraction]:
-    """Greatest term of f under the i-th order, with its coefficient."""
+class Leader(NamedTuple):
+    """An element's leader under one order, with what every layer reads of it."""
+
+    term: Term
+    lead: int  # term's coefficient in the element's primitive row
+    orders: Vector  # the block orders of term
+    neg_key: tuple  # term's key under this order, negated
+    # per later order k, ord_k of the k-th leader minus ord_k of this one:
+    # the shape gaps under the first order; at a reduction stage, theta * f
+    # stays within cap_k exactly when theta * term has ord_k + slack_k <= cap_k
+    slack: Vector
+
+
+def check_cover(n: int, P: Partition) -> None:
+    """Reject an element on other than P's n variables."""
+    if n != P.n:
+        raise InputError(f"partition covers {P.n} variables, element has {n}")
+
+
+def leader_data(f: ModuleElement, i: int, P: Partition) -> Leader:
+    """The leader record of f under the i-th order, kept in f's memo."""
+    # exact type: bool is an int subclass, and True would find order 1
+    if type(i) is int:
+        hit = f._memo.get((P.sizes, i))
+        if hit is not None:
+            return hit
     if f.is_zero():
         raise ZeroElementError("leader of the zero element is undefined")
     _check_order(i, P)
-    cache_key = (P.sizes, i)
-    hit = f._memo.get(cache_key)
-    if hit is not None:
-        return hit
-    best = max(f.row, key=lambda t: term_key(i, t, P))
-    out = (best, Fraction(f.row[best] * f.kd, f.kn))
-    f._memo[cache_key] = out
+    check_cover(f.n, P)
+    key, term = max((term_key(i, t, P), t) for t in f.row)
+    orders = block_orders(term.theta, P)
+    slack = tuple(
+        leader_data(f, k, P).orders[k - 1] - orders[k - 1]
+        for k in range(i + 1, P.p + 1)
+    )
+    out = f._memo[P.sizes, i] = Leader(
+        term, f.row[term], orders, tuple(map(neg, key)), slack
+    )
     return out
 
 
+def leader(f: ModuleElement, i: int, P: Partition) -> tuple[Term, Fraction]:
+    """Greatest term of f under the i-th order, with its coefficient."""
+    ld = leader_data(f, i, P)
+    return ld.term, Fraction(ld.lead * f.kd, f.kn)
+
+
 def leader_term(f: ModuleElement, i: int, P: Partition) -> Term:
-    return leader(f, i, P)[0]
+    return leader_data(f, i, P).term
 
 
 def rho(f: ModuleElement, P: Partition) -> GammaTerm:
     """Shape datum: per-order leader gaps d_i plus the first leader."""
-    head = leader_term(f, 1, P)
-    base = block_orders(head.theta, P)
-    d = []
-    for i in range(2, P.p + 1):
-        ui = leader_term(f, i, P)
-        d.append(block_orders(ui.theta, P)[i - 1] - base[i - 1])
-    return GammaTerm(tuple(d), head)
+    ld = leader_data(f, 1, P)
+    return GammaTerm(ld.slack, ld.term)

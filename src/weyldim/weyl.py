@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import comb, factorial, prod
-from operator import add, sub
+from operator import add, itemgetter, sub
 from typing import NamedTuple
 
 from .errors import InputError
@@ -83,8 +83,8 @@ class Partition:
 
     def pack(self, theta: ExponentPair) -> Vector:
         """Exponents rearranged blockwise: block j's x then d entries."""
-        flat = theta[0] + theta[1]
-        return tuple(flat[j] for j in self.packed_order)
+        # 2n >= 2 positions, so the getter returns a tuple
+        return itemgetter(*self.packed_order)(theta[0] + theta[1])
 
     def unpack(self, packed: Vector) -> ExponentPair:
         """Packed exponents back to (alpha, beta)."""
@@ -95,7 +95,10 @@ class Partition:
 
     def check_bound(self, r) -> Vector:
         """r as a tuple, refused unless it is p exact ints."""
-        r = tuple(r)
+        try:
+            r = tuple(r)
+        except TypeError:
+            raise InputError(f"r must consist of integers: {r!r}") from None
         if len(r) != self.p:
             raise InputError(f"r has length {len(r)}, expected {self.p}")
         # exact type: bool is an int subclass and floats do not index boxes
@@ -115,7 +118,10 @@ def _ranges(widths: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
 
 
 def _check_vector(v, n: int, what: str) -> Vector:
-    v = tuple(v)
+    try:
+        v = tuple(v)
+    except TypeError:
+        raise InputError(f"{what} is not a sequence: {v!r}") from None
     if len(v) != n:
         raise InputError(f"{what} has length {len(v)}, expected {n}")
     # exact type: bool is an int subclass and must not pass for an exponent

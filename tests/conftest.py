@@ -39,10 +39,10 @@ from weyldim import (
     minimize,
     term_divides,
 )
-from weyldim.groebner import _caps, _check_stage, _eligible, _reducer, _term_orders
+from weyldim.groebner import _caps, _check_stage, _eligible, _term_orders
 from weyldim.kernels import box_vectors
 from weyldim.numpoly import Index, MonoPoly
-from weyldim.terms import term_key
+from weyldim.terms import leader_data, term_key
 from weyldim.weyl import _check_vector, mono_mul
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -398,10 +398,10 @@ def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool
         return True
     if g.is_zero():
         raise ZeroElementError("reduction against the zero element")
-    red = _reducer(g, r, P)
+    ld = leader_data(g, r, P)
     tails = {w: _term_orders(w, r, P)[1] for w in f.terms}
     caps = _caps(tails.values())
-    return not any(_eligible(w, tail, red, caps) for w, tail in tails.items())
+    return not any(_eligible(w, tail, ld, caps) for w, tail in tails.items())
 
 
 _NAIVE_BUDGET = 8

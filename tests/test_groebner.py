@@ -29,6 +29,7 @@ from weyldim import groebner
 from weyldim.terms import (
     Term,
     block_orders,
+    leader_data,
     leader_term,
     term_divides,
     term_key,
@@ -201,6 +202,8 @@ class TestStages:
             lambda: multi_reduce(h, [h], 1, P),
             lambda: s_element(h, h, 1, P),
             lambda: is_reduced(h, h, 1, P),
+            lambda: leader(h, 1, P),
+            lambda: rho(h, P),
         ):
             with pytest.raises(InputError, match="partition covers 1 variables"):
                 call()
@@ -564,8 +567,8 @@ class TestCoreCertificate:
         j = ModuleElement(
             2, 1, {(1, ((0, 0), (1, 0))): Fraction(1), (1, ((0, 0), (0, 2))): Fraction(1)}
         )
-        assert [groebner._reducer(j, r, P).slack for r in (1, 2)] == [(2,), ()]
-        assert [groebner._reducer(i, r, P).slack for r in (1, 2)] == [(0,), ()]
+        assert [leader_data(j, r, P).slack for r in (1, 2)] == [(2,), ()]
+        assert [leader_data(i, r, P).slack for r in (1, 2)] == [(0,), ()]
         for r in (1, 2):
             assert term_divides(leader_term(j, r, P), leader_term(i, r, P)) is not None
         assert not multi_reduce(i, [j], 1, P)[0].is_zero()

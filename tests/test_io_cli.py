@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -22,7 +23,12 @@ from weyldim.io import (
     presentation_doc,
 )
 
-from conftest import derivative_presentation, run_cli_capped, two_term_presentation
+from conftest import (
+    corpus_presentations,
+    derivative_presentation,
+    run_cli_capped,
+    two_term_presentation,
+)
 
 EX_DOC = {
     "n": 2,
@@ -229,6 +235,33 @@ class TestCli:
         doc = self.run_ok(capsys, ["gb", ex_file])
         assert doc["certified_stages"] == [1, 2]
         assert doc["elements"]
+
+    def test_gb_shapes_read_the_leaders(self, capsys, tmp_path):
+        # each shape recomputed from the document's own leader exponents:
+        # gaps[i-2] = ord_i(leaders[i-1]) - ord_i(leaders[0]), head = leaders[0]
+        gaps = []
+        for label, pres in corpus_presentations():
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps(presentation_doc(pres)))
+            doc = self.run_ok(capsys, ["gb", str(path)])
+            ends = list(accumulate(doc["partition"]))
+            blocks = list(zip([0, *ends], ends))
+
+            def order(ld, i):
+                a, b = blocks[i - 1]
+                return sum(ld["alpha"][a:b]) + sum(ld["beta"][a:b])
+
+            for el in doc["elements"]:
+                lds, shape = el["leaders"], el["shape"]
+                assert [ld["order"] for ld in lds] == list(range(1, len(blocks) + 1))
+                assert shape["gaps"] == [
+                    order(lds[i - 1], i) - order(lds[0], i)
+                    for i in range(2, len(blocks) + 1)
+                ], label
+                assert shape["head"] == {k: lds[0][k] for k in ("gen", "alpha", "beta")}
+                gaps += shape["gaps"]
+        # the corpus has shapes with nonzero gaps
+        assert any(gaps)
 
     def test_gb_big_coefficients_pinned(self, capsys, tmp_path, monkeypatch):
         # a two-relation n=2 document whose completion swells to 32

@@ -19,6 +19,7 @@ from weyldim.kernels import (
     class_table,
     classify_box,
 )
+from weyldim.terms import leader_term, rho
 
 from conftest import count_not_dominated, grid
 
@@ -123,12 +124,9 @@ def ref_grid(G, points):
     P = G.P
     sizes2 = tuple(2 * s for s in P.sizes)
     L = np.array(
-        [P.pack(ld[0][0].theta) for ld in G.leaders], dtype=np.int64
+        [P.pack(leader_term(g, 1, P).theta) for g in G.elements], dtype=np.int64
     )
-    SL = np.array(
-        [[G.c[i][j] - G.b[i][j] for i in range(P.p)] for j in range(len(G.leaders))],
-        dtype=np.int64,
-    )
+    SL = np.array([(0, *rho(g, P).d) for g in G.elements], dtype=np.int64)
     out = []
     for (v, vp), r in zip(ref_points(sizes2, L, SL, points), points):
         free = prod(comb(b + q, q) for q, b in zip(sizes2, r)) if min(r) >= 0 else 0

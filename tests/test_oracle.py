@@ -340,8 +340,9 @@ def two_block_basis() -> GroebnerBasis:
         ((1,), "r has length 1, expected 2"),
         ((True, 1), "r must consist of integers: (True, 1)"),
         ((1.0, 1), "r must consist of integers: (1.0, 1)"),
+        (5, "r must consist of integers: 5"),
     ],
-    ids=["short", "bool", "float"],
+    ids=["short", "bool", "float", "scalar"],
 )
 @pytest.mark.parametrize(
     "count",
@@ -510,7 +511,7 @@ class TestRowBudget:
 
 
 # completion's reduction internals, which the rank oracle must not reach
-REDUCTION_INTERNALS = {"multi_reduce", "_shifted", "_term_orders", "_reducer", "s_element"}
+REDUCTION_INTERNALS = {"multi_reduce", "_shifted", "_term_orders", "leader_data", "s_element"}
 
 
 def _code_names(code):

@@ -121,6 +121,43 @@ class TestModuleElement:
         with pytest.raises(InputError, match="nonnegative integers"):
             ModuleElement(1, 1, {(1, ((True,), (0,))): 1})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ModuleElement(1, 1, {(1,): 1}),
+            lambda: ModuleElement(1, 1, {(1, ((0,),)): 1}),
+            lambda: ModuleElement(1, 1, [1, 2]),
+            lambda: ModuleElement(1, 1, {(1, (0, 1)): 1}),
+            lambda: ModuleElement(1, 1, {(1, ((0,), (1,))): True}),
+            lambda: ModuleElement(1, 1, {(1, ((0,), (1,))): 0.5}),
+            lambda: ModuleElement(1, 1, {(1, ((0,), (1,))): "1.5"}),
+            lambda: ModuleElement(1, 1, {(1, ((0,), (1,))): "1e3"}),
+            lambda: ModuleElement.single(1, 1, 1, (0,), (1,), True),
+            lambda: ModuleElement.single(1, 1, 1, (0,), (1,), 0.5),
+            lambda: ModuleElement.single(1, 1, 1, (0,), (1,), "1.5"),
+            lambda: ModuleElement.single(1, 1, 1, (0,), (1,), "1e3"),
+            lambda: ModuleElement.basis_vector(1, 1, 1).scale(True),
+            lambda: ModuleElement.basis_vector(1, 1, 1).scale(0.5),
+            lambda: ModuleElement.basis_vector(1, 1, 1).scale("1.5"),
+            lambda: ModuleElement.basis_vector(1, 1, 1).scale("1e3"),
+        ],
+        ids=[
+            "key-gen-only",
+            "key-one-exponent",
+            "ints-for-pairs",
+            "int-exponents",
+            *(
+                f"{via}-{what}"
+                for via in ("init", "single", "scale")
+                for what in ("bool", "float", "str", "str-exponent")
+            ),
+        ],
+    )
+    def test_malformed_input_refused(self, build):
+        # only int (not bool) or Fraction coefficients, keyed (gen, (alpha, beta))
+        with pytest.raises(InputError):
+            build()
+
     def test_linear_ops(self):
         e1 = ModuleElement.basis_vector(1, 2, 1)
         e2 = ModuleElement.basis_vector(1, 2, 2)
