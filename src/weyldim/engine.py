@@ -11,8 +11,8 @@ overlap and is interpolated otherwise; no caller picks the path.
 
 Counting goes through `count_grid`, which counts every bound a caller
 needs in one blockwise pass over weighted classes of block-simplex rows
-(see `kernels`); the full box is never built.  The free rank is read off
-the basis.
+(see `kernels`); neither the full box nor a block simplex is built.
+The free rank is read off the basis.
 """
 from __future__ import annotations
 
@@ -100,7 +100,9 @@ def count_grid(
     order bound.  U is their disjoint union and spans M_r.  All bounds
     are counted in one pass: per generator, the block simplices at the
     componentwise largest bound are grouped into classes, multiplied out
-    into one weighted table, and every bound is read off that table.
+    into one weighted table, and every bound is read off that table.  The
+    classes and their sizes come from the block rows clamped to the
+    largest leader exponents, so no simplex is enumerated.
     """
     P = G.P
     points = [P.check_bound(r) for r in points]

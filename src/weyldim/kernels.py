@@ -7,16 +7,23 @@ each block simplex into classes of rows with equal coordinate sum and
 equal set of dominated leader blocks (`block_classes`), multiplies the
 classes of all blocks out into one weighted table of representative
 rows (`class_table`), and reads every bound it needs off that table in
-one `classify_box` call.  The full box (`box_vectors`) is still built,
-and cached, for the rank oracle.  Both are products of per-block
-tables, formed in one place (`_product`); the box is the product of
-the block simplices with unit weights.
+one `classify_box` call.  Nor does it enumerate a block simplex: which
+leaders a row dominates depends only on the row clamped to the largest
+leader exponent of each column, so the classes and their sizes follow
+from the clamped vectors and binomial counts.  One cached enumerator
+(`_capped`) lists the vectors under per-column caps; the simplex is
+its uncapped case.  The full box (`box_vectors`) is still built, and
+cached, for the rank oracle.  Both are products of per-block tables,
+formed in one place (`_product`); the box is the product of the block
+simplices with unit weights.
 
 Every simplex, box and class table is bounded by MAX_CELLS int64
 cells (rows times width), checked from binomials before anything is
-allocated.  The counts are broadcast comparisons over chunks of rows,
-and a chunk shrinks as more bounds are read at once, so no temporary
-grows with the table times the bounds.  The data are small nonnegative
+allocated; `block_classes` is held to the budget of the simplex it
+stands for, which also bounds everything it allocates.  The counts are
+broadcast comparisons over chunks of rows, and a chunk shrinks as more
+bounds are read at once, so no temporary grows with the table times the
+bounds.  The data are small nonnegative
 int64, so every result is exact.  All rational arithmetic lives
 outside this module.
 """
@@ -35,7 +42,9 @@ USING_NUMBA = False
 # Most int64 cells (rows times width, 128 MiB) any counting array may
 # have: a block simplex, a full box or a combined class table.  The
 # largest the test suite and the benchmark workloads build is a
-# 490,314-row simplex of 8 columns (bound 15), 3.9 M cells.
+# 360,600-row combined class table of 4 columns (an `eval` far past the
+# grid), 1.4 M cells; the largest simplex has 43,758 rows of 8 columns
+# (bound 10), a test's reference for `block_classes`.
 MAX_CELLS = 1 << 24
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -56,6 +65,8 @@ def _check_cells(rows: int, width: int, what: str, least: bool = False) -> None:
 
 def check_simplex(q: int, r: int) -> None:
     """Refuse the simplex {v in N^q : |v| <= r} if it breaks the cell budget."""
+    if r < 0:
+        return  # the empty simplex
     what = f"the simplex of width {q} at bound {r}"
     if r >= 1:
         # it has at least C(r + q, 1) = r + q rows; past the budget, the
@@ -80,24 +91,33 @@ def check_grid(sizes: tuple[int, ...]) -> None:
     _check_cells(points + 2 * p, p, "the sample grid", least=points > MAX_CELLS)
 
 
-@lru_cache(maxsize=4096)
 def _sum_bounded(q: int, r: int) -> np.ndarray:
     """All vectors in N^q with coordinate sum <= r, one per row."""
-    if r < 0:
-        out = np.empty((0, q), dtype=np.int64)
-        out.flags.writeable = False
-        return out
     check_simplex(q, r)
-    if q == 1:
-        out = np.arange(r + 1, dtype=np.int64).reshape(-1, 1)
-        out.flags.writeable = False
-        return out
-    parts = []
-    for first in range(r + 1):
-        rest = _sum_bounded(q - 1, r - first)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-        parts.append(np.hstack([col, rest]))
-    out = np.vstack(parts)
+    return _capped((r,) * q, r)
+
+
+@lru_cache(maxsize=4096)
+def _capped(caps: tuple[int, ...], r: int) -> np.ndarray:
+    """All u in N^q with u_c <= caps[c] and |u| <= r, one per row.
+
+    Rows come out in lexicographic order.  Every cap must be at most r;
+    the recursion clamps the caps of the later columns to the bound left,
+    so the simplex caps = (r,) * q shares its parts with the smaller
+    simplices.  The arrays are cached, so they are read-only.
+    """
+    if r < 0:
+        out = np.empty((0, len(caps)), dtype=np.int64)
+    elif len(caps) == 1:
+        out = np.arange(caps[0] + 1, dtype=np.int64).reshape(-1, 1)
+    else:
+        parts = []
+        for first in range(caps[0] + 1):
+            left = r - first
+            rest = _capped(tuple(min(c, left) for c in caps[1:]), left)
+            col = np.full((rest.shape[0], 1), first, dtype=np.int64)
+            parts.append(np.hstack([col, rest]))
+        out = np.vstack(parts)
     out.flags.writeable = False
     return out
 
@@ -156,25 +176,54 @@ def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Two rows share a class when they have the same coordinate sum and
     dominate the same rows of L (k x q).  Returns one representative row
     per class and the number of simplex rows in each class.
+
+    The simplex is never built.  Whether v dominates a row of L depends
+    only on its clamp u = min(v, caps), where caps_c = min(M_c, r) and M_c
+    is the largest entry of column c of L.  Column c is saturated in u
+    when u_c = caps_c.  If u has k >= 1 saturated columns, then for each
+    sum s in |u|..r exactly C(s - |u| + k - 1, k - 1) simplex rows of sum
+    s clamp to u, among them u plus s - |u| on its first saturated column;
+    if it has none, only u itself does.  The classes are therefore read
+    off the pairs (u, s).  Each pair's representative is a distinct
+    simplex row, so there are no more pairs than simplex rows, and no
+    temporary here is larger than the simplex that is not built.
     """
-    S = _sum_bounded(q, r)
+    check_simplex(q, r)
+    caps = np.minimum(L.max(axis=0, initial=0), r)
+    U = _capped(tuple(caps.tolist()), r)
+    sat = U == caps
+    k = sat.sum(axis=1)
+    size = U.sum(axis=1)
+    # one pair (u, s) per sum s that u's rows reach; t = s - |u|
+    spans = np.where(k > 0, r - size + 1, 1)
+    idx = np.repeat(np.arange(U.shape[0]), spans)
+    t = np.arange(idx.shape[0]) - np.repeat(np.cumsum(spans) - spans, spans)
+    # C(t + k - 1, k - 1) as a product of ratios, each step exact: the
+    # partial C(t + i, i) never passes the simplex's row count
+    kk = k[idx]
+    weights = np.ones(idx.shape[0], dtype=np.int64)
+    for i in range(1, q):
+        weights = np.where(i < kk, weights * (t + i) // i, weights)
     # bit g of a row's mask: the row dominates leader row g; built one
     # leader and one column at a time, so every temporary is one column
-    masks = np.zeros((S.shape[0], -(-L.shape[0] // 64)), dtype=np.uint64)
+    masks = np.zeros((U.shape[0], -(-L.shape[0] // 64)), dtype=np.uint64)
     for g, lead in enumerate(L.tolist()):
-        div = np.ones(S.shape[0], dtype=bool)
+        div = np.ones(U.shape[0], dtype=bool)
         for c, e in enumerate(lead):
             if e:
-                div &= S[:, c] >= e
+                div &= U[:, c] >= e
         masks[:, g // 64] |= div.astype(np.uint64) << np.uint64(g % 64)
-    sums = S.sum(axis=1)
+    masks, sums = masks[idx], size[idx] + t
     order = np.lexsort((*masks.T, sums))
     masks, sums = masks[order], sums[order]
-    new = np.ones(S.shape[0], dtype=bool)
+    new = np.ones(order.shape[0], dtype=bool)
     new[1:] = (sums[1:] != sums[:-1]) | (masks[1:] != masks[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, S.shape[0]))
-    return S[order[starts]], counts
+    counts = np.add.reduceat(weights[order], starts)
+    first = order[starts]
+    rows = U[idx[first]]
+    rows[np.arange(rows.shape[0]), sat.argmax(axis=1)[idx[first]]] += t[first]
+    return rows, counts
 
 
 def class_table(

@@ -263,15 +263,18 @@ class RankOracle:
         """Rows theta*g for every relation g, as primitive integer rows."""
         hit = self._rows.get(packed)
         if hit is None:
-            P = self.P
-            a, b = P.unpack(packed)
+            # each packed block holds its x entries, then its d entries:
+            # b gathers the d entries, the shift keeps the x entries in
+            # place, and the generator entry of a key does not shift
+            b, shift = (), (0,)
+            for (start, stop), s in zip(self.P.packed_blocks, self.P.sizes):
+                b += packed[start + s:stop]
+                shift += packed[start:start + s] + (0,) * s
             d_rows = self._d_rows.get(b)
             if d_rows is None:
                 d_rows = self._d_rows[b] = tuple(
                     self._d_row(b, rel) for rel in self.relations
                 )
-            # the generator entry of a key does not shift
-            shift = (0, *P.pack(ExponentPair(a, (0,) * P.n)))
             hit = self._rows[packed] = tuple(
                 self._shift_row(keys, coeffs, shift) for keys, coeffs in d_rows
             )

@@ -8,7 +8,7 @@ blocks; every grading in the package is taken blockwise with x_i and d_i
 weighted equally, and `weyl_dimension` counts the monomials within
 blockwise bounds.  The Partition also owns the packed layout that the
 counting kernels and the rank oracle index by: block by block, each
-block's x exponents then its d exponents (`pack`, `unpack`), and the
+block's x exponents then its d exponents (`pack`), and the
 check of a blockwise bound r (`check_bound`).
 """
 from __future__ import annotations
@@ -85,13 +85,6 @@ class Partition:
         """Exponents rearranged blockwise: block j's x then d entries."""
         # 2n >= 2 positions, so the getter returns a tuple
         return itemgetter(*self.packed_order)(theta[0] + theta[1])
-
-    def unpack(self, packed: Vector) -> ExponentPair:
-        """Packed exponents back to (alpha, beta)."""
-        flat = [0] * (2 * self.n)
-        for j, v in zip(self.packed_order, packed):
-            flat[j] = v
-        return ExponentPair(tuple(flat[: self.n]), tuple(flat[self.n:]))
 
     def check_bound(self, r) -> Vector:
         """r as a tuple, refused unless it is p exact ints."""

@@ -523,9 +523,17 @@ def ref_multiple(theta: ExponentPair, g: ModuleElement) -> dict:
     return {k: v // content for k, v in acc.items()}
 
 
+def unpack(P: Partition, packed: tuple[int, ...]) -> ExponentPair:
+    """Packed exponents back to (alpha, beta); the inverse of P.pack."""
+    flat = [0] * (2 * P.n)
+    for j, v in zip(P.packed_order, packed):
+        flat[j] = v
+    return ExponentPair(tuple(flat[: P.n]), tuple(flat[P.n:]))
+
+
 def column_term(key: tuple, P: Partition) -> Term:
     """The term of a rank-oracle column key (gen, *packed exponents)."""
-    return Term(key[0], P.unpack(key[1:]))
+    return Term(key[0], unpack(P, key[1:]))
 
 
 def assert_oracle_keys(oracle) -> None:

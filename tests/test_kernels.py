@@ -1,16 +1,21 @@
 """Counting kernels against slow pure-Python references."""
+import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from weyldim import GroebnerBasis, InputError, ModuleElement, Partition
 from weyldim.engine import count_grid
 from weyldim.kernels import (
     MAX_CELLS,
+    _capped,
     _check_cells,
     _sum_bounded,
     block_classes,
@@ -286,6 +291,19 @@ def ref_classes(q, r, L):
     return Counter(class_key(v, leaders) for v in _sum_bounded(q, r).tolist())
 
 
+# The first leaders of a staircase document: 18 points of {|a| = 3} in
+# N^4 as x0^a0 x1^a1 d2^a2 d3^a3 on one block of four variables, packed
+# as x0..x3 then d0..d3.
+STAIRCASE = np.array(
+    [
+        (a[0], a[1], 0, 0, 0, 0, a[2], a[3])
+        for a in itertools.product(range(4), repeat=4)
+        if sum(a) == 3 and a not in {(1, 1, 1, 0), (0, 1, 1, 1)}
+    ],
+    dtype=np.int64,
+)
+
+
 class TestBlockClasses:
     def check(self, q, r, L):
         rows, counts = block_classes(q, r, L)
@@ -307,11 +325,50 @@ class TestBlockClasses:
             ).reshape(k, q)
             self.check(q, rng.randint(0, 6), L)
 
-    def test_crosses_chunk_boundary(self):
-        # 45,451 simplex rows, past the 2^15-row chunk
+    def test_caps_below_bound_leave_long_saturated_spans(self):
+        # caps (150, 200) sit far below r = 300, so the saturated clamped
+        # vectors stand for runs of sums up to 300 across 45,451 simplex rows
         L = np.array([[3, 1], [0, 200], [150, 0]], dtype=np.int64)
         assert comb(302, 2) > 1 << 15
         self.check(2, 300, L)
+
+    def test_leader_past_bound_caps_at_bound(self):
+        # a column's largest exponent above r caps that column at r
+        L = np.array([[12, 0, 1], [0, 2, 0], [1, 1, 40]], dtype=np.int64)
+        for r in (0, 1, 5, 11):
+            self.check(3, r, L)
+
+    def test_no_leaders(self):
+        # every column is saturated at cap 0: one class per sum
+        L = np.empty((0, 8), dtype=np.int64)
+        rows, counts = block_classes(8, 10, L)
+        assert counts.tolist() == [comb(s + 7, 7) for s in range(11)]
+        self.check(8, 10, L)
+
+    def test_staircase_leaders(self):
+        self.check(8, 8, STAIRCASE)
+
+    @given(st.data())
+    def test_matches_grouping_property(self, data):
+        q = data.draw(st.integers(1, 4))
+        r = data.draw(st.integers(0, 8))
+        leaders = data.draw(
+            st.lists(st.lists(st.integers(0, 10), min_size=q, max_size=q), max_size=6)
+        )
+        self.check(q, r, np.array(leaders, dtype=np.int64).reshape(-1, q))
+
+    def test_never_builds_the_simplex(self):
+        # the simplex of width 8 at bound 15 has 490,314 rows, 31 MB of
+        # int64; its classes are read off a few hundred clamped vectors
+        _capped.cache_clear()
+        tracemalloc.start()
+        try:
+            rows, counts = block_classes(8, 15, STAIRCASE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert int(counts.sum()) == comb(23, 8)
+        assert peak < 4 << 20
 
 
 class TestClassTable:

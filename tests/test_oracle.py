@@ -40,6 +40,7 @@ from conftest import (
     naive_weyl_mul,
     ref_multiple,
     two_term_presentation,
+    unpack,
     weyl_mul,
 )
 from test_weyl import weyl_elements
@@ -455,7 +456,7 @@ class TestShiftedRows:
             for r in grid(pres.P.p, 0, 1):
                 oracle.dimension(r)
             zero = (0,) * pres.P.n
-            d_parts = {pres.P.unpack(t).beta for t in oracle._rows}
+            d_parts = {unpack(pres.P, t).beta for t in oracle._rows}
             expect = Counter(
                 (ExponentPair(zero, b), t.theta)
                 for b in d_parts
