@@ -95,6 +95,8 @@ def _cmd_invariants(args) -> int:
 
 def _prefixes(rmax: int, k: int):
     """{0, ..., rmax}^k in lexicographic order, one tuple at a time."""
+    # not itertools.product: it materializes each input range before it
+    # yields anything, a 10^9-entry tuple at --rmax 1000000000
     if k == 0:
         yield ()
         return

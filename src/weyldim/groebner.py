@@ -40,11 +40,11 @@ Completion computes on ints.  Every element is stored as its primitive
 integer row: int coefficients of content 1, equal to k * g for a rational
 k > 0 held as two ints (see `terms.ModuleElement`).  `s_element` combines
 two rows, and `multi_reduce` carries the remainder as an int dict over
-one rational scale and eliminates by pseudo-division, so a step pays a
-few gcds, not one per term it touches.  Both return their int dict as the
-result's row, and neither reads the `Fraction` view.  Which terms a step
-may eliminate depends only on the support, so the steps, and with them
-the exact results, are those of reduction over `Fraction`s.
+one rational scale and eliminates by pseudo-division, one gcd a step,
+not one per term.  Both divide their dict by its content once, at return
+(`terms._primitive`), and neither reads the `Fraction` view.  Which
+terms a step may eliminate depends only on the support, so the steps,
+and with them the exact results, are those of reduction over `Fraction`s.
 
 Each element also carries a multiplier-order bound B: a vector with
 ord_j(D) <= B_j for every coefficient D of some way of writing the element
@@ -188,14 +188,14 @@ def multi_reduce(
     scale held as two ints, remainder = work / scale (at the start f's
     primitive row over its k), and reduced in place.  To eliminate w with
     reducer g, whose row has the int coefficient a at g's stage-r leader,
-    let c = work[w] and h = gcd(c, a): the step multiplies work by a / h
-    (both signs flipped if that is negative, which keeps the scale
-    positive) and subtracts (c / h) * theta * row term by term, then
-    divides work by its content.  The scale follows.  At return work is
-    the remainder's primitive row and the scale its kn / kd.  Each
-    step removes exactly the rational multiple of theta * g that reduction
-    over `Fraction`s removes, so the support after every step, and with
-    it every later choice, is the same.
+    let c = work[w] and h = gcd(c, a): the step multiplies work and the
+    scale by a / h (both signs flipped if that is negative, which keeps
+    the scale positive) and subtracts (c / h) * theta * row term by term.
+    Each step removes exactly the rational multiple of theta * g that
+    reduction over `Fraction`s removes, so the support after every step,
+    and with it every later choice, is the same.  The content is taken
+    once, at return: work is a positive multiple of the row that dividing
+    at every step would hold, and the primitive form is unique.
 
     Eligibility depends on the caps, the greatest ord_i over the current
     remainder for each later order i, and the caps move as terms are
@@ -294,17 +294,9 @@ def multi_reduce(
             else:
                 del work[t]
                 lowered = lowered or any(map(eq, orders[t][1], caps))
-        cont = gcd(*work.values())
-        if cont > 1:
-            work = {t: v // cont for t, v in work.items()}
-            sd *= cont
-        h = gcd(sn, sd)
-        sn, sd = sn // h, sd // h
         if lowered and work:
             caps = _caps(orders[t][1] for t in work)
-    if not work:
-        sn = sd = 1  # the zero element's form
-    return ModuleElement._trusted(f.n, f.m, work, sn, sd), steps
+    return ModuleElement._trusted(f.n, f.m, *_primitive(work, sn, sd)), steps
 
 
 def s_element(

@@ -31,6 +31,7 @@ from operator import add, le, sub
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, VerificationError
+from .weyl import _ranges
 
 Index = tuple[int, ...]
 MonoPoly = dict[Index, Fraction]
@@ -276,12 +277,7 @@ class IndexSet:
         return len(self.partition)
 
     def blocks(self) -> tuple[tuple[int, int], ...]:
-        out = []
-        start = 0
-        for s in self.partition:
-            out.append((start, start + s))
-            start += s
-        return tuple(out)
+        return _ranges(self.partition)
 
 
 def _colon(prefix: tuple[Index, ...], g: Index) -> tuple[Index, ...] | None:

@@ -30,6 +30,8 @@ from .terms import ModuleElement
 from .weyl import ExponentPair, block_orders, mono_mul, weyl_dimension
 
 # Most box terms (the box size times the module rank) `RankOracle` ranks.
+# The only stop for a relation-free `check` walk, which builds no rows and
+# so never trips `MAX_ROWS`; a budget on rows alone would need a grid bound.
 MAX_BOX = 10**4
 
 # Most rows (multipliers at the confirmation bound times relations) one
@@ -334,14 +336,17 @@ class RankOracle:
     def _insert(pivots: dict, row: dict) -> int:
         """Echelon insertion; returns the new pivot's key, or -1 if none.
 
-        Rows arrive primitive and every reduction step divides out the
-        content again, so pivot rows are primitive as stored.
+        The content is divided out once, when the row is stored: a step
+        takes (b * row - a * piv) / gcd(a, b), a and b the two leads, so the
+        row in hand is a positive multiple of the per-step primitive row, with
+        the same support and steps and, being unique, the same primitive form.
         """
         while row:
             lead = min(row)
             piv = pivots.get(lead)
             if piv is None:
-                pivots[lead] = row
+                g = gcd(*row.values())
+                pivots[lead] = row if g == 1 else {k: v // g for k, v in row.items()}
                 return lead
             a, b = row[lead], piv[lead]
             g = gcd(a, b)
@@ -353,9 +358,5 @@ class RankOracle:
                     nxt[k] = s
                 else:
                     del nxt[k]
-            if nxt:
-                g = gcd(*nxt.values())
-                if g > 1:
-                    nxt = {k: v // g for k, v in nxt.items()}
             row = nxt
         return -1

@@ -272,8 +272,8 @@ class TestAgainstReference:
 
     def test_big_negative_leads(self):
         # g1's row leads with -3 at both stages; of the six steps at each
-        # stage, five multiply the remainder and three divide a content of
-        # 3 out of it
+        # stage, three multiply the remainder, and it returns with a
+        # content of 3 to divide out
         P = Partition((1, 1))
 
         def el(terms):
@@ -391,6 +391,23 @@ class TestAgainstReference:
         assert rem == x1
         assert steps == [(0, ONE2)]
         assert (rem, steps) == ref_steps(w + x1, G, 1, P)
+
+    def test_content_left_by_the_last_step(self):
+        # x1 + 2 x2 reduced by x1 - 2 x3 (x1 leads at stage 1) leaves
+        # 2 x2 + 2 x3: the returned row is x2 + x3 over k = 1/2
+        P = Partition((1, 2))
+
+        def x(i, c=1):
+            alpha = tuple(int(j == i) for j in range(3))
+            return ModuleElement.single(3, 1, 1, alpha, (0, 0, 0), c)
+
+        f, g = x(0) + x(1, 2), x(0) + x(2, -2)
+        rem, steps = multi_reduce(f, [g], 1, P)
+        assert steps == [(0, ExponentPair((0, 0, 0), (0, 0, 0)))]
+        assert rem == x(1, 2) + x(2, 2)
+        assert (rem.row, rem.kn, rem.kd) == ((x(1) + x(2)).row, 1, 2)
+        assert_int_row(rem)
+        assert (rem, steps) == ref_steps(f, [g], 1, P)
 
     def test_completion_of_corpus(self, monkeypatch):
         # every reduction run while completing (and certifying) real

@@ -468,6 +468,21 @@ class TestShiftedRows:
             assert_oracle_keys(oracle)
 
 
+class TestInsert:
+    def test_content_is_divided_once_at_store(self):
+        # reducing against the pivot at key 0 leaves 2*c1 + 2*c2, which is
+        # stored divided by its content 2 under its lead, key 1
+        pivots = {0: {0: 1, 1: 1}}
+        assert RankOracle._insert(pivots, {0: 1, 1: 3, 2: 2}) == 1
+        assert pivots == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
+
+    def test_row_in_the_span_stores_nothing(self):
+        # the same row now reduces through content 2 to nothing
+        pivots = {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
+        assert RankOracle._insert(pivots, {0: 1, 1: 3, 2: 2}) == -1
+        assert pivots == {0: {0: 1, 1: 1}, 1: {1: 1, 2: 1}}
+
+
 class TestRowBudget:
     def test_refused_before_any_row(self, monkeypatch):
         # one row fewer than the point needs
