@@ -65,61 +65,29 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _cmd_gb(args) -> int:
-    pres = wio.load_presentation(args.file)
-    G = complete_basis(pres.relations, pres.P, m=pres.m)
-    sys.stdout.write(wio.dumps(wio.basis_doc(G)))
-    return 0
+def _cmd_gb(pres, args) -> dict:
+    return wio.basis_doc(complete_basis(pres.relations, pres.P, m=pres.m))
 
 
-def _cmd_dimpoly(args) -> int:
-    pres = wio.load_presentation(args.file)
-    rep = dimension_polynomial(pres)
-    sys.stdout.write(wio.dumps(wio.report_doc(rep)))
-    return 0
+def _cmd_dimpoly(pres, args) -> dict:
+    return wio.report_doc(dimension_polynomial(pres))
 
 
-def _cmd_bernstein(args) -> int:
-    pres = wio.load_presentation(args.file)
-    rep = bernstein_polynomial(pres)
-    sys.stdout.write(wio.dumps(wio.bernstein_doc(rep)))
-    return 0
+def _cmd_bernstein(pres, args) -> dict:
+    return wio.bernstein_doc(bernstein_polynomial(pres))
 
 
-def _cmd_invariants(args) -> int:
-    pres = wio.load_presentation(args.file)
-    rep = dimension_polynomial(pres)
-    sys.stdout.write(wio.dumps(wio.invariants_doc(rep.invariants)))
-    return 0
+def _cmd_invariants(pres, args) -> dict:
+    return wio.invariants_doc(dimension_polynomial(pres).invariants)
 
 
-def _prefixes(rmax: int, k: int):
-    """{0, ..., rmax}^k in lexicographic order, one tuple at a time."""
-    # not itertools.product: it materializes each input range before it
-    # yields anything, a 10^9-entry tuple at --rmax 1000000000
-    if k == 0:
-        yield ()
-        return
-    for head in _prefixes(rmax, k - 1):
-        for v in range(rmax + 1):
-            yield head + (v,)
-
-
-def _cmd_check(args) -> int:
-    pres = wio.load_presentation(args.file)
+def _cmd_check(pres, args) -> dict:
     if args.rmax < 0:
         raise InputError(f"--rmax must be nonnegative, got {args.rmax}")
     rep = dimension_polynomial(pres)
-    oracle = RankOracle(rep.basis)
-    # the grid in lexicographic order is one chain along the last axis per
-    # prefix; each chain shares one echelon.  Prefixes and chains are
-    # generated lazily and the oracle refuses the first box or row count
-    # over its budget, so only an accepted grid is ever built and counted
-    ranks = {}
-    for head in _prefixes(args.rmax, pres.P.p - 1):
-        chain = (head + (v,) for v in range(args.rmax + 1))
-        for v, rank in enumerate(oracle.dimensions(chain)):
-            ranks[head + (v,)] = rank
+    # the oracle refuses an over-budget grid before it builds any row, so
+    # only an accepted grid is ever eliminated and counted
+    ranks = RankOracle(rep.basis).grid(args.rmax)
     counts = count_grid(rep.basis, list(ranks))
     points = []
     mismatches = 0
@@ -138,16 +106,12 @@ def _cmd_check(args) -> int:
                 "ok": ok,
             }
         )
-    doc = {
+    return {
         "rmax": args.rmax,
         "threshold": list(rep.threshold),
         "points": points,
         "mismatches": mismatches,
     }
-    sys.stdout.write(wio.dumps(doc))
-    if mismatches:
-        raise VerificationError(f"{mismatches} grid points disagree")
-    return 0
 
 
 def _bounds(text: str) -> tuple[int, ...]:
@@ -162,17 +126,14 @@ def _bounds(text: str) -> tuple[int, ...]:
     raise InputError(f"--at expects integers, got {text!r}")
 
 
-def _cmd_eval(args) -> int:
-    pres = wio.load_presentation(args.file)
+def _cmd_eval(pres, args) -> dict:
     r = _bounds(args.at)
     if len(r) != pres.P.p:
         raise InputError(f"--at needs {pres.P.p} bounds, got {len(r)}")
     if any(v < 0 for v in r):
         raise InputError(f"--at bounds must be nonnegative, got {r}")
     G = complete_basis(pres.relations, pres.P, m=pres.m)
-    card = count_UVW(G, r)[2]
-    sys.stdout.write(wio.dumps({"r": list(r), "dim": card}))
-    return 0
+    return {"r": list(r), "dim": count_UVW(G, r)[2]}
 
 
 _PARSER = build_parser()
@@ -190,7 +151,12 @@ _COMMANDS = {
 def main(argv=None) -> int:
     try:
         args = _PARSER.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        doc = _COMMANDS[args.command](wio.load_presentation(args.file), args)
+        sys.stdout.write(wio.dumps(doc))
+        # only a check document reports mismatches
+        if doc.get("mismatches"):
+            raise VerificationError(f"{doc['mismatches']} grid points disagree")
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

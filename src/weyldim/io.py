@@ -30,7 +30,7 @@ from .engine import BernsteinReport, DimensionReport, Presentation
 from .errors import InputError
 from .groebner import GroebnerBasis
 from .numpoly import InvariantReport, NumericalPolynomial
-from .terms import ModuleElement, leader, rho
+from .terms import ModuleElement, Term, leader, rho
 from .weyl import Partition
 
 
@@ -155,16 +155,12 @@ def frac_str(c: Fraction) -> str:
     return str(Fraction(c))
 
 
+def _term_record(t: Term) -> dict:
+    return {"gen": t.gen, "alpha": list(t.theta.alpha), "beta": list(t.theta.beta)}
+
+
 def element_doc(f: ModuleElement, P: Partition) -> list[dict]:
-    return [
-        {
-            "gen": t.gen,
-            "alpha": list(t.theta.alpha),
-            "beta": list(t.theta.beta),
-            "coeff": frac_str(c),
-        }
-        for t, c in f.sorted_terms(P)
-    ]
+    return [{**_term_record(t), "coeff": frac_str(c)} for t, c in f.sorted_terms(P)]
 
 
 def presentation_doc(pres: Presentation) -> dict:
@@ -194,28 +190,13 @@ def basis_doc(G: GroebnerBasis) -> dict:
         leaders_doc = []
         for i in range(1, G.P.p + 1):
             t, c = leader(g, i, G.P)
-            leaders_doc.append(
-                {
-                    "order": i,
-                    "gen": t.gen,
-                    "alpha": list(t.theta.alpha),
-                    "beta": list(t.theta.beta),
-                    "coeff": frac_str(c),
-                }
-            )
+            leaders_doc.append({"order": i, **_term_record(t), "coeff": frac_str(c)})
         shape = rho(g, G.P)
         elements.append(
             {
                 "terms": element_doc(g, G.P),
                 "leaders": leaders_doc,
-                "shape": {
-                    "gaps": list(shape.d),
-                    "head": {
-                        "gen": shape.head.gen,
-                        "alpha": list(shape.head.theta.alpha),
-                        "beta": list(shape.head.theta.beta),
-                    },
-                },
+                "shape": {"gaps": list(shape.d), "head": _term_record(shape.head)},
             }
         )
     return {

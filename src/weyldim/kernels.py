@@ -91,12 +91,6 @@ def check_grid(sizes: tuple[int, ...]) -> None:
     _check_cells(points + 2 * p, p, "the sample grid", least=points > MAX_CELLS)
 
 
-def _sum_bounded(q: int, r: int) -> np.ndarray:
-    """All vectors in N^q with coordinate sum <= r, one per row."""
-    check_simplex(q, r)
-    return _capped((r,) * q, r)
-
-
 @lru_cache(maxsize=4096)
 def _capped(caps: tuple[int, ...], r: int) -> np.ndarray:
     """All u in N^q with u_c <= caps[c] and |u| <= r, one per row.
@@ -137,7 +131,8 @@ def box_vectors(sizes: tuple[int, ...], r: tuple[int, ...]) -> np.ndarray:
         return out
     total = prod(comb(b + q, q) for q, b in zip(sizes, r))
     _check_cells(total, sum(sizes), f"the box of block widths {sizes} at bound {r}")
-    out = _product([_sum_bounded(q, b) for q, b in zip(sizes, r)])
+    # no block simplex has more cells than the box just checked
+    out = _product([_capped((b,) * q, b) for q, b in zip(sizes, r)])
     out.flags.writeable = False
     return out
 
@@ -162,12 +157,7 @@ def _product(tables: list[np.ndarray]) -> np.ndarray:
 
 def block_sum_matrix(V: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     """Blockwise coordinate sums of each row; shape (len(V), len(sizes))."""
-    ind = np.zeros((V.shape[1], len(sizes)), dtype=np.int64)
-    start = 0
-    for j, s in enumerate(sizes):
-        ind[start:start + s, j] = 1
-        start += s
-    return V @ ind
+    return np.add.reduceat(V, np.cumsum((0, *sizes[:-1])), axis=1)
 
 
 def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

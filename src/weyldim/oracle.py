@@ -120,9 +120,11 @@ class RankOracle:
     The chain's points are read lazily and each is checked against
     `MAX_BOX` and `MAX_ROWS`, in order, before any row of the chain is
     built.  A grid of p >= 2 is not one chain: its boxes are not nested,
-    so no column order puts the outside of every box first; `check`
-    walks it as one chain along the last axis per prefix, which keeps
-    its lexicographic order.
+    so no column order puts the outside of every box first.  `grid(rmax)`
+    walks {0..rmax}^p as one chain along the last axis per prefix, which
+    keeps its lexicographic order, and reads and checks every point of
+    every chain before it builds the first row; the chains then share
+    the built rows and the column state, one echelon each.
     """
 
     def __init__(self, basis: GroebnerBasis):
@@ -191,11 +193,40 @@ class RankOracle:
         not follow its predecessor componentwise, or whose box or row count
         is over a budget, raises before any row of the chain is built.
         """
+        below, points = self._read(chain)
+        return [0] * below + self._eliminate(points)
+
+    def grid(self, rmax: int) -> dict[tuple[int, ...], int]:
+        """dim M_r at every r in {0, ..., rmax}^p, in lexicographic order.
+
+        The grid is one chain along the last axis per prefix.  Every point
+        of every chain is read and checked before any row is built, so an
+        over-budget grid is refused with no elimination done.
+        """
+        p, side = self.P.p, rmax + 1
+        chains = []
+        # each prefix is decoded from one index as the walk reaches it;
+        # itertools.product would first materialize its input ranges, a
+        # 10^9-entry tuple at rmax = 10^9
+        for index in range(side ** (p - 1)):
+            head = ()
+            for _ in range(p - 1):
+                index, v = divmod(index, side)
+                head = (v, *head)
+            # no point of the grid has a negative entry
+            chains.append(self._read(head + (v,) for v in range(side))[1])
+        ranks = {}
+        for points in chains:
+            ranks.update(zip([r for r, _, _ in points], self._eliminate(points)))
+        return ranks
+
+    def _read(self, chain: Iterable[Sequence[int]]) -> tuple[int, list[tuple]]:
+        """Check a chain's points in order, before any row: the number of
+        leading points with a negative entry, whose boxes are empty, and
+        (r, box size, R(r)) for each point after them."""
         P, m = self.P, self.m
-        points: list[tuple[int, ...]] = []
-        cards: list[int] = []
-        bounds: list[tuple[int, ...]] = []  # R(r) per point
-        below = 0  # points with a negative entry: empty boxes, a prefix
+        points: list[tuple] = []
+        below = 0
         prev = None
         for r in chain:
             r = P.check_bound(r)
@@ -211,20 +242,22 @@ class RankOracle:
                     f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
                 )
             bound = self._row_bound(r)
-            if self.relations:
-                confirm = tuple(v + 1 for v in bound)
-                n_rows = weyl_dimension(P, confirm) * len(self.relations)
-                if n_rows > MAX_ROWS:
-                    raise InputError(
-                        f"rank oracle: {n_rows} relation multiples at r={r} are "
-                        f"over the budget oracle.MAX_ROWS = {MAX_ROWS}"
-                    )
-            points.append(r)
-            cards.append(card_box)
-            bounds.append(bound)
-        if not points or not self.relations:
-            return [0] * below + cards
-        k = len(points)
+            confirm = tuple(v + 1 for v in bound)
+            n_rows = weyl_dimension(P, confirm) * len(self.relations)
+            if n_rows > MAX_ROWS:
+                raise InputError(
+                    f"rank oracle: {n_rows} relation multiples at r={r} are "
+                    f"over the budget oracle.MAX_ROWS = {MAX_ROWS}"
+                )
+            points.append((r, card_box, bound))
+        return below, points
+
+    def _eliminate(self, chain: list[tuple]) -> list[int]:
+        """dim M_r along a chain of points that `_read` accepted, one echelon."""
+        if not chain or not self.relations:
+            return [card for _, card, _ in chain]
+        P, k = self.P, len(chain)
+        points, cards, bounds = zip(*chain)
         # one enumeration at the top point's confirmation bound; a theta's
         # stage is the first point whose row bound it fits, else k
         V = box_vectors(P.widths, tuple(v + 1 for v in bounds[-1]))
@@ -259,7 +292,7 @@ class RankOracle:
                     f"rank at r={r} dropped from {first[i]} to {count(i)} past "
                     "the certified bound"
                 )
-        return [0] * below + first
+        return first
 
     def _multiples(self, packed: tuple[int, ...]) -> tuple:
         """Rows theta*g for every relation g, as primitive integer rows."""

@@ -20,6 +20,7 @@ from weyldim import (
     invariant_set,
     weyl_dimension,
 )
+from weyldim import engine
 from weyldim.engine import _symbolic_applicable
 
 from conftest import (
@@ -250,3 +251,19 @@ class TestThreshold:
             for off in itertools.product(range(3), repeat=pres.P.p):
                 r = tuple(a + b for a, b in zip(lo, off))
                 assert rep.phi.eval(r) == count_UVW(rep.basis, r)[2]
+
+    def test_enlargement_from_a_zero_start(self, monkeypatch):
+        # from a zero start the sample grid of dense-n2p2-1 fails to verify
+        # six times before it moves out to (6, 6); the polynomials it then
+        # verifies are the ones from the usual start
+        pres = dict(corpus_presentations())["dense-n2p2-1"]
+        usual = dimension_polynomial(pres)
+        assert usual.threshold == (8, 7)
+        monkeypatch.setattr(engine, "_base_threshold", lambda G: (0,) * G.P.p)
+        rep = dimension_polynomial(pres)
+        assert rep.threshold == (6, 6)
+        assert (rep.phi, rep.omega_part, rep.psi_part) == (
+            usual.phi,
+            usual.omega_part,
+            usual.psi_part,
+        )

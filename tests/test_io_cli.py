@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weyldim import InputError, Partition, RankOracle, dimension_polynomial
-from weyldim import cli, groebner, oracle
+from weyldim import cli, engine, groebner, oracle
 from weyldim.cli import _COMMANDS, main
 from weyldim.io import (
     dumps,
@@ -316,6 +316,20 @@ class TestCli:
         doc = self.run_ok(capsys, ["check", ex_file, "--rmax", "1"])
         assert doc["mismatches"] == 0
 
+    def test_check_mismatch_writes_the_document(self, capsys, monkeypatch, ex_file):
+        # engine counts one too high at every point: the document is still
+        # written, then the mismatch is reported with exit 2
+        count_grid = cli.count_grid
+        monkeypatch.setattr(
+            cli,
+            "count_grid",
+            lambda G, points: [(v, vp, u + 1) for v, vp, u in count_grid(G, points)],
+        )
+        assert main(["check", ex_file, "--rmax", "1"]) == 2
+        out = capsys.readouterr()
+        assert json.loads(out.out)["mismatches"] == 4
+        assert out.err == "mismatch: 4 grid points disagree\n"
+
     def test_eval(self, capsys, ex_file):
         doc = self.run_ok(capsys, ["eval", ex_file, "--at", "3,3"])
         assert doc == {"r": [3, 3], "dim": 82}
@@ -362,11 +376,26 @@ class TestCli:
         ]
         for exc, code in cases:
 
-            def boom(args, exc=exc):
+            def boom(pres, args, exc=exc):
                 raise exc
 
             monkeypatch.setitem(_COMMANDS, "gb", boom)
             assert main(["gb", ex_file]) == code
+
+    def test_enlargement_budget_exit(self, capsys, monkeypatch, tmp_path):
+        # from a zero start dense-n2p2-1 verifies only at the seventh grid
+        pres = dict(corpus_presentations())["dense-n2p2-1"]
+        path = tmp_path / "dense.json"
+        path.write_text(json.dumps(presentation_doc(pres)))
+        monkeypatch.setattr(engine, "_base_threshold", lambda G: (0,) * G.P.p)
+        monkeypatch.setattr(engine, "MAX_ENLARGE", 5)
+        assert main(["dimpoly", str(path)]) == 3
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "not converged: stabilization threshold not found within the "
+            "enlargement budget\n"
+        )
 
     def test_subprocess_byte_identical(self, ex_file):
         cmd = [sys.executable, "-m", "weyldim.cli", "dimpoly", ex_file]
@@ -427,12 +456,22 @@ class TestCli:
 
     def test_check_stops_at_row_budget(self, capsys, monkeypatch, ex_file):
         # a budget of exactly the rows at (1, 1) refuses (1, 2), the first
-        # point of the grid's walk that needs more
+        # point of the grid's walk that needs more, before the (0, *) chain
+        # that the budget passes is eliminated
         first = RankOracle(dimension_polynomial(load_presentation(ex_file)).basis)
         first.dimension((1, 1))
         rows = sum(map(len, first._rows.values()))
         monkeypatch.setattr(oracle, "MAX_ROWS", rows)
+        inserts = []
+        insert = RankOracle._insert
+
+        def counted(pivots, row):
+            inserts.append(row)
+            return insert(pivots, row)
+
+        monkeypatch.setattr(RankOracle, "_insert", staticmethod(counted))
         assert main(["check", ex_file, "--rmax", "2"]) == 1
+        assert inserts == []
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.startswith("error: rank oracle: ")

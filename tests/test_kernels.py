@@ -17,10 +17,10 @@ from weyldim.kernels import (
     MAX_CELLS,
     _capped,
     _check_cells,
-    _sum_bounded,
     block_classes,
     block_sum_matrix,
     box_vectors,
+    check_simplex,
     class_table,
     classify_box,
 )
@@ -169,7 +169,7 @@ class TestBoxVectors:
         with pytest.raises(InputError, match="box counting: the box"):
             box_vectors((1, 1), (3000, 3000))
         with pytest.raises(InputError, match="box counting: the simplex"):
-            _sum_bounded(8, 40)
+            check_simplex(8, 40)
 
     def test_budget_counts_cells(self):
         # a narrow array may have more rows than a wide one
@@ -183,6 +183,9 @@ class TestBlockSums:
         V = np.array([[1, 2, 3], [0, 0, 5]], dtype=np.int64)
         BS = block_sum_matrix(V, (2, 1))
         assert BS.tolist() == [[3, 3], [0, 5]]
+        V = np.arange(12, dtype=np.int64).reshape(2, 6)
+        assert block_sum_matrix(V, (2, 1, 3)).tolist() == [[1, 2, 12], [13, 8, 30]]
+        assert block_sum_matrix(V[:0], (2, 1, 3)).shape == (0, 3)
 
 
 class TestCountNotDominated:
@@ -288,7 +291,7 @@ def class_key(v, leaders):
 
 def ref_classes(q, r, L):
     leaders = L.tolist()
-    return Counter(class_key(v, leaders) for v in _sum_bounded(q, r).tolist())
+    return Counter(class_key(v, leaders) for v in _capped((r,) * q, r).tolist())
 
 
 # The first leaders of a staircase document: 18 points of {|a| = 3} in

@@ -266,6 +266,8 @@ class TestChains:
                 values = oracle.dimensions(chain)
                 assert values == [expect[r] for r in chain], (label, chain)
             assert_oracle_keys(oracle)
+            # the whole grid, in lexicographic order, from a fresh oracle
+            assert list(RankOracle(G).grid(2).items()) == sorted(expect.items()), label
 
     def test_one_point_chain_is_a_point_call(self):
         oracle = x1_module_oracle()
@@ -306,6 +308,23 @@ class TestChains:
         oracle = RankOracle(G)
         with pytest.raises(InputError, match=r"at r=\(1, 2\) are over the budget"):
             oracle.dimensions([(0, 0), (1, 1), (1, 2), (2, 2)])
+        assert not oracle._rows and not oracle._col
+
+    def test_grid_is_checked_before_any_row(self, monkeypatch):
+        # a budget of exactly the rows at (1, 1) passes the whole (0, *)
+        # chain and refuses (1, 2) of the next one; no chain is built
+        G = two_block_basis()
+        first = RankOracle(G)
+        first.dimension((1, 1))
+        rows = built_rows(first)
+        monkeypatch.setattr(oracle_module, "MAX_ROWS", rows)
+        assert RankOracle(G).grid(1) == {r: first.dimension(r) for r in grid(2, 0, 1)}
+        oracle = RankOracle(G)
+        with pytest.raises(InputError) as err:
+            oracle.grid(2)
+        assert str(err.value).endswith(
+            f" at r=(1, 2) are over the budget oracle.MAX_ROWS = {rows}"
+        )
         assert not oracle._rows and not oracle._col
 
     def test_points_are_read_lazily(self):
