@@ -10,8 +10,9 @@ The overshoot part takes its closed form when the first leaders never
 overlap and is interpolated otherwise; no caller picks the path.
 
 Counting goes through `count_grid`, which counts every bound a caller
-needs in one blockwise pass over weighted classes of block-simplex rows
-(see `kernels`); neither the full box nor a block simplex is built.
+needs in one blockwise pass over weighted classes of block-simplex rows,
+each held as its block sum and leader mask (see `kernels`); neither the
+full box nor a block simplex is built.
 The free rank is read off the basis.
 """
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .groebner import GroebnerBasis, complete_basis
 from .kernels import (
     block_classes,
-    block_sum_matrix,
     check_grid,
     check_simplex,
     class_table,
@@ -99,10 +99,14 @@ def count_grid(
     leader multiples whose every dividing leader overshoots some later
     order bound.  U is their disjoint union and spans M_r.  All bounds
     are counted in one pass: per generator, the block simplices at the
-    componentwise largest bound are grouped into classes, multiplied out
-    into one weighted table, and every bound is read off that table.  The
-    classes and their sizes come from the block rows clamped to the
-    largest leader exponents, so no simplex is enumerated.
+    componentwise largest bound are grouped into classes, each kept as
+    its block sum, the mask of leader blocks it dominates, and its size.
+    The classes are multiplied out into one weighted table of block sums
+    and masks, and every bound is read off that table; a leader divides
+    a row exactly when its bit is set in the row's mask, so no exponent
+    row is compared with a leader there.  The classes and their sizes
+    come from the block rows clamped to the largest leader exponents, so
+    no simplex is enumerated.
     """
     P = G.P
     points = [P.check_bound(r) for r in points]
@@ -116,9 +120,8 @@ def count_grid(
             block_classes(q, b, L[:, start:stop])
             for q, b, (start, stop) in zip(P.widths, top, P.packed_blocks)
         ]
-        V, weights = class_table(blocks)
-        BS = block_sum_matrix(V, P.widths)
-        v, vp = classify_box(V, BS, L, SL, points, weights)
+        BS, masks, weights = class_table(blocks, sum(P.widths))
+        v, vp = classify_box(BS, masks, SL, weights, points)
         card_v = [a + weight * b for a, b in zip(card_v, v.tolist())]
         card_vp = [a + weight * b for a, b in zip(card_vp, vp.tolist())]
     return [(v, vp, v + vp) for v, vp in zip(card_v, card_vp)]

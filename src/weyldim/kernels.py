@@ -2,30 +2,36 @@
 
 The box at bound r is a product of one simplex per block, and a term
 dominates a leader exactly when each of its blocks dominates that block
-of the leader.  The engine therefore never enumerates a box: it groups
+of the leader.  The engine therefore never enumerates a box.  It groups
 each block simplex into classes of rows with equal coordinate sum and
-equal set of dominated leader blocks (`block_classes`), multiplies the
-classes of all blocks out into one weighted table of representative
-rows (`class_table`), and reads every bound it needs off that table in
-one `classify_box` call.  Nor does it enumerate a block simplex: which
-leaders a row dominates depends only on the row clamped to the largest
-leader exponent of each column, so the classes and their sizes follow
-from the clamped vectors and binomial counts.  One cached enumerator
-(`_capped`) lists the vectors under per-column caps; the simplex is
-its uncapped case.  The full box (`box_vectors`) is still built, and
-cached, for the rank oracle.  Both are products of per-block tables,
-formed in one place (`_product`); the box is the product of the block
-simplices with unit weights.
+equal set of dominated leader blocks, and keeps per class only what the
+count reads: its sum, a packed leader mask and its size
+(`block_classes`).  It multiplies the classes of all blocks out into one
+weighted table of block sums and masks, a joined mask being the AND of
+its blocks' masks (`class_table`), and reads every bound it needs off
+that table in one `classify_box` call, which tests no divisibility
+again: a row has no divisor when its mask is zero.  Nor does it
+enumerate a block simplex: which leaders a row dominates depends only
+on the row clamped to the largest leader exponent of each column, so
+the classes and their sizes follow from the clamped vectors and
+binomial counts.  One cached enumerator (`_capped`) lists the vectors
+under per-column caps; the simplex is its uncapped case.
+
+The rank oracle reads the full box (`box_vectors`, built and cached)
+and the blockwise sums of its rows (`block_sum_matrix`); the engine
+reads neither.  The box and the table's block sums are products of
+per-block tables formed in one place (`_product`), and the masks and
+weights are joined across blocks in another (`_join`).
 
 Every simplex, box and class table is bounded by MAX_CELLS int64
-cells (rows times width), checked from binomials before anything is
-allocated; `block_classes` is held to the budget of the simplex it
-stands for, which also bounds everything it allocates.  The counts are
-broadcast comparisons over chunks of rows, and a chunk shrinks as more
-bounds are read at once, so no temporary grows with the table times the
-bounds.  The data are small nonnegative
-int64, so every result is exact.  All rational arithmetic lives
-outside this module.
+cells (rows times width; a class table counts the width of the box it
+stands for), checked from binomials before anything is allocated;
+`block_classes` is held to the budget of the simplex it stands for,
+which also bounds everything it allocates.  The counts are broadcast
+comparisons over chunks of rows, and a chunk shrinks as more bounds are
+read at once, so no temporary grows with the table times the bounds.
+The data are small nonnegative int64, so every result is exact.  All
+rational arithmetic lives outside this module.
 """
 from __future__ import annotations
 
@@ -40,11 +46,13 @@ from .errors import InputError
 USING_NUMBA = False
 
 # Most int64 cells (rows times width, 128 MiB) any counting array may
-# have: a block simplex, a full box or a combined class table.  The
-# largest the test suite and the benchmark workloads build is a
-# 360,600-row combined class table of 4 columns (an `eval` far past the
-# grid), 1.4 M cells; the largest simplex has 43,758 rows of 8 columns
-# (bound 10), a test's reference for `block_classes`.
+# have: a block simplex, a full box or a combined class table, counted at
+# the width of the box it stands for.  The largest the test suite and the
+# benchmark workloads build is a 4,002,000-row combined class table of
+# 4 columns, 16.0 M cells (a test's `eval` at (1000, 1000), just under the
+# budget); the largest box has 84,000 rows of 4 columns, and the largest
+# simplex 43,758 rows of 8 columns (bound 10), a test's reference for
+# `block_classes`.
 MAX_CELLS = 1 << 24
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -160,29 +168,30 @@ def block_sum_matrix(V: np.ndarray, sizes: tuple[int, ...]) -> np.ndarray:
     return np.add.reduceat(V, np.cumsum((0, *sizes[:-1])), axis=1)
 
 
-def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Classes of the simplex {v in N^q : |v| <= r} with their sizes.
+def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Classes of the simplex {v in N^q : |v| <= r}: sums, leader masks, sizes.
 
     Two rows share a class when they have the same coordinate sum and
-    dominate the same rows of L (k x q).  Returns one representative row
-    per class and the number of simplex rows in each class.
+    dominate the same rows of L (k x q).  Returns, per class, that sum,
+    its leader mask, and the number of simplex rows in it.  A mask has
+    -(-k // 64) uint64 words; bit g % 64 of word g // 64 is set when the
+    class dominates row g of L.  Classes come sorted by sum.
 
     The simplex is never built.  Whether v dominates a row of L depends
     only on its clamp u = min(v, caps), where caps_c = min(M_c, r) and M_c
     is the largest entry of column c of L.  Column c is saturated in u
     when u_c = caps_c.  If u has k >= 1 saturated columns, then for each
     sum s in |u|..r exactly C(s - |u| + k - 1, k - 1) simplex rows of sum
-    s clamp to u, among them u plus s - |u| on its first saturated column;
-    if it has none, only u itself does.  The classes are therefore read
-    off the pairs (u, s).  Each pair's representative is a distinct
-    simplex row, so there are no more pairs than simplex rows, and no
-    temporary here is larger than the simplex that is not built.
+    s clamp to u; if it has none, only u itself does.  The classes are
+    therefore read off the pairs (u, s).  Each pair stands for at least
+    one distinct simplex row, so there are no more pairs than simplex
+    rows, and no temporary here is larger than the simplex that is not
+    built.
     """
     check_simplex(q, r)
     caps = np.minimum(L.max(axis=0, initial=0), r)
     U = _capped(tuple(caps.tolist()), r)
-    sat = U == caps
-    k = sat.sum(axis=1)
+    k = (U == caps).sum(axis=1)
     size = U.sum(axis=1)
     # one pair (u, s) per sum s that u's rows reach; t = s - |u|
     spans = np.where(k > 0, r - size + 1, 1)
@@ -209,39 +218,45 @@ def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, np.ndarray
     new = np.ones(order.shape[0], dtype=bool)
     new[1:] = (sums[1:] != sums[:-1]) | (masks[1:] != masks[:-1]).any(axis=1)
     starts = np.flatnonzero(new)
-    counts = np.add.reduceat(weights[order], starts)
-    first = order[starts]
-    rows = U[idx[first]]
-    rows[np.arange(rows.shape[0]), sat.argmax(axis=1)[idx[first]]] += t[first]
-    return rows, counts
+    return sums[starts], masks[starts], np.add.reduceat(weights[order], starts)
 
 
-def class_table(
-    blocks: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray]:
-    """Product of per-block class tables as one weighted table.
+def _join(tables: list[np.ndarray], ufunc) -> np.ndarray:
+    """ufunc across one row of each table, for every pick, in `_product`'s order."""
+    out = tables[0]
+    for t in tables[1:]:
+        out = ufunc(out[:, None], t[None]).reshape(len(out) * len(t), *t.shape[1:])
+    return out
 
-    blocks holds (representative rows, class sizes) per block.  Each row
-    of the result joins one class per block; its weight is the product of
-    their sizes, so the weights sum to the size of the whole box.
+
+def class_table(blocks: list[tuple], width: int) -> tuple[np.ndarray, ...]:
+    """Per-block class records joined into one weighted table (BS, masks, weights).
+
+    blocks holds (sums, masks, sizes) per block, as `block_classes` gives
+    them; width is the number of exponent columns of the box, which the
+    cell budget counts per row.  Each row of the result joins one class
+    per block.  Its block sums BS are those of its classes.  Its mask is
+    the AND of theirs, since a leader divides a term exactly when each
+    block of the term dominates that block of the leader.  Its weight is
+    the product of their sizes, so the weights sum to the size of the
+    whole box.
     """
-    box = prod(int(counts.sum()) for _, counts in blocks)
+    box = prod(int(sizes.sum()) for *_, sizes in blocks)
     if box > _INT64_MAX:
         raise InputError(
             f"box counting: a box of {box} terms overflows the exact int64 counts"
         )
-    width = sum(rows.shape[1] for rows, _ in blocks)
-    _check_cells(prod(len(c) for _, c in blocks), width, "the combined class table")
-    V = _product([rows for rows, _ in blocks])
-    weights = _product([counts[:, None] for _, counts in blocks]).prod(axis=1)
-    return V, weights
+    _check_cells(prod(len(s) for *_, s in blocks), width, "the combined class table")
+    BS = _product([sums[:, None] for sums, _, _ in blocks])
+    masks = _join([m for _, m, _ in blocks], np.bitwise_and)
+    return BS, masks, _join([sizes for *_, sizes in blocks], np.multiply)
 
 
-def classify_box(V, BS, L, SL, points, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Split weighted box rows into staircase complement and overshoot counts.
+def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray]:
+    """Split weighted class rows into staircase complement and overshoot counts.
 
-    V: exponent rows, each standing for weights[i] box terms; BS: their
-    blockwise sums; L: leader exponent rows for one generator; SL:
+    BS: blockwise sums of rows that each stand for weights[i] box terms;
+    masks: their packed leader masks, as `class_table` gives them; SL:
     per-leader order slack (columns are the p orders, column 0 unused);
     points: the order bounds r, one per row.  At each r, only rows with
     BS <= r are in the box.  Returns, per point, the weight of box rows
@@ -249,21 +264,23 @@ def classify_box(V, BS, L, SL, points, weights) -> tuple[np.ndarray, np.ndarray]
     dividing leaders overshoot some later order bound.
     """
     points = np.asarray(points, dtype=np.int64).reshape(-1, BS.shape[1])
-    weights = np.asarray(weights, dtype=np.int64)
     card_v = np.zeros(points.shape[0], dtype=np.int64)
     card_vp = np.zeros(points.shape[0], dtype=np.int64)
     # rows per chunk shrink with the points, so inbox stays bounded
     chunk = max(1, (1 << 15) // max(1, points.shape[0]))
-    for lo in range(0, V.shape[0], chunk):
+    for lo in range(0, BS.shape[0], chunk):
         bs = BS[lo:lo + chunk]
         w = weights[lo:lo + chunk]
         inbox = (bs[:, None, :] <= points[None, :, :]).all(axis=2)
-        div = (V[lo:lo + chunk, None, :] >= L[None, :, :]).all(axis=2)
-        no_div = ~div.any(axis=1)
+        m = masks[lo:lo + chunk]
+        no_div = ~m.any(axis=1)
         card_v += (w * no_div) @ inbox
         if BS.shape[1] == 1 or no_div.all():
             continue  # no later order to overshoot, or no divided row
-        div, inbox, w = div[~no_div], inbox[~no_div], w[~no_div]
+        # bit g of a divided row's mask, as column g: leader g divides it
+        bits = m[~no_div].astype("<u8", copy=False).view(np.uint8)
+        div = np.unpackbits(bits, axis=1, count=len(SL), bitorder="little").view(bool)
+        inbox, w = inbox[~no_div], w[~no_div]
         # a dividing leader fits at r when no later order bound is exceeded
         need = bs[~no_div, None, 1:] + SL[None, :, 1:]
         for i, r in enumerate(points):

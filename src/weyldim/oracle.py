@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis
-from .kernels import box_vectors
+from .kernels import block_sum_matrix, box_vectors
 from .terms import ModuleElement
 from .weyl import ExponentPair, block_orders, mono_mul, weyl_dimension
 
@@ -261,7 +261,7 @@ class RankOracle:
         # one enumeration at the top point's confirmation bound; a theta's
         # stage is the first point whose row bound it fits, else k
         V = box_vectors(P.widths, tuple(v + 1 for v in bounds[-1]))
-        sums = np.add.reduceat(V, [a for a, _ in P.packed_blocks], axis=1)
+        sums = block_sum_matrix(V, P.widths)
         stage = k - sum((sums <= b).all(axis=1) for b in bounds)
         stages: list[list] = [[] for _ in range(k + 1)]
         for theta, s in zip(map(tuple, V.tolist()), stage.tolist()):
@@ -350,8 +350,7 @@ class RankOracle:
             gens, exps = new[:, 0], new[:, 1:]
             self._new_terms = []
             # the order-1 key: block orders, packed exponents, generator
-            starts = [a for a, _ in self.P.packed_blocks]
-            orders = np.add.reduceat(exps, starts, axis=1)
+            orders = block_sum_matrix(exps, self.P.widths)
             self._keys = np.concatenate(
                 (self._keys, np.column_stack((orders, exps, gens)))
             )

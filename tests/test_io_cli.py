@@ -432,6 +432,28 @@ class TestCli:
         assert "budget kernels.MAX_CELLS = 16777216" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_eval_class_table_budget(self, tmp_path):
+        # one leader on each block: the combined class table is budgeted
+        # as rows times the 4 exponent columns of the box, though it
+        # stores only the block sums and the leader masks
+        doc = {
+            "n": 2,
+            "partition": [1, 1],
+            "m": 1,
+            "relations": [[{"gen": 1, "alpha": [1, 1], "beta": [1, 0], "coeff": 1}]],
+        }
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli_capped(["eval", str(path), "--at=1000,1000"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"r": [1000, 1000], "dim": 1503503001}
+        out = run_cli_capped(["eval", str(path), "--at=2000,2000"])
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == (
+            "error: box counting: the combined class table would have 16004000 "
+            "rows of 4 columns, over the budget kernels.MAX_CELLS = 16777216\n"
+        )
+
     def test_check_stops_at_oracle_cap(self, tmp_path):
         # the grid up to 500 per axis has 251,001 points; the oracle
         # refuses (0, 140) and nothing past it is built or counted

@@ -99,11 +99,42 @@ def ref_points(sizes, L, SL, points):
     return out
 
 
+def leader_masks(V, L):
+    """Packed leader masks of exponent rows, as `class_table` gives them.
+
+    Bit g % 64 of word g // 64 of a row's mask is set when the row
+    dominates row g of L.
+    """
+    leaders = L.tolist()
+    words = -(-len(leaders) // 64)
+    out = []
+    for v in V.tolist():
+        bits = sum(
+            1 << g
+            for g, a in enumerate(leaders)
+            if all(x >= y for x, y in zip(v, a))
+        )
+        out.append([bits >> (64 * i) & (1 << 64) - 1 for i in range(words)])
+    return np.array(out, dtype=np.uint64).reshape(len(out), words)
+
+
+def mask_bits(words):
+    """The leader rows a packed mask (a list of words) marks."""
+    return frozenset(
+        64 * i + b for i, word in enumerate(words) for b in range(64) if word >> b & 1
+    )
+
+
+def classify_weighted(V, BS, L, SL, points, weights):
+    """classify_box on box rows, their masks read off the leaders."""
+    v, vp = classify_box(BS, leader_masks(V, L), SL, weights, points)
+    return list(zip(v.tolist(), vp.tolist()))
+
+
 def classify_unit(V, BS, L, SL, points):
     """classify_box with every row standing for one box term."""
     ones = np.ones(V.shape[0], dtype=np.int64)
-    v, vp = classify_box(V, BS, L, SL, points, ones)
-    return list(zip(v.tolist(), vp.tolist()))
+    return classify_weighted(V, BS, L, SL, points, ones)
 
 
 def random_basis(rng, sizes, count, terms):
@@ -273,12 +304,24 @@ class TestClassifyBox:
         V, BS, L, SL, r = random_case(rng, (2, 2), rmax=3, slack_hi=3)
         points = sub_bounds(rng, r, 4)
         w = np.array([rng.randint(0, 5) for _ in range(V.shape[0])], dtype=np.int64)
-        v, vp = classify_box(V, BS, L, SL, points, w)
         # the weighted count equals the unit count of the rows repeated
         rep = np.repeat(np.arange(V.shape[0]), w)
-        assert list(zip(v.tolist(), vp.tolist())) == classify_unit(
+        assert classify_weighted(V, BS, L, SL, points, w) == classify_unit(
             V[rep], BS[rep], L, SL, points
         )
+
+    def test_leaders_past_one_mask_word(self):
+        # 64 leaders past the box fill the first mask word with zeros, so
+        # only the leaders 64..69 of the second word divide anything
+        rng = random.Random(41)
+        V, BS, L, SL, r = random_case(rng, (1, 2), rmax=4, leaders=6, slack_hi=3)
+        L = np.vstack([np.full((64, 3), 9), L])
+        SL = np.vstack([np.zeros((64, 2), dtype=np.int64), SL])
+        assert leader_masks(V, L).shape == (V.shape[0], 2)
+        points = sub_bounds(rng, r, 3)
+        expect = ref_points((1, 2), L, SL, points)
+        assert any(v for v, _ in expect) and any(vp for _, vp in expect)
+        assert classify_unit(V, BS, L, SL, points) == expect
 
 
 def class_key(v, leaders):
@@ -309,11 +352,13 @@ STAIRCASE = np.array(
 
 class TestBlockClasses:
     def check(self, q, r, L):
-        rows, counts = block_classes(q, r, L)
+        sums, masks, counts = block_classes(q, r, L)
+        assert masks.shape == (len(sums), -(-len(L) // 64))
+        assert sums.tolist() == sorted(sums.tolist())
         got = Counter()
-        for row, n in zip(rows.tolist(), counts.tolist()):
-            key = class_key(row, L.tolist())
-            assert key not in got  # one representative per class
+        for s, words, n in zip(sums.tolist(), masks.tolist(), counts.tolist()):
+            key = s, mask_bits(words)
+            assert key not in got  # one record per class
             got[key] = n
         assert got == ref_classes(q, r, L)
 
@@ -344,7 +389,8 @@ class TestBlockClasses:
     def test_no_leaders(self):
         # every column is saturated at cap 0: one class per sum
         L = np.empty((0, 8), dtype=np.int64)
-        rows, counts = block_classes(8, 10, L)
+        sums, masks, counts = block_classes(8, 10, L)
+        assert sums.tolist() == list(range(11)) and masks.shape == (11, 0)
         assert counts.tolist() == [comb(s + 7, 7) for s in range(11)]
         self.check(8, 10, L)
 
@@ -366,7 +412,7 @@ class TestBlockClasses:
         _capped.cache_clear()
         tracemalloc.start()
         try:
-            rows, counts = block_classes(8, 15, STAIRCASE)
+            *_, counts = block_classes(8, 15, STAIRCASE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -375,32 +421,58 @@ class TestBlockClasses:
 
 
 class TestClassTable:
-    def test_product_of_classes(self):
-        L = np.array([[1, 0, 2, 1], [0, 2, 0, 0]], dtype=np.int64)
-        blocks = [block_classes(2, 4, L[:, :2]), block_classes(2, 3, L[:, 2:])]
-        V, weights = class_table(blocks)
-        assert V.shape == (len(blocks[0][0]) * len(blocks[1][0]), 4)
-        assert int(weights.sum()) == box_vectors((2, 2), (4, 3)).shape[0]
-        # every class row stands for its weight in box rows of the same kind
-        box = box_vectors((2, 2), (4, 3))
+    @staticmethod
+    def check(sizes, r, L):
+        starts = np.cumsum((0, *sizes))
+        blocks = [
+            block_classes(w, b, L[:, a:a + w]) for w, b, a in zip(sizes, r, starts)
+        ]
+        BS, masks, weights = class_table(blocks, sum(sizes))
+        assert BS.shape == (prod(len(c) for *_, c in blocks), len(sizes))
+        assert masks.shape == (BS.shape[0], -(-len(L) // 64))
+        box = box_vectors(sizes, r)
+        assert int(weights.sum()) == box.shape[0]
+        # every joined row stands for its weight in box rows with the same
+        # block sums and the same dividing leaders
         ref = Counter(
-            class_key(v[:2], L[:, :2].tolist()) + class_key(v[2:], L[:, 2:].tolist())
-            for v in box.tolist()
+            zip(
+                map(tuple, block_sum_matrix(box, sizes).tolist()),
+                map(tuple, leader_masks(box, L).tolist()),
+            )
         )
         got = Counter()
-        for v, w in zip(V.tolist(), weights.tolist()):
-            got[class_key(v[:2], L[:, :2].tolist()) + class_key(v[2:], L[:, 2:].tolist())] += w
+        for bs, words, w in zip(BS.tolist(), masks.tolist(), weights.tolist()):
+            got[tuple(bs), tuple(words)] += w
         assert got == ref
 
+    def test_product_of_classes(self):
+        L = np.array([[1, 0, 2, 1], [0, 2, 0, 0]], dtype=np.int64)
+        self.check((2, 2), (4, 3), L)
+
+    def test_masks_past_one_word(self):
+        # 70 leaders on three blocks: each joined mask ANDs two words
+        rng = random.Random(43)
+        L = np.array([[rng.randint(0, 2) for _ in range(4)] for _ in range(70)])
+        self.check((1, 1, 2), (3, 2, 2), L)
+
     def test_cell_budget(self):
-        wide = (np.zeros((3000, 1), dtype=np.int64), np.ones(3000, dtype=np.int64))
+        # 9,000,000 rows standing for a box of width 2 are 18 M cells
+        wide = (
+            np.zeros(3000, dtype=np.int64),
+            np.zeros((3000, 0), dtype=np.uint64),
+            np.ones(3000, dtype=np.int64),
+        )
         with pytest.raises(InputError, match="combined class table"):
-            class_table([wide, wide])
+            class_table([wide, wide], 2)
 
     def test_refuses_int64_overflow(self):
-        huge = (np.zeros((1, 1), dtype=np.int64), np.array([1 << 40], dtype=np.int64))
+        huge = (
+            np.zeros(1, dtype=np.int64),
+            np.zeros((1, 0), dtype=np.uint64),
+            np.array([1 << 40], dtype=np.int64),
+        )
         with pytest.raises(InputError, match="overflows"):
-            class_table([huge, huge])
+            class_table([huge, huge], 2)
 
 
 class TestCountGrid:
