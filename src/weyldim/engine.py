@@ -71,8 +71,9 @@ def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]
 
     Rows are packed exponents in basis order, slacks are per order.  Every
     generator that carries a leader counts once.  Those without one all
-    count alike, so the first of them stands for all, weighted by their
-    number.  Entries come in generator order.
+    count alike, so one entry, weighted by their number, stands for all of
+    them.  It is keyed 0, below every generator id; the key only orders the
+    entries, and callers sum or maximize over them.
     """
     P = G.P
     by_gen: dict[int, list[Leader]] = {}
@@ -81,9 +82,9 @@ def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]
         by_gen.setdefault(ld.term.gen, []).append(ld)
     free = G.m - len(by_gen)
     if free:
-        by_gen[next(g for g in itertools.count(1) if g not in by_gen)] = []
+        by_gen[0] = []
     out = []
-    for gen, lds in sorted(by_gen.items()):
+    for _, lds in sorted(by_gen.items()):
         L = np.array([P.pack(ld.term.theta) for ld in lds], dtype=np.int64)
         SL = np.array([(0, *ld.slack) for ld in lds], dtype=np.int64)
         out.append((1 if lds else free, L.reshape(-1, 2 * P.n), SL.reshape(-1, P.p)))

@@ -151,16 +151,12 @@ def load_presentation(path: str) -> Presentation:
     return parse_presentation(text)
 
 
-def frac_str(c: Fraction) -> str:
-    return str(Fraction(c))
-
-
 def _term_record(t: Term) -> dict:
     return {"gen": t.gen, "alpha": list(t.theta.alpha), "beta": list(t.theta.beta)}
 
 
 def element_doc(f: ModuleElement, P: Partition) -> list[dict]:
-    return [{**_term_record(t), "coeff": frac_str(c)} for t, c in f.sorted_terms(P)]
+    return [{**_term_record(t), "coeff": str(c)} for t, c in f.sorted_terms(P)]
 
 
 def presentation_doc(pres: Presentation) -> dict:
@@ -178,7 +174,7 @@ def polynomial_doc(poly: NumericalPolynomial) -> dict:
             {"index": list(k), "coeff": c} for k, c in sorted(poly.coeffs.items())
         ],
         "monomial": [
-            {"exponents": list(k), "coeff": frac_str(c)}
+            {"exponents": list(k), "coeff": str(c)}
             for k, c in sorted(poly.monomial_view().items())
         ],
     }
@@ -190,7 +186,7 @@ def basis_doc(G: GroebnerBasis) -> dict:
         leaders_doc = []
         for i in range(1, G.P.p + 1):
             t, c = leader(g, i, G.P)
-            leaders_doc.append({"order": i, **_term_record(t), "coeff": frac_str(c)})
+            leaders_doc.append({"order": i, **_term_record(t), "coeff": str(c)})
         shape = rho(g, G.P)
         elements.append(
             {

@@ -6,20 +6,22 @@ x^a d^b * g is the expansion of d^b * g with a added to every term's
 alpha, so each d-part b is expanded once and every multiplier sharing
 it is a shift.  Columns are keyed by flat (generator, packed exponents)
 tuples in the `Partition` layout, and the term-order keys of new
-columns are read off those tuples in numpy.  One echelon serves a whole
-chain r^1 <= ... <= r^k of bounds: its row families are nested, and so
-are its boxes.  The counted value never touches the closed-form or
-Groebner code paths; a completed basis, supplied by the caller, is
-consulted only for its input relations and for its elements' blockwise
-orders and multiplier-order bounds, which size a row family per point
-that is provably sufficient, and a final pass one step past the top
-point's family re-checks every count.
+columns are read off those tuples in numpy.  `dimension(r)` answers one
+point and `grid(rmax)` the grid {0..rmax}^p; one echelon serves each
+chain r^1 <= ... <= r^k of bounds along the grid's last axis, since its
+row families are nested, and so are its boxes.  The counted value
+never touches the closed-form or Groebner code paths; a completed
+basis, supplied by the caller, is consulted only for its input
+relations and for its elements' blockwise orders and multiplier-order
+bounds, which size a row family per point that is provably sufficient,
+and a final pass one step past the top point's family re-checks every
+count.
 """
 from __future__ import annotations
 
 from math import gcd
 from operator import add, le
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,8 +37,8 @@ from .weyl import ExponentPair, block_orders, mono_mul, weyl_dimension
 MAX_BOX = 10**4
 
 # Most rows (multipliers at the confirmation bound times relations) one
-# point of a `RankOracle.dimensions` chain may need; the chain builds and
-# eliminates those of its top point.
+# point may need; a chain of `grid` builds and eliminates those of its top
+# point.
 MAX_ROWS = 1 << 19
 
 
@@ -97,9 +99,10 @@ class RankOracle:
     exponents, then its generator, computed in numpy for all new columns
     at once.
 
-    `dimensions` eliminates once for a whole chain r^1 <= ... <= r^k
-    (componentwise), and `dimension(r)` is a chain of one point.  A
-    column's level is the number of chain boxes that hold it, and its
+    `_eliminate` runs once for a whole chain r^1 <= ... <= r^k
+    (componentwise); `dimension(r)` is a chain of one point, and
+    `grid(rmax)` one chain per line along the last axis.  A column's
+    level is the number of chain boxes that hold it, and its
     pivot key is level * ncols + rank: the boxes are nested, so every
     column outside box r^i keys below every column inside it, for every
     i at once; for one point the level is the in-box flag.  The count
@@ -117,14 +120,14 @@ class RankOracle:
     must keep its first value.  This confirmation is at least as strong
     as one step past each R(r^i), since S_{R(r^i) + 1} is inside
     S_{R(r^k) + 1} and a box's pivot count only grows with the rows.
-    The chain's points are read lazily and each is checked against
-    `MAX_BOX` and `MAX_ROWS`, in order, before any row of the chain is
-    built.  A grid of p >= 2 is not one chain: its boxes are not nested,
-    so no column order puts the outside of every box first.  `grid(rmax)`
-    walks {0..rmax}^p as one chain along the last axis per prefix, which
-    keeps its lexicographic order, and reads and checks every point of
-    every chain before it builds the first row; the chains then share
-    the built rows and the column state, one echelon each.
+    `_point` checks a point against `MAX_BOX` and `MAX_ROWS` before any
+    row is built.  A grid of p >= 2 is not one chain: its boxes are not
+    nested, so no column order puts the outside of every box first.
+    `grid(rmax)` walks {0..rmax}^p as one chain along the last axis per
+    prefix, which keeps its lexicographic order, and checks every point
+    of every chain, in that order, before it builds the first row; the
+    chains then share the built rows and the column state, one echelon
+    each.
     """
 
     def __init__(self, basis: GroebnerBasis):
@@ -183,26 +186,23 @@ class RankOracle:
         return tuple(map(max, zip((-1,) * self.P.p, *fits)))
 
     def dimension(self, r: Sequence[int]) -> int:
-        """dim M_r, as a chain of one point."""
-        return self.dimensions((r,))[0]
-
-    def dimensions(self, chain: Iterable[Sequence[int]]) -> list[int]:
-        """dim M_r at each point of a chain r^1 <= ... <= r^k, one echelon.
-
-        The points are read and checked lazily, in order: a point that does
-        not follow its predecessor componentwise, or whose box or row count
-        is over a budget, raises before any row of the chain is built.
-        """
-        below, points = self._read(chain)
-        return [0] * below + self._eliminate(points)
+        """dim M_r, as a chain of one point; 0 where r has a negative
+        entry, whose box is empty."""
+        r = self.P.check_bound(r)
+        if any(v < 0 for v in r):
+            return 0
+        return self._eliminate([self._point(r)])[0]
 
     def grid(self, rmax: int) -> dict[tuple[int, ...], int]:
         """dim M_r at every r in {0, ..., rmax}^p, in lexicographic order.
 
         The grid is one chain along the last axis per prefix.  Every point
-        of every chain is read and checked before any row is built, so an
+        of every chain is checked before any row is built, so an
         over-budget grid is refused with no elimination done.
         """
+        # exact type: bool is an int subclass
+        if type(rmax) is not int or rmax < 0:
+            raise InputError(f"rmax must be a nonnegative integer, got {rmax!r}")
         p, side = self.P.p, rmax + 1
         chains = []
         # each prefix is decoded from one index as the walk reaches it;
@@ -213,48 +213,34 @@ class RankOracle:
             for _ in range(p - 1):
                 index, v = divmod(index, side)
                 head = (v, *head)
-            # no point of the grid has a negative entry
-            chains.append(self._read(head + (v,) for v in range(side))[1])
+            chains.append([self._point(head + (v,)) for v in range(side)])
         ranks = {}
-        for points in chains:
-            ranks.update(zip([r for r, _, _ in points], self._eliminate(points)))
+        for chain in chains:
+            ranks.update(zip([r for r, _, _ in chain], self._eliminate(chain)))
         return ranks
 
-    def _read(self, chain: Iterable[Sequence[int]]) -> tuple[int, list[tuple]]:
-        """Check a chain's points in order, before any row: the number of
-        leading points with a negative entry, whose boxes are empty, and
-        (r, box size, R(r)) for each point after them."""
-        P, m = self.P, self.m
-        points: list[tuple] = []
-        below = 0
-        prev = None
-        for r in chain:
-            r = P.check_bound(r)
-            if prev is not None and any(a > b for a, b in zip(prev, r)):
-                raise InputError(f"chain points must not decrease: {r} follows {prev}")
-            prev = r
-            if any(v < 0 for v in r):
-                below += 1
-                continue
-            card_box = weyl_dimension(P, r) * m
-            if card_box > MAX_BOX:
-                raise InputError(
-                    f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
-                )
-            bound = self._row_bound(r)
-            confirm = tuple(v + 1 for v in bound)
-            n_rows = weyl_dimension(P, confirm) * len(self.relations)
-            if n_rows > MAX_ROWS:
-                raise InputError(
-                    f"rank oracle: {n_rows} relation multiples at r={r} are "
-                    f"over the budget oracle.MAX_ROWS = {MAX_ROWS}"
-                )
-            points.append((r, card_box, bound))
-        return below, points
+    def _point(self, r: tuple[int, ...]) -> tuple:
+        """(r, box size, R(r)) for a bound r with no negative entry, checked
+        against `MAX_BOX` and `MAX_ROWS` before any row is built."""
+        P = self.P
+        card_box = weyl_dimension(P, r) * self.m
+        if card_box > MAX_BOX:
+            raise InputError(
+                f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
+            )
+        bound = self._row_bound(r)
+        confirm = tuple(v + 1 for v in bound)
+        n_rows = weyl_dimension(P, confirm) * len(self.relations)
+        if n_rows > MAX_ROWS:
+            raise InputError(
+                f"rank oracle: {n_rows} relation multiples at r={r} are "
+                f"over the budget oracle.MAX_ROWS = {MAX_ROWS}"
+            )
+        return r, card_box, bound
 
     def _eliminate(self, chain: list[tuple]) -> list[int]:
-        """dim M_r along a chain of points that `_read` accepted, one echelon."""
-        if not chain or not self.relations:
+        """dim M_r along a nonempty chain of `_point` records, one echelon."""
+        if not self.relations:
             return [card for _, card, _ in chain]
         P, k = self.P, len(chain)
         points, cards, bounds = zip(*chain)

@@ -235,24 +235,6 @@ class TestColumnGrowth:
                 ), label
 
 
-def chains_of(p: int, rmax: int) -> list[list[tuple[int, ...]]]:
-    """{0..rmax}^p in lexicographic order, as chains along the last axis,
-    then the diagonal and a staircase that repeats a point."""
-    lines = [
-        [head + (v,) for v in range(rmax + 1)]
-        for head in itertools.product(range(rmax + 1), repeat=p - 1)
-    ]
-    diagonal = [(v,) * p for v in range(rmax + 1)]
-    stairs = [(0,) * p]
-    for axis in range(p):
-        for _ in range(rmax):
-            top = list(stairs[-1])
-            top[axis] += 1
-            stairs.append(tuple(top))
-    stairs.insert(1, stairs[1])
-    return lines + [diagonal, stairs]
-
-
 class TestChains:
     def test_chain_equals_point_calls(self):
         for label, pres in corpus_presentations():
@@ -260,23 +242,27 @@ class TestChains:
             G = complete_basis(pres.relations, pres.P, m=pres.m)
             single = RankOracle(G)
             expect = {r: single.dimension(r) for r in grid(pres.P.p, 0, 2)}
-            # one oracle over many chains, so columns are added between them
-            oracle = RankOracle(G)
-            for chain in chains_of(pres.P.p, 2):
-                values = oracle.dimensions(chain)
-                assert values == [expect[r] for r in chain], (label, chain)
-            assert_oracle_keys(oracle)
             # the whole grid, in lexicographic order, from a fresh oracle
             assert list(RankOracle(G).grid(2).items()) == sorted(expect.items()), label
+            # and from the oracle that answered the points, so the grid's
+            # chains reuse its rows and add columns to its state
+            assert single.grid(2) == expect, label
+            assert_oracle_keys(single)
 
     def test_one_point_chain_is_a_point_call(self):
         oracle = x1_module_oracle()
-        assert oracle.dimensions([(3,)]) == [oracle.dimension((3,))] == [4]
-        assert oracle.dimensions([]) == []
+        chain = [oracle._point((3,))]
+        assert oracle._eliminate(chain) == [oracle.dimension((3,))] == [4]
 
-    def test_negative_points_lead_the_chain(self):
+    def test_negative_points_build_no_rows(self):
+        # a bound with a negative entry has an empty box
         oracle = x1_module_oracle()
-        assert oracle.dimensions([(-3,), (-1,), (0,), (2,)]) == [0, 0, 1, 3]
+        assert [oracle.dimension((v,)) for v in (-3, -1)] == [0, 0]
+        assert not oracle._rows and not oracle._col
+        assert [oracle.dimension((v,)) for v in (0, 2)] == [1, 3]
+        oracle = RankOracle(two_block_basis())
+        assert oracle.dimension((-1, 3)) == oracle.dimension((3, -1)) == 0
+        assert not oracle._rows and not oracle._col
 
     def test_understated_slack_is_reported_at_the_first_point(self):
         # the confirmation at the top bound adds x1*e1 to every box of the
@@ -284,31 +270,10 @@ class TestChains:
         oracle = x1_module_oracle()
         understate(oracle, (-2,))
         with pytest.raises(VerificationError) as err:
-            oracle.dimensions([(1,), (2,)])
+            oracle.grid(2)
         assert str(err.value) == (
             "rank at r=(1,) dropped from 3 to 2 past the certified bound"
         )
-
-    def test_non_chain_is_refused_before_any_row(self):
-        oracle = RankOracle(two_block_basis())
-        with pytest.raises(InputError) as err:
-            oracle.dimensions([(0, 0), (0, 1), (1, 0)])
-        assert str(err.value) == "chain points must not decrease: (1, 0) follows (0, 1)"
-        assert not oracle._rows and not oracle._col
-
-    def test_budgets_in_chain_order(self, monkeypatch):
-        # a budget of exactly the rows at (1, 1), which no element fits,
-        # refuses the next point of the chain, which one element fits,
-        # before any row is built
-        G = two_block_basis()
-        first = RankOracle(G)
-        first.dimension((1, 1))
-        rows = built_rows(first)
-        monkeypatch.setattr(oracle_module, "MAX_ROWS", rows)
-        oracle = RankOracle(G)
-        with pytest.raises(InputError, match=r"at r=\(1, 2\) are over the budget"):
-            oracle.dimensions([(0, 0), (1, 1), (1, 2), (2, 2)])
-        assert not oracle._rows and not oracle._col
 
     def test_grid_is_checked_before_any_row(self, monkeypatch):
         # a budget of exactly the rows at (1, 1) passes the whole (0, *)
@@ -328,18 +293,27 @@ class TestChains:
         assert not oracle._rows and not oracle._col
 
     def test_points_are_read_lazily(self):
-        # an endless chain stops at the first box over the cap
+        # a grid too large to list stops at the first box over the cap
         oracle = RankOracle(complete_basis([], Partition((1,)), m=1))
         read = []
+        point = oracle._point
 
-        def endless():
-            for v in itertools.count():
-                read.append(v)
-                yield (v,)
+        def counted(r):
+            read.append(r)
+            return point(r)
 
+        oracle._point = counted
         with pytest.raises(InputError, match="box of size 10011 exceeds"):
-            oracle.dimensions(endless())
-        assert read[-1] == 140 and len(read) == 141
+            oracle.grid(10**9)
+        assert read[-1] == (140,) and len(read) == 141
+
+    @pytest.mark.parametrize("rmax", [2.5, True, -1, "2"], ids=repr)
+    def test_grid_refuses_a_bad_rmax(self, rmax):
+        oracle = x1_module_oracle()
+        with pytest.raises(InputError) as err:
+            oracle.grid(rmax)
+        assert str(err.value) == f"rmax must be a nonnegative integer, got {rmax!r}"
+        assert not oracle._rows and not oracle._col
 
 
 def rebased(G: GroebnerBasis, **change) -> GroebnerBasis:
@@ -368,10 +342,10 @@ def two_block_basis() -> GroebnerBasis:
     "count",
     [
         lambda G, r: count_grid(G, [r]),
-        lambda G, r: RankOracle(G).dimensions([r]),
+        lambda G, r: RankOracle(G).dimension(r),
         lambda G, r: weyl_dimension(G.P, r),
     ],
-    ids=["count_grid", "dimensions", "weyl_dimension"],
+    ids=["count_grid", "dimension", "weyl_dimension"],
 )
 def test_bound_refused_alike(count, r, message):
     # the engine, the oracle and the box size check a bound in one place

@@ -83,7 +83,7 @@ def test_completion_and_oracle_read_no_fractions(monkeypatch):
         pres = corpus[label]
         G = complete_basis(pres.relations, pres.P, m=pres.m)
         assert reads == [], label
-        RankOracle(G).dimensions([(0,) * pres.P.p, (1,) * pres.P.p])
+        RankOracle(G).grid(1)
         assert reads == [], label
     # the patched view counts
     G.elements[0].terms
@@ -117,7 +117,6 @@ NOT_RUN_BY_CLI = {
     "terms.ModuleElement.scale",
     "engine.bernstein_inequality_check",
     "oracle.RankOracle.dimension",
-    "oracle.RankOracle.dimensions",
     "io.presentation_doc",
     "cli.build_parser",
     "cli._add_file",
@@ -188,7 +187,7 @@ def defined_functions() -> dict[tuple[str, int], str]:
 
 def test_defined_functions_sees_methods_and_nested_functions():
     names = set(defined_functions().values())
-    assert {"oracle.RankOracle.dimensions", "oracle.RankOracle._eliminate.count"} <= names
+    assert {"oracle.RankOracle.grid", "oracle.RankOracle._eliminate.count"} <= names
     assert "terms.ModuleElement.__init__" not in names
 
 
