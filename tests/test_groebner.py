@@ -445,6 +445,92 @@ class TestAgainstReference:
                 assert_int_row(g)
 
 
+def sorted_index(G, r, P):
+    """A stage-r reducer index by one stable sort of all of G by negated key."""
+    by_gen = {}
+    for idx, red in sorted(
+        enumerate(leader_data(g, r, P) for g in G), key=lambda ir: ir[1].neg_key
+    ):
+        negs, reds = by_gen.setdefault(red.term.gen, ([], []))
+        negs.append(red.neg_key)
+        reds.append((idx, red))
+    return by_gen
+
+
+class TestReducers:
+    def test_completion_keeps_every_stage_index(self, monkeypatch):
+        # at every reduction while completing real presentations, each
+        # stage index holds a prefix of G as a fresh sort would, and the
+        # stage asked for holds all of G
+        lagged = []
+
+        def checked(f, G, r, P):
+            assert isinstance(G, groebner.Reducers)
+            for k, (count, by_gen) in G._stages.items():
+                assert by_gen == sorted_index(G.elements[:count], k, P)
+                lagged.append(count < len(G))
+            out = fast(f, G, r, P)
+            count, by_gen = G._stages[r]
+            assert count == len(G)
+            assert by_gen == sorted_index(G.elements, r, P)
+            return out
+
+        fast = groebner.multi_reduce
+        monkeypatch.setattr(groebner, "multi_reduce", checked)
+        cases = [pres for _, pres in corpus_presentations()]
+        cases.append(_dense_presentation(7, (1, 1, 1)))
+        for pres in cases:
+            complete_basis(pres.relations, pres.P, m=pres.m)
+        # some stage caught up with elements inserted while others ran
+        assert any(lagged)
+
+    def test_equal_leader_enters_after(self):
+        P = Partition((1,))
+        xd = ModuleElement(1, 1, {(1, ((1,), (1,))): 1})
+        d = ModuleElement(1, 1, {(1, ((0,), (1,))): 1})
+        xd_tail = ModuleElement(1, 1, {(1, ((1,), (1,))): 2, (1, ((0,), (0,))): 1})
+        x2d2 = ModuleElement(1, 1, {(1, ((2,), (2,))): 1})
+        G = [xd, d]
+        reducers = groebner.Reducers(G, P, 1, 1)
+        reducers.stage(1)
+        G += [xd_tail, x2d2]
+        _, reds = reducers.stage(1)[1]
+        assert [i for i, _ in reds] == [3, 0, 2, 1]
+        assert reducers.stage(1) == sorted_index(G, 1, P)
+        # of the equal leaders the first position reduces
+        f = ModuleElement(1, 1, {(1, ((2,), (1,))): 1})
+        assert multi_reduce(f, reducers, 1, P)[1][0][0] == 0
+
+    @given(reduction_cases())
+    def test_plain_list_and_index_agree(self, case):
+        f, G, r, P = case
+        reducers = groebner.Reducers(G, P, f.n, f.m)
+        out = multi_reduce(f, G, r, P)
+        assert multi_reduce(f, reducers, r, P) == out
+        # a second reduction reuses the index, and other stages get their own
+        assert multi_reduce(f, reducers, r, P) == out
+        for k in range(1, P.p + 1):
+            assert multi_reduce(f, reducers, k, P) == multi_reduce(f, G, k, P)
+
+    def test_index_path_checks_its_elements(self):
+        P = Partition((1,))
+        f = ModuleElement.basis_vector(1, 1, 1)
+        zero = groebner.Reducers([f, ModuleElement.zero(1, 1)], P, 1, 1)
+        with pytest.raises(ZeroElementError) as exc:
+            multi_reduce(f, zero, 1, P)
+        assert str(exc.value) == "zero element among the reducers"
+        other = ModuleElement.basis_vector(1, 2, 1)
+        for G in ([f, other], groebner.Reducers([f, other], P, 1, 1)):
+            with pytest.raises(InputError) as exc:
+                multi_reduce(f, G, 1, P)
+            assert str(exc.value) == "mixed module shapes: (1,1) vs (1,2)"
+        # an element of another shape than the index's is checked like a list
+        for G in ([f], groebner.Reducers([f], P, 1, 1)):
+            with pytest.raises(InputError) as exc:
+                multi_reduce(other, G, 1, P)
+            assert str(exc.value) == "mixed module shapes: (1,2) vs (1,1)"
+
+
 class TestShifted:
     def fresh(self, g, q):
         return [

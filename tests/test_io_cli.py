@@ -43,6 +43,22 @@ EX_DOC = {
 }
 
 
+def _term2(alpha, beta, coeff):
+    return {"gen": 2, "alpha": alpha, "beta": beta, "coeff": coeff}
+
+
+# a two-relation n=2 document whose completion swells to 32 elements
+SWELL_DOC = {
+    "n": 2,
+    "partition": [2],
+    "m": 2,
+    "relations": [
+        [_term2([0, 1], [2, 0], 1), _term2([2, 1], [2, 2], -1)],
+        [_term2([1, 0], [2, 0], "-3/4"), _term2([0, 1], [0, 2], 1)],
+    ],
+}
+
+
 # a (1,1) document whose phi(300, 300) is 40815901
 FAR_DOC = {
     "n": 2,
@@ -276,20 +292,8 @@ class TestCli:
 
         fast = groebner.multi_reduce
         monkeypatch.setattr(groebner, "multi_reduce", counted)
-        term = lambda alpha, beta, coeff: {
-            "gen": 2, "alpha": alpha, "beta": beta, "coeff": coeff
-        }
-        doc = {
-            "n": 2,
-            "partition": [2],
-            "m": 2,
-            "relations": [
-                [term([0, 1], [2, 0], 1), term([2, 1], [2, 2], -1)],
-                [term([1, 0], [2, 0], "-3/4"), term([0, 1], [0, 2], 1)],
-            ],
-        }
         path = tmp_path / "swell.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(SWELL_DOC))
         assert main(["gb", str(path)]) == 0
         out = capsys.readouterr().out
         assert len(json.loads(out)["elements"]) == 32
@@ -315,6 +319,19 @@ class TestCli:
     def test_check(self, capsys, ex_file):
         doc = self.run_ok(capsys, ["check", ex_file, "--rmax", "1"])
         assert doc["mismatches"] == 0
+
+    def test_element_budget_exit(self, capsys, monkeypatch, tmp_path):
+        # the first element completion inserts is the third
+        monkeypatch.setattr(groebner, "MAX_ELEMENTS", 2)
+        path = tmp_path / "swell.json"
+        path.write_text(json.dumps(SWELL_DOC))
+        assert main(["gb", str(path)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "error: completion: basis exceeded 2 elements "
+            "(groebner.MAX_ELEMENTS); presentation too large\n"
+        )
 
     def test_check_mismatch_writes_the_document(self, capsys, monkeypatch, ex_file):
         # engine counts one too high at every point: the document is still
