@@ -28,8 +28,8 @@ from .errors import ConvergenceError, InputError, VerificationError
 from .groebner import GroebnerBasis, complete_basis
 from .kernels import (
     block_classes,
+    check_exact,
     check_grid,
-    check_simplex,
     class_table,
     classify_box,
 )
@@ -114,6 +114,7 @@ def count_grid(
     top = [max(col) for col in zip(*points)]
     if min(top, default=-1) < 0:
         return [(0, 0, 0)] * len(points)
+    check_exact(P.widths, top)
     card_v = [0] * len(points)
     card_vp = [0] * len(points)
     for weight, L, SL in _first_leaders(G):
@@ -121,7 +122,7 @@ def count_grid(
             block_classes(q, b, L[:, start:stop])
             for q, b, (start, stop) in zip(P.widths, top, P.packed_blocks)
         ]
-        BS, masks, weights = class_table(blocks, sum(P.widths))
+        BS, masks, weights = class_table(blocks)
         v, vp = classify_box(BS, masks, SL, weights, points)
         card_v = [a + weight * b for a, b in zip(card_v, v.tolist())]
         card_vp = [a + weight * b for a, b in zip(card_vp, vp.tolist())]
@@ -183,11 +184,9 @@ def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
     for j, (start, stop) in enumerate(P.packed_blocks):
         # the greatest ord_j of any element's j-th leader
         c_max = max([0] + [leader_data(g, j + 1, P).orders[j] for g in G.elements])
-        stair = 0
-        for _, L, _ in leaders:
-            top = int(L[:, start:stop].max(axis=0, initial=0).sum())
-            stair = max(stair, top - P.widths[j])
-        out.append(1 + max(c_max, stair, 0))
+        # the staircase overshoot: a leader set's column maxima, summed
+        tops = [int(L[:, start:stop].max(0, initial=0).sum()) for _, L, _ in leaders]
+        out.append(1 + max(c_max, max(tops, default=0) - P.widths[j], 0))
     return tuple(out)
 
 
@@ -223,10 +222,10 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
     G = complete_basis(pres.relations, P, m=pres.m)
     sizes2 = P.widths
     base = _base_threshold(G)
-    # the first grid reaches base + 2s + 2 per axis; refuse an oversized
-    # block simplex or sample grid before omega and the grid are built
-    for q, b in zip(sizes2, base):
-        check_simplex(q, b + q + 2)
+    # the first grid reaches base + 2s + 2 per axis; refuse a box there
+    # past exact int64 counts, or an oversized sample grid, before omega
+    # and the grid are built
+    check_exact(sizes2, [b + q + 2 for q, b in zip(sizes2, base)])
     check_grid(sizes2)
     omega_p = _omega_part(G)
     path = "symbolic" if _symbolic_applicable(G) else "interpolation"
@@ -235,13 +234,9 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
         R0 = tuple(b + attempt for b in base)
         axes = [range(R0[j], R0[j] + sizes2[j] + 1) for j in range(p)]
         grid = [tuple(pt) for pt in itertools.product(*axes)]
-        corner = tuple(R0[j] + sizes2[j] for j in range(p))
-        extras = []
-        for j in range(p):
-            for bump in (1, 2):
-                pt = list(corner)
-                pt[j] += bump
-                extras.append(tuple(pt))
+        corner = [R0[j] + sizes2[j] for j in range(p)]
+        extras = [tuple(c + bump * (i == j) for i, c in enumerate(corner))
+                  for j in range(p) for bump in (1, 2)]
         sample = grid + extras
         counts = dict(zip(sample, count_grid(G, sample)))
         if path == "symbolic":
@@ -254,7 +249,8 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
             break
     else:
         raise ConvergenceError(
-            "stabilization threshold not found within the enlargement budget"
+            "stabilization threshold not found within the enlargement budget "
+            f"engine.MAX_ENLARGE = {MAX_ENLARGE}"
         )
     zero = phi.is_zero()
     if not zero:

@@ -23,20 +23,24 @@ reads neither.  The box and the table's block sums are products of
 per-block tables formed in one place (`_product`), and the masks and
 weights are joined across blocks in another (`_join`).
 
-Every simplex, box and class table is bounded by MAX_CELLS int64
-cells (rows times width; a class table counts the width of the box it
-stands for), checked from binomials before anything is allocated;
-`block_classes` is held to the budget of the simplex it stands for,
-which also bounds everything it allocates.  The counts are broadcast
-comparisons over chunks of rows, and a chunk shrinks as more bounds are
-read at once, so no temporary grows with the table times the bounds.
-The data are small nonnegative int64, so every result is exact.  All
-rational arithmetic lives outside this module.
+Every array counting builds is bounded by MAX_CELLS int64 cells, rows
+times width, checked from counts known before it is allocated: a full
+box, the clamped vectors of a block and their (u, s) pairs
+(`block_classes`), and the combined class table at its real width of
+p block sums, the mask words and one weight.  No simplex is built, so
+none is priced.  Exactness is checked in one place, `check_exact`: a
+box whose term count, or whose class weights' partial products, would
+leave int64 is refused before it is counted, and past that check every
+count is exact.  The counts are broadcast comparisons over chunks of
+rows, and a chunk shrinks as more bounds are read at once, so no
+temporary grows with the table times the bounds.  All rational
+arithmetic lives outside this module.
 """
 from __future__ import annotations
 
 from functools import lru_cache
 from math import comb, prod
+from typing import Sequence
 
 import numpy as np
 
@@ -46,13 +50,14 @@ from .errors import InputError
 USING_NUMBA = False
 
 # Most int64 cells (rows times width, 128 MiB) any counting array may
-# have: a block simplex, a full box or a combined class table, counted at
-# the width of the box it stands for.  The largest the test suite and the
-# benchmark workloads build is a 4,002,000-row combined class table of
-# 4 columns, 16.0 M cells (a test's `eval` at (1000, 1000), just under the
-# budget); the largest box has 84,000 rows of 4 columns, and the largest
-# simplex 43,758 rows of 8 columns (bound 10), a test's reference for
-# `block_classes`.
+# have: a full box, the clamped vectors of a block, their (u, s) pairs or
+# the combined class table, each at its real width.  The largest the test
+# suite admits is a 4,002,000-row combined class table of 4 columns,
+# 16.0 M cells (a test's `eval` at (1000, 1000), just under the budget);
+# the largest pairs are 2,000,001 rows of 3 columns, the largest clamped
+# vectors 1,002,001 rows of 3 columns and the largest box 84,000 rows of
+# 4 columns.  The benchmark workloads admit at most 2,691 rows of 4
+# columns (a class table at seed 0).
 MAX_CELLS = 1 << 24
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -71,16 +76,25 @@ def _check_cells(rows: int, width: int, what: str, least: bool = False) -> None:
         )
 
 
-def check_simplex(q: int, r: int) -> None:
-    """Refuse the simplex {v in N^q : |v| <= r} if it breaks the cell budget."""
-    if r < 0:
-        return  # the empty simplex
-    what = f"the simplex of width {q} at bound {r}"
-    if r >= 1:
-        # it has at least C(r + q, 1) = r + q rows; past the budget, the
-        # exact C(r + q, q), which may run to millions of digits, is not taken
-        _check_cells(r + q, q, what, least=True)
-    _check_cells(comb(r + q, q), q, what)
+def check_exact(widths: Sequence[int], r: Sequence[int]) -> None:
+    """Refuse a box at bound r >= 0 whose counts would leave int64.
+
+    Block j has C(b_j + q_j, q_j) terms, and the box their product.
+    `block_classes` multiplies a partial class weight, never above its
+    block's size, by at most b_j + q_j, so that product must fit too.
+    A binomial with min(b, q) >= 63 is at least 2^63, so it is never taken.
+    """
+    total = 1
+    for q, b in zip(widths, r):
+        size = comb(b + q, q) if min(b, q) < 63 else _INT64_MAX + 1
+        total *= size
+        if total > _INT64_MAX:
+            what = f"the box of block widths {tuple(widths)} at bound {tuple(r)}"
+        elif size * (b + q) > _INT64_MAX:
+            what = f"a class weight product of the block of width {q} at bound {b}"
+        else:
+            continue
+        raise InputError(f"box counting: {what} overflows the exact int64 counts")
 
 
 def check_grid(sizes: tuple[int, ...]) -> None:
@@ -103,23 +117,24 @@ def check_grid(sizes: tuple[int, ...]) -> None:
 def _capped(caps: tuple[int, ...], r: int) -> np.ndarray:
     """All u in N^q with u_c <= caps[c] and |u| <= r, one per row.
 
-    Rows come out in lexicographic order.  Every cap must be at most r;
-    the recursion clamps the caps of the later columns to the bound left,
-    so the simplex caps = (r,) * q shares its parts with the smaller
-    simplices.  The arrays are cached, so they are read-only.
+    Built one column at a time: each prefix is extended by every next
+    value up to its cap and the bound it has left, so rows come out in
+    lexicographic order and no prefix level has more rows than the
+    result.  A level keeps only each row's prefix and value; the columns
+    are read back from the last level, and columns capped at 0 stay zero
+    and take no step.  The arrays are cached, so they are read-only.
     """
-    if r < 0:
-        out = np.empty((0, len(caps)), dtype=np.int64)
-    elif len(caps) == 1:
-        out = np.arange(caps[0] + 1, dtype=np.int64).reshape(-1, 1)
-    else:
-        parts = []
-        for first in range(caps[0] + 1):
-            left = r - first
-            rest = _capped(tuple(min(c, left) for c in caps[1:]), left)
-            col = np.full((rest.shape[0], 1), first, dtype=np.int64)
-            parts.append(np.hstack([col, rest]))
-        out = np.vstack(parts)
+    levels = []
+    left = np.full(int(r >= 0), r, dtype=np.int64)
+    for c in np.flatnonzero(caps):
+        rows, vals = np.nonzero(np.arange(caps[c] + 1) <= left[:, None])
+        levels.append((c, rows, vals))
+        left = left[rows] - vals
+    out = np.zeros((len(left), len(caps)), dtype=np.int64)
+    idx = np.arange(len(left))
+    for c, rows, vals in reversed(levels):
+        out[:, c] = vals[idx]
+        idx = rows[idx]
     out.flags.writeable = False
     return out
 
@@ -183,29 +198,37 @@ def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, ...]:
     when u_c = caps_c.  If u has k >= 1 saturated columns, then for each
     sum s in |u|..r exactly C(s - |u| + k - 1, k - 1) simplex rows of sum
     s clamp to u; if it has none, only u itself does.  The classes are
-    therefore read off the pairs (u, s).  Each pair stands for at least
-    one distinct simplex row, so there are no more pairs than simplex
-    rows, and no temporary here is larger than the simplex that is not
-    built.
+    therefore read off the pairs (u, s).  The clamped vectors (q columns
+    and the mask words) and the pairs (the mask words, a sum and a
+    weight) are checked against the cell budget before they are built;
+    the caller checks exactness (`check_exact`) at (q, r) or past it.
     """
-    check_simplex(q, r)
+    words = -(-L.shape[0] // 64)
     caps = np.minimum(L.max(axis=0, initial=0), r)
+    what = f"of the block of width {q} at bound {r}"
+    # no more than the simplex's rows, an int64 after `check_exact`, nor
+    # than prod(caps_c + 1); 63 factors of 2 or more already pass 2^63
+    vectors = min(prod((caps[caps > 0][:63] + 1).tolist()), comb(r + q, q))
+    _check_cells(vectors, q + words, f"the clamped vectors {what}")
     U = _capped(tuple(caps.tolist()), r)
     k = (U == caps).sum(axis=1)
     size = U.sum(axis=1)
     # one pair (u, s) per sum s that u's rows reach; t = s - |u|
     spans = np.where(k > 0, r - size + 1, 1)
+    _check_cells(int(spans.sum()), words + 2, f"the (u, s) pairs {what}")
     idx = np.repeat(np.arange(U.shape[0]), spans)
     t = np.arange(idx.shape[0]) - np.repeat(np.cumsum(spans) - spans, spans)
-    # C(t + k - 1, k - 1) as a product of ratios, each step exact: the
-    # partial C(t + i, i) never passes the simplex's row count
-    kk = k[idx]
+    # C(t + k - 1, t) as C(hi + lo, lo), the shorter of its two symmetric
+    # forms, by a product of ratios: step i gives C(hi + i, i) exactly, and
+    # no product passes the block's size times r + q (`check_exact`)
+    kk = k[idx] - 1
+    lo, hi = np.minimum(kk, t), np.maximum(kk, t)
     weights = np.ones(idx.shape[0], dtype=np.int64)
-    for i in range(1, q):
-        weights = np.where(i < kk, weights * (t + i) // i, weights)
+    for i in range(1, min(q - 1, r) + 1):
+        weights = np.where(i <= lo, weights * (hi + i) // i, weights)
     # bit g of a row's mask: the row dominates leader row g; built one
     # leader and one column at a time, so every temporary is one column
-    masks = np.zeros((U.shape[0], -(-L.shape[0] // 64)), dtype=np.uint64)
+    masks = np.zeros((U.shape[0], words), dtype=np.uint64)
     for g, lead in enumerate(L.tolist()):
         div = np.ones(U.shape[0], dtype=bool)
         for c, e in enumerate(lead):
@@ -229,23 +252,19 @@ def _join(tables: list[np.ndarray], ufunc) -> np.ndarray:
     return out
 
 
-def class_table(blocks: list[tuple], width: int) -> tuple[np.ndarray, ...]:
+def class_table(blocks: list[tuple]) -> tuple[np.ndarray, ...]:
     """Per-block class records joined into one weighted table (BS, masks, weights).
 
     blocks holds (sums, masks, sizes) per block, as `block_classes` gives
-    them; width is the number of exponent columns of the box, which the
-    cell budget counts per row.  Each row of the result joins one class
-    per block.  Its block sums BS are those of its classes.  Its mask is
-    the AND of theirs, since a leader divides a term exactly when each
-    block of the term dominates that block of the leader.  Its weight is
-    the product of their sizes, so the weights sum to the size of the
-    whole box.
+    them.  Each row of the result joins one class per block.  Its block
+    sums BS are those of its classes.  Its mask is the AND of theirs,
+    since a leader divides a term exactly when each block of the term
+    dominates that block of the leader.  Its weight is the product of
+    their sizes, so the weights sum to the size of the whole box.  The
+    table is checked against the cell budget at its width: p block sums,
+    the mask words and one weight.
     """
-    box = prod(int(sizes.sum()) for *_, sizes in blocks)
-    if box > _INT64_MAX:
-        raise InputError(
-            f"box counting: a box of {box} terms overflows the exact int64 counts"
-        )
+    width = len(blocks) + blocks[0][1].shape[1] + 1
     _check_cells(prod(len(s) for *_, s in blocks), width, "the combined class table")
     BS = _product([sums[:, None] for sums, _, _ in blocks])
     masks = _join([m for _, m, _ in blocks], np.bitwise_and)

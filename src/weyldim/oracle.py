@@ -226,7 +226,8 @@ class RankOracle:
         card_box = weyl_dimension(P, r) * self.m
         if card_box > MAX_BOX:
             raise InputError(
-                f"box of size {card_box} exceeds the oracle cap {MAX_BOX}"
+                f"rank oracle: box of size {card_box} exceeds the budget "
+                f"oracle.MAX_BOX = {MAX_BOX}"
             )
         bound = self._row_bound(r)
         confirm = tuple(v + 1 for v in bound)

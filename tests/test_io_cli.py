@@ -1,11 +1,13 @@
 """Document parsing, canonical serialization, and the command line."""
 import hashlib
+import itertools
 import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
 from itertools import accumulate
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -45,6 +47,18 @@ EX_DOC = {
 
 def _term2(alpha, beta, coeff):
     return {"gen": 2, "alpha": alpha, "beta": beta, "coeff": coeff}
+
+
+def _term(gen, alpha, beta, coeff=1):
+    return {"gen": gen, "alpha": alpha, "beta": beta, "coeff": coeff}
+
+
+def rank_one_file(tmp_path, partition, relations) -> str:
+    """Write a rank-1 document on the given blocks; return its path."""
+    path = tmp_path / "doc.json"
+    doc = {"n": sum(partition), "partition": partition, "m": 1, "relations": relations}
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 # a two-relation n=2 document whose completion swells to 32 elements
@@ -411,7 +425,7 @@ class TestCli:
         assert out.out == ""
         assert out.err == (
             "not converged: stabilization threshold not found within the "
-            "enlargement budget\n"
+            "enlargement budget engine.MAX_ENLARGE = 5\n"
         )
 
     def test_subprocess_byte_identical(self, ex_file):
@@ -441,13 +455,21 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {"r": [300, 300], "dim": 40815901}
 
-    def test_eval_past_cell_budget(self, far_file):
+    def test_eval_far_on_one_axis(self, far_file):
+        # phi(6000, 3), past the threshold (2, 3): 180,090,010 box terms in
+        # 72,006 weighted classes; no block simplex is built or budgeted
         out = run_cli_capped(["eval", far_file, "--at=6000,3"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"r": [6000, 3], "dim": 126081010}
+
+    def test_eval_past_cell_budget(self, far_file):
+        out = run_cli_capped(["eval", far_file, "--at=1000000,3"])
         assert out.returncode == 1
         assert out.stdout == ""
-        assert out.stderr.startswith("error: box counting:")
-        assert "budget kernels.MAX_CELLS = 16777216" in out.stderr
-        assert "Traceback" not in out.stderr
+        assert out.stderr == (
+            "error: box counting: the combined class table would have 12000006 "
+            "rows of 4 columns, over the budget kernels.MAX_CELLS = 16777216\n"
+        )
 
     def test_eval_class_table_budget(self, tmp_path):
         # one leader on each block: the combined class table is budgeted
@@ -480,7 +502,10 @@ class TestCli:
         out = run_cli_capped(["check", str(path), "--rmax", "500"])
         assert out.returncode == 1
         assert out.stdout == ""
-        assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
+        assert out.stderr == (
+            "error: rank oracle: box of size 10011 exceeds the budget "
+            "oracle.MAX_BOX = 10000\n"
+        )
 
     def test_check_walks_a_huge_grid_lazily(self, tmp_path):
         # a grid of 10^18 points: only the points up to the refused
@@ -491,7 +516,10 @@ class TestCli:
         out = run_cli_capped(["check", str(path), "--rmax", "1000000000"])
         assert out.returncode == 1
         assert out.stdout == ""
-        assert out.stderr == "error: box of size 10011 exceeds the oracle cap 10000\n"
+        assert out.stderr == (
+            "error: rank oracle: box of size 10011 exceeds the budget "
+            "oracle.MAX_BOX = 10000\n"
+        )
 
     def test_check_stops_at_row_budget(self, capsys, monkeypatch, ex_file):
         # a budget of exactly the rows at (1, 1) refuses (1, 2), the first
@@ -542,16 +570,86 @@ class TestCli:
         ids=["eval-n4000", "dimpoly-n1e5", "dimpoly-n3e6"],
     )
     def test_large_block_is_refused_at_once(self, tmp_path, n, argv):
-        # the simplex row count of the first two runs past the int-to-str
-        # digit limit; dimpoly refuses before omega, whose binomials are huge
+        # the block's size runs past the int-to-str digit limit and is never
+        # taken; dimpoly refuses before omega, whose binomials are huge
         path = tmp_path / "block.json"
         path.write_text(json.dumps({"n": n, "partition": [n], "m": 1, "relations": []}))
+        start = time.perf_counter()
         out = run_cli_capped([argv[0], str(path), *argv[1:]])
+        assert time.perf_counter() - start < 30
         assert out.returncode == 1
         assert out.stdout == ""
-        assert out.stderr.startswith("error: box counting:")
-        assert "budget kernels.MAX_CELLS = 16777216" in out.stderr
+        assert out.stderr.startswith("error: box counting: the box of block widths")
+        assert out.stderr.endswith(" overflows the exact int64 counts\n")
         assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize(
+        "n,relations,dim",
+        [(248, [], 497), (400, [[_term(1, [1] * 400, [0] * 400)]], 801)],
+        ids=["free-n248", "x1-to-x400"],
+    )
+    def test_wide_block_clamps_without_recursion(self, tmp_path, n, relations, dim):
+        # 496 and 800 clamped columns, each one step of the enumerator
+        path = rank_one_file(tmp_path, [n], relations)
+        out = run_cli_capped(["eval", path, "--at=1"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"r": [1], "dim": dim}
+
+    def test_exact_counts_up_to_the_weight_headroom(self, tmp_path):
+        # a relation-free block of width 32: C(60, 32) at 28 is exact; at
+        # 33 the box, C(65, 32), fits int64 but a weight's partial product
+        # does not, so it is refused rather than wrapped
+        path = rank_one_file(tmp_path, [16], [])
+        out = run_cli_capped(["eval", path, "--at=28"])
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout) == {"r": [28], "dim": comb(60, 32)}
+        assert comb(60, 32) == 103719945525634515
+        out = run_cli_capped(["eval", path, "--at=33"])
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == (
+            "error: box counting: a class weight product of the block of width "
+            "32 at bound 33 overflows the exact int64 counts\n"
+        )
+
+    @pytest.mark.parametrize(
+        "e,at,message",
+        [
+            (3000, 6000, "the clamped vectors of the block of width 2 at bound 6000 "
+             "would have 9006001 rows of 3 columns"),
+            (1000, 100000, "the (u, s) pairs of the block of width 2 at bound 100000 "
+             "would have 198101001 rows of 3 columns"),
+        ],
+        ids=["clamped-vectors", "pairs"],
+    )
+    def test_block_classes_budgets(self, tmp_path, e, at, message):
+        # one relation x^e d^e: caps (e, e), far below the box's
+        # C(at + 2, 2) rows, which are neither built nor budgeted
+        path = rank_one_file(tmp_path, [1], [[_term(1, [e], [e])]])
+        out = run_cli_capped(["eval", path, f"--at={at}"])
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == (
+            f"error: box counting: {message}, over the budget "
+            "kernels.MAX_CELLS = 16777216\n"
+        )
+
+    def test_level_set_staircase(self, tmp_path):
+        # the 286 x-monomials x^a with |a| = 10 in N^4: on one block their
+        # classes come from 14,641 clamped vectors; on (2, 2) the combined
+        # class table is 2,869,636 rows of 2 sums, 5 mask words and a weight
+        level = [a for a in itertools.product(range(11), repeat=4) if sum(a) == 10]
+        rels = [[_term(1, list(a), [0] * 4)] for a in level]
+        assert len(rels) == 286
+        out = run_cli_capped(["dimpoly", rank_one_file(tmp_path, [4], rels)])
+        assert out.returncode == 0, out.stderr
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+            "89ff50384cc9b6e76381a20bfb330258659afeca2bc90ab4081fac400df775f1"
+        )
+        out = run_cli_capped(["dimpoly", rank_one_file(tmp_path, [2, 2], rels)])
+        assert (out.returncode, out.stdout) == (1, "")
+        assert out.stderr == (
+            "error: box counting: the combined class table would have 2869636 "
+            "rows of 8 columns, over the budget kernels.MAX_CELLS = 16777216\n"
+        )
 
     def test_many_blocks_refuse_the_sample_grid(self, tmp_path):
         # 14 one-variable blocks give a sample grid of 3^14 + 28 points of
@@ -579,7 +677,10 @@ class TestCli:
         assert rep["phi"]["binomial"] == [{"index": [2], "coeff": 10**9}]
         out = run_cli_capped(["check", str(path)])
         assert out.returncode == 1
-        assert out.stderr == "error: box of size 1000000000 exceeds the oracle cap 10000\n"
+        assert out.stderr == (
+            "error: rank oracle: box of size 1000000000 exceeds the budget "
+            "oracle.MAX_BOX = 10000\n"
+        )
 
     def test_eval_at_past_the_digit_limit(self, capsys, ex_file):
         assert main(["eval", ex_file, "--at=" + "9" * 5000 + ",3"]) == 1

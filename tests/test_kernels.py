@@ -1,6 +1,7 @@
 """Counting kernels against slow pure-Python references."""
 import itertools
 import random
+import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from weyldim import GroebnerBasis, InputError, ModuleElement, Partition
+from weyldim import GroebnerBasis, InputError, ModuleElement, Partition, kernels
 from weyldim.engine import count_grid
 from weyldim.kernels import (
     MAX_CELLS,
@@ -20,7 +21,7 @@ from weyldim.kernels import (
     block_classes,
     block_sum_matrix,
     box_vectors,
-    check_simplex,
+    check_exact,
     class_table,
     classify_box,
 )
@@ -199,8 +200,6 @@ class TestBoxVectors:
             box_vectors((2,), (6000,))
         with pytest.raises(InputError, match="box counting: the box"):
             box_vectors((1, 1), (3000, 3000))
-        with pytest.raises(InputError, match="box counting: the simplex"):
-            check_simplex(8, 40)
 
     def test_budget_counts_cells(self):
         # a narrow array may have more rows than a wide one
@@ -350,6 +349,30 @@ STAIRCASE = np.array(
 )
 
 
+class TestCapped:
+    @pytest.mark.parametrize(
+        "caps, r",
+        [((2, 0, 3), 3), ((1, 1, 1, 1), 2), ((0,), 0), ((4, 1, 2), 9), ((3, 3), -1)],
+    )
+    def test_matches_brute_force_in_order(self, caps, r):
+        ref = [
+            list(v)
+            for v in itertools.product(*(range(c + 1) for c in caps))
+            if sum(v) <= r
+        ]
+        U = _capped(caps, r)
+        assert U.shape == (len(ref), len(caps)) and U.tolist() == ref
+        assert not U.flags.writeable
+
+    def test_many_columns_without_recursion(self):
+        # one step per column, so the width is not held to the
+        # interpreter's recursion limit
+        U = _capped((1,) * 3000, 1)
+        assert U.shape == (3001, 3000)
+        # the zero row, then the unit vectors from the last column to the first
+        assert (U[1:] == np.eye(3000, dtype=np.int64)[::-1]).all() and not U[0].any()
+
+
 class TestBlockClasses:
     def check(self, q, r, L):
         sums, masks, counts = block_classes(q, r, L)
@@ -406,6 +429,41 @@ class TestBlockClasses:
         )
         self.check(q, r, np.array(leaders, dtype=np.int64).reshape(-1, q))
 
+    @pytest.mark.parametrize(
+        "e, r, what, rows",
+        [
+            (3000, 6000, "clamped vectors", 9006001),
+            (1000, 100_000, r"\(u, s\) pairs", 198101001),
+        ],
+        ids=["clamped-vectors", "pairs"],
+    )
+    def test_budgets_what_it_builds(self, e, r, what, rows):
+        # caps (e, e) are far below r: (e + 1)^2 clamped vectors, or their
+        # pairs across the sums up to r, break the budget at 3 columns
+        L = np.array([[e, e]], dtype=np.int64)
+        with pytest.raises(
+            InputError,
+            match=f"the {what} of the block of width 2 at bound {r} "
+            f"would have {rows} rows of 3 columns",
+        ):
+            block_classes(2, r, L)
+
+    def test_clamped_vectors_bounded_by_simplex(self):
+        # caps of 5 in 12 columns allow 6^12 vectors, but |u| <= 3 leaves
+        # C(15, 12) = 455, and the budget reads the smaller
+        L = np.full((1, 12), 5, dtype=np.int64)
+        assert 6**12 * 13 > MAX_CELLS
+        self.check(12, 3, L)
+
+    def test_wide_caps_do_not_multiply_out(self):
+        # 800,000 caps of 1: their product, 2^800000, would take seconds;
+        # past 63 factors the simplex's 800,001 rows are the smaller bound
+        L = np.ones((1, 800_000), dtype=np.int64)
+        start = time.perf_counter()
+        with pytest.raises(InputError, match="clamped vectors .* 800001 rows of 800001"):
+            block_classes(800_000, 1, L)
+        assert time.perf_counter() - start < 1
+
     def test_never_builds_the_simplex(self):
         # the simplex of width 8 at bound 15 has 490,314 rows, 31 MB of
         # int64; its classes are read off a few hundred clamped vectors
@@ -427,7 +485,7 @@ class TestClassTable:
         blocks = [
             block_classes(w, b, L[:, a:a + w]) for w, b, a in zip(sizes, r, starts)
         ]
-        BS, masks, weights = class_table(blocks, sum(sizes))
+        BS, masks, weights = class_table(blocks)
         assert BS.shape == (prod(len(c) for *_, c in blocks), len(sizes))
         assert masks.shape == (BS.shape[0], -(-len(L) // 64))
         box = box_vectors(sizes, r)
@@ -456,23 +514,58 @@ class TestClassTable:
         self.check((1, 1, 2), (3, 2, 2), L)
 
     def test_cell_budget(self):
-        # 9,000,000 rows standing for a box of width 2 are 18 M cells
+        # 9,000,000 rows of two block sums, no mask word and one weight are
+        # 27 M cells; the exponent width of the box is not counted
         wide = (
             np.zeros(3000, dtype=np.int64),
             np.zeros((3000, 0), dtype=np.uint64),
             np.ones(3000, dtype=np.int64),
         )
-        with pytest.raises(InputError, match="combined class table"):
-            class_table([wide, wide], 2)
+        with pytest.raises(InputError, match="9000000 rows of 3 columns"):
+            class_table([wide, wide])
+        BS, masks, weights = class_table([tuple(a[:1000] for a in wide)] * 2)
+        assert BS.shape == (1_000_000, 2) and masks.shape == (1_000_000, 0)
+        assert int(weights.sum()) == 1_000_000
 
-    def test_refuses_int64_overflow(self):
-        huge = (
-            np.zeros(1, dtype=np.int64),
-            np.zeros((1, 0), dtype=np.uint64),
-            np.array([1 << 40], dtype=np.int64),
+    def test_width_counts_mask_words(self):
+        # 65 leaders take two mask words: 2 block sums + 2 words + 1 weight
+        narrow = (
+            np.zeros(2000, dtype=np.int64),
+            np.zeros((2000, 2), dtype=np.uint64),
+            np.ones(2000, dtype=np.int64),
         )
-        with pytest.raises(InputError, match="overflows"):
-            class_table([huge, huge], 2)
+        with pytest.raises(InputError, match="4000000 rows of 5 columns"):
+            class_table([narrow, narrow])
+
+
+class TestCheckExact:
+    def test_refuses_int64_overflow(self):
+        # four blocks of C(1002, 2) = 501,501 terms: about 6.3e22 in all
+        check_exact((2, 2, 2), (1000, 1000, 1000))
+        with pytest.raises(InputError, match="overflows the exact int64 counts"):
+            check_exact((2, 2, 2, 2), (1000, 1000, 1000, 1000))
+
+    def test_weight_headroom(self):
+        # C(60, 32) * 60 fits int64, C(61, 32) * 61 does not, though
+        # C(61, 32) itself does
+        check_exact((32,), (28,))
+        assert comb(61, 32) < 1 << 63 < comb(61, 32) * 61
+        with pytest.raises(InputError, match="class weight product of the block of width"):
+            check_exact((32,), (29,))
+
+    @pytest.mark.parametrize("q, b", [(63, 63), (10**6, 10**6), (8000, 8000)])
+    def test_huge_binomials_are_not_taken(self, monkeypatch, q, b):
+        taken = []
+        monkeypatch.setattr(kernels, "comb", lambda n, k: taken.append(k) or comb(n, k))
+        with pytest.raises(InputError, match="overflows the exact int64 counts"):
+            check_exact((q,), (b,))
+        assert taken == []
+
+    def test_small_side_binomial_is_taken(self):
+        # C(10^12 + 1, 1) is taken exactly; min(b, q) = 1
+        check_exact((10**6,), (1,))
+        with pytest.raises(InputError, match="class weight product"):
+            check_exact((10**12,), (1,))
 
 
 class TestCountGrid:

@@ -104,7 +104,7 @@ class TestRankOracle:
         monkeypatch.setattr(oracle_module, "MAX_BOX", 10)
         oracle = RankOracle(complete_basis([], Partition((1,)), m=1))
         assert oracle.dimension((2,)) == 6
-        with pytest.raises(InputError, match="oracle cap 10$"):
+        with pytest.raises(InputError, match=r"exceeds the budget oracle\.MAX_BOX = 10$"):
             oracle.dimension((10,))
 
     def test_shape_mismatch(self):
