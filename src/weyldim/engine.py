@@ -6,8 +6,9 @@ and overshoot parts), and pin the unique numerical polynomial matching
 those counts for all large bounds.  Every computed polynomial is
 re-verified against explicit enumeration before it is returned.
 
-The overshoot part takes its closed form when the first leaders never
-overlap and is interpolated otherwise; no caller picks the path.
+phi has one closed form for every basis: omega's K-polynomial expansion
+run on the first leaders lifted by their later-order slacks.  The
+overshoot part is phi minus the staircase part.
 
 Counting goes through `count_grid`, which counts every bound a caller
 needs in one blockwise pass over weighted classes of block-simplex rows,
@@ -37,14 +38,12 @@ from .numpoly import (
     IndexSet,
     InvariantReport,
     NumericalPolynomial,
-    binomial_sum,
-    interpolate,
+    count_polynomial,
     invariant_set,
     omega,
-    shift_coeffs,
 )
 from .terms import Leader, ModuleElement, check_rank, leader_data
-from .weyl import Partition, weyl_dimension
+from .weyl import Partition, _ranges, weyl_dimension
 
 # Most times `dimension_polynomial` moves its sample grid one step outwards
 # before it gives up on finding the stabilization threshold.
@@ -69,11 +68,11 @@ class Presentation:
 def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]:
     """Per counted generator: its weight, first-leader rows and their slacks.
 
-    Rows are packed exponents in basis order, slacks are per order.  Every
-    generator that carries a leader counts once.  Those without one all
-    count alike, so one entry, weighted by their number, stands for all of
-    them.  It is keyed 0, below every generator id; the key only orders the
-    entries, and callers sum or maximize over them.
+    Rows are packed exponents in basis order, slacks are per later order
+    2..p.  Every generator that carries a leader counts once.  Those
+    without one all count alike, so one entry, weighted by their number,
+    stands for all of them.  It is keyed 0, below every generator id; the
+    key only orders the entries, and callers sum or maximize over them.
     """
     P = G.P
     by_gen: dict[int, list[Leader]] = {}
@@ -86,8 +85,9 @@ def _first_leaders(G: GroebnerBasis) -> list[tuple[int, np.ndarray, np.ndarray]]
     out = []
     for _, lds in sorted(by_gen.items()):
         L = np.array([P.pack(ld.term.theta) for ld in lds], dtype=np.int64)
-        SL = np.array([(0, *ld.slack) for ld in lds], dtype=np.int64)
-        out.append((1 if lds else free, L.reshape(-1, 2 * P.n), SL.reshape(-1, P.p)))
+        SL = np.array([ld.slack for ld in lds], dtype=np.int64)
+        SL = SL.reshape(len(lds), P.p - 1)
+        out.append((1 if lds else free, L.reshape(-1, 2 * P.n), SL))
     return out
 
 
@@ -134,39 +134,34 @@ def count_UVW(G: GroebnerBasis, r: Sequence[int]) -> tuple[int, int, int]:
     return count_grid(G, [r])[0]
 
 
-def _omega_part(G: GroebnerBasis) -> NumericalPolynomial:
-    total = NumericalPolynomial.zero(G.P.p)
-    for weight, L, _ in _first_leaders(G):
-        points = tuple(sorted(map(tuple, L.tolist())))
-        total = total + omega(IndexSet(points, G.P.widths)).scale(weight)
-    return total
+def _staircase_parts(
+    G: GroebnerBasis,
+) -> tuple[NumericalPolynomial, NumericalPolynomial]:
+    """The staircase polynomial omega_part and the dimension polynomial phi.
 
-
-def _psi_symbolic(G: GroebnerBasis) -> NumericalPolynomial:
-    """Closed-form overshoot count when first leaders never overlap.
-
-    Each term is a product over axes of C(t+q-c, q) or of
-    C(t+q-b, q) - C(t+q-c, q), expanded per axis by `shift_coeffs`.
+    A box term survives unless some first leader g divides it with
+    ord_j + s_j(g) <= r_j at every later order j.  By inclusion-exclusion
+    over leader sets, per generator, that count is omega's expansion run
+    on the lifted leaders, each with s_j(g) appended to its block j: the
+    block degrees grow by the slacks, the binomial widths stay.  With one
+    block there is no later order, and phi is omega.
     """
     P = G.P
-    p = P.p
-    sizes2 = P.widths
-    later = list(range(1, p))  # order positions 2..p, 0-based
-    terms = []
-    for g in G.elements:
-        # per order i: ord_i of the first leader b, and of the i-th, b + slack
-        ld = leader_data(g, 1, P)
-        bs = list(zip(sizes2, ld.orders, (0, *ld.slack)))
-        c_f = [shift_coeffs(q, b + s) for q, b, s in bs]
-        b_f = [shift_coeffs(q, b) for q, b, _ in bs]
-        for size in range(1, p):
-            for K in itertools.combinations(later, size):
-                factors = [
-                    [x - y for x, y in zip(b_f[i], c_f[i])] if i in K else c_f[i]
-                    for i in range(p)
-                ]
-                terms.append((1, factors))
-    return binomial_sum(p, terms)
+    omega_p = phi = NumericalPolynomial.zero(P.p)
+    # a lifted leader: the packed exponents, then s_j after block j >= 2
+    lifted = _ranges(tuple(q + (j > 0) for j, q in enumerate(P.widths)))
+    after = [stop for _, stop in P.packed_blocks[1:]]
+    for weight, L, SL in _first_leaders(G):
+        points = tuple(sorted(map(tuple, L.tolist())))
+        part = omega(IndexSet(points, P.widths))
+        if P.p > 1:
+            rows = np.insert(L, after, SL, axis=1)
+            part_phi = count_polynomial(map(tuple, rows.tolist()), lifted, P.widths)
+        else:
+            part_phi = part
+        omega_p = omega_p + part.scale(weight)
+        phi = phi + part_phi.scale(weight)
+    return omega_p, phi
 
 
 def _symbolic_applicable(G: GroebnerBasis) -> bool:
@@ -210,12 +205,13 @@ class DimensionReport:
 def dimension_polynomial(pres: Presentation) -> DimensionReport:
     """Compute and verify the dimension polynomial of a presentation.
 
-    The overshoot part takes its closed form (`_psi_symbolic`) when the
-    first leaders pairwise never overlap, and is interpolated from
-    counts on the sample grid otherwise; `psi_path` records which.  The
-    result is accepted only after the full polynomial reproduces the
-    enumerated counts on the sample grid plus two extra points per axis.
-    The grid moves outwards at most MAX_ENLARGE times.
+    phi and its staircase part come from `_staircase_parts`, and the
+    overshoot part is their difference.  `psi_path` names the basis'
+    case: "symbolic" when the first leaders sit on pairwise distinct
+    generators, "interpolation" otherwise.  The result is accepted only
+    after phi reproduces the enumerated counts on the sample grid plus
+    two extra points per axis.  The grid moves outwards at most
+    MAX_ENLARGE times.
     """
     P = pres.P
     p = P.p
@@ -227,9 +223,7 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
     # and the grid are built
     check_exact(sizes2, [b + q + 2 for q, b in zip(sizes2, base)])
     check_grid(sizes2)
-    omega_p = _omega_part(G)
-    path = "symbolic" if _symbolic_applicable(G) else "interpolation"
-    psi_sym = _psi_symbolic(G) if path == "symbolic" else None
+    omega_p, phi = _staircase_parts(G)
     for attempt in range(MAX_ENLARGE + 1):
         R0 = tuple(b + attempt for b in base)
         axes = [range(R0[j], R0[j] + sizes2[j] + 1) for j in range(p)]
@@ -238,14 +232,8 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
         extras = [tuple(c + bump * (i == j) for i, c in enumerate(corner))
                   for j in range(p) for bump in (1, 2)]
         sample = grid + extras
-        counts = dict(zip(sample, count_grid(G, sample)))
-        if path == "symbolic":
-            psi = psi_sym
-        else:
-            psi = interpolate(R0, sizes2, lambda r: counts[r][1])
-        phi = omega_p + psi
-        if all(phi.eval(r) == counts[r][2] for r in sample):
-            verified = tuple((r, counts[r][2]) for r in sample)
+        verified = tuple((r, u) for r, (_, _, u) in zip(sample, count_grid(G, sample)))
+        if all(phi.eval(r) == u for r, u in verified):
             break
     else:
         raise ConvergenceError(
@@ -270,8 +258,8 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
         basis=G,
         phi=phi,
         omega_part=omega_p,
-        psi_part=psi,
-        psi_path=path,
+        psi_part=phi - omega_p,
+        psi_path="symbolic" if _symbolic_applicable(G) else "interpolation",
         holonomic=holonomic,
         module_is_zero=zero,
         invariants=invariant_set(phi),

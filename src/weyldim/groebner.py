@@ -286,10 +286,7 @@ def multi_reduce(
     reused, so completion, which appends to one, and `is_groebner`, which
     builds one per call, index each element once per stage; any other G
     gets a one-call index built the same way, with the same zero and shape
-    checks.  Against a sort of G on every call, this took the seed-0
-    `corpus` median pass from 0.1994 s to 0.1836 s and `weyldim gb` on the
-    63-element document of `CHANGES.md` from 1.92 s to 1.82 s (2-vCPU
-    Xeon VM), with the same 1,387 seed-0 reductions.
+    checks.
 
     A step starts its scan at the first leader whose key is no greater
     than w's (`bisect_left`).  The ones it passes over cannot divide w: if

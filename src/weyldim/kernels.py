@@ -276,7 +276,7 @@ def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray
 
     BS: blockwise sums of rows that each stand for weights[i] box terms;
     masks: their packed leader masks, as `class_table` gives them; SL:
-    per-leader order slack (columns are the p orders, column 0 unused);
+    per-leader order slack (columns are the later orders 2..p);
     points: the order bounds r, one per row.  At each r, only rows with
     BS <= r are in the box.  Returns, per point, the weight of box rows
     divisible by no leader, then the weight of box rows all of whose
@@ -301,7 +301,7 @@ def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray
         div = np.unpackbits(bits, axis=1, count=len(SL), bitorder="little").view(bool)
         inbox, w = inbox[~no_div], w[~no_div]
         # a dividing leader fits at r when no later order bound is exceeded
-        need = bs[~no_div, None, 1:] + SL[None, :, 1:]
+        need = bs[~no_div, None, 1:] + SL
         for i, r in enumerate(points):
             fits = (need <= r[1:]).all(axis=2) & div
             card_vp[i] += w[inbox[:, i] & ~fits.any(axis=1)].sum()

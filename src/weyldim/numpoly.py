@@ -8,11 +8,14 @@ coefficient vectors, and each producer supplies those vectors through
 `shift_coeffs`, C(t + q - b, q) = sum_i (-1)^(q-i) C(b, q-i) C(t + i, i).
 No floating point anywhere, and no rational arithmetic on the way.
 
-The staircase polynomial `omega` takes the block-graded K-polynomial
-numerator of S/(x^A) from the colon recursion
+`count_polynomial` takes the block-graded K-polynomial numerator of a
+monomial ideal from the colon recursion
 K(I + (x^g)) = K(I) - t^deg(g) K(I : x^g) of Bayer-Stillman and Bigatti
 and expands each term t^b as prod_j C(t_j + q_j - b_j, q_j), so the
-cost grows polynomially with |A|.  `interpolate` takes exact forward
+cost grows polynomially with the number of generators.  The grading
+blocks and the binomial widths q_j are passed apart: the staircase
+polynomial `omega` grades by its own blocks, and the engine's phi grades
+leaders lifted by their slacks.  `interpolate` takes exact forward
 differences of integer samples and expands the Newton series the same
 way.
 
@@ -339,27 +342,39 @@ def k_numerator(
     return memo[points]
 
 
+def count_polynomial(
+    points: Iterable[Index],
+    blocks: Sequence[tuple[int, int]],
+    widths: Sequence[int],
+) -> NumericalPolynomial:
+    """sum_b w_b prod_j C(t_j + q_j - b_j, q_j) over the K-numerator of points.
+
+    w_b is the coefficient of t^b in the block-graded K-polynomial
+    numerator of the ideal (x^a : a in points), graded by `blocks`, and
+    q_j are the binomial `widths`.  They may differ from the grading
+    blocks' widths: a block may carry extra coordinates that shift its
+    degrees without adding to the binomial.
+    """
+    weights = k_numerator(minimize(points), blocks)
+    return binomial_sum(
+        len(widths),
+        (
+            (w, [shift_coeffs(q_j, b_j) for q_j, b_j in zip(widths, b)])
+            for b, w in weights.items()
+        ),
+    )
+
+
 def omega(A: IndexSet) -> NumericalPolynomial:
     """Counting polynomial of lattice points avoiding the staircase of A.
 
     For large r it equals the number of v in N^q with blockwise coordinate
-    sums at most r_j that dominate no point of A.  The block-graded
-    K-polynomial numerator sum_b w_b t^b of S/(x^A) comes from the colon
-    recursion in `k_numerator`; each t^b contributes
-    w_b * prod_j C(t_j + q_j - b_j, q_j), whose binomial-basis
-    coefficients are integers read off `shift_coeffs`.
+    sums at most r_j that dominate no point of A: `count_polynomial` on
+    A's points, graded and binomially weighted by A's own blocks.
     """
-    sizes = A.partition
-    weights = k_numerator(minimize(A.points), A.blocks())
-    poly = binomial_sum(
-        A.p,
-        (
-            (w, [shift_coeffs(q_j, b_j) for q_j, b_j in zip(sizes, b)])
-            for b, w in weights.items()
-        ),
-    )
+    poly = count_polynomial(A.points, A.blocks(), A.partition)
     d, per, _ = poly.degree_data()
-    if d > A.q or any(e > s for e, s in zip(per, sizes)):
+    if d > A.q or any(per[j] > A.partition[j] for j in range(A.p)):
         raise VerificationError("counting polynomial exceeds its degree bounds")
     return poly
 

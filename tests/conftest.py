@@ -41,7 +41,7 @@ from weyldim import (
 )
 from weyldim.groebner import _caps, _check_stage, _eligible, _term_orders
 from weyldim.kernels import box_vectors
-from weyldim.numpoly import Index, MonoPoly
+from weyldim.numpoly import Index, MonoPoly, binomial_sum, shift_coeffs
 from weyldim.terms import leader_data, term_key
 from weyldim.weyl import _check_vector, mono_mul
 
@@ -500,6 +500,35 @@ def enum_V_A(A: IndexSet, r: Sequence[int]) -> int:
     V = box_vectors(A.partition, r)
     pts = np.array(sorted(A.points), dtype=np.int64).reshape(len(A.points), A.q)
     return count_not_dominated(V, pts)
+
+
+def ref_psi_symbolic(G) -> NumericalPolynomial:
+    """Overshoot polynomial of a basis whose first leaders never overlap.
+
+    With the first leaders on pairwise distinct generators, each leader's
+    multiples are counted on their own: a multiple overshoots when some
+    later order bound falls below its order plus the leader's slack.  So
+    per leader the count sums, over the nonempty sets K of later orders,
+    the products over axes of C(t+q-b, q) - C(t+q-c, q) on K and
+    C(t+q-c, q) elsewhere, where b is the first leader's order and c = b
+    plus its slack.
+    """
+    P = G.P
+    p = P.p
+    terms = []
+    for g in G.elements:
+        ld = leader_data(g, 1, P)
+        bs = list(zip(P.widths, ld.orders, (0, *ld.slack)))
+        c_f = [shift_coeffs(q, b + s) for q, b, s in bs]
+        b_f = [shift_coeffs(q, b) for q, b, _ in bs]
+        for size in range(1, p):
+            for K in itertools.combinations(range(1, p), size):
+                factors = [
+                    [x - y for x, y in zip(b_f[i], c_f[i])] if i in K else c_f[i]
+                    for i in range(p)
+                ]
+                terms.append((1, factors))
+    return binomial_sum(p, terms)
 
 
 # --------------------------------------------------- rank-oracle references

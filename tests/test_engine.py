@@ -1,5 +1,6 @@
 """The dimension-polynomial engine end to end on known modules."""
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from weyldim import (
     dimension_polynomial,
     interpolate,
     invariant_set,
+    rho,
     weyl_dimension,
 )
 from weyldim import engine
@@ -33,6 +35,7 @@ from conftest import (
     grid,
     mp_add,
     mp_scale,
+    ref_psi_symbolic,
     two_term_presentation,
 )
 
@@ -151,22 +154,54 @@ class TestDimensionPolynomial:
 
     def test_forced_interpolation_agrees(self):
         # the closed form matches the overshoot part interpolated from V'
-        # counts on the same grid
+        # counts on the same grid, whether or not the first leaders overlap
         cases = [("two-term", two_term_presentation(1, 1, 2))]
         cases += corpus_presentations()
-        checked = 0
         for label, pres in cases:
             rep = dimension_polynomial(pres)
-            if rep.psi_path != "symbolic":
-                continue
             sizes2 = tuple(2 * s for s in pres.P.sizes)
             axes = [range(t, t + q + 1) for t, q in zip(rep.threshold, sizes2)]
             points = list(itertools.product(*axes))
             counts = dict(zip(points, count_grid(rep.basis, points)))
             psi = interpolate(rep.threshold, sizes2, lambda r: counts[r][1])
             assert rep.psi_part == psi, label
-            checked += 1
-        assert checked >= 10
+
+    def test_separated_leaders_match_their_formula(self):
+        # where no two first leaders overlap, psi has a per-leader closed form
+        cases = [("two-term", two_term_presentation(1, 1, 2))]
+        cases += corpus_presentations()
+        checked = 0
+        for label, pres in cases:
+            rep = dimension_polynomial(pres)
+            if rep.psi_path == "symbolic":
+                assert rep.psi_part == ref_psi_symbolic(rep.basis), label
+                checked += 1
+        assert checked == 20
+
+    def test_overlapping_leaders_with_different_slacks(self):
+        # x1 + x2^2 and d1 + d2 on one generator: first leaders x1 and d1,
+        # slacks 2 and 1, so their common multiples use the larger slack
+        P = Partition((1, 1))
+
+        def element(*thetas):
+            return ModuleElement(2, 1, {(1, t): Fraction(1) for t in thetas})
+
+        G = GroebnerBasis(
+            [
+                element(((1, 0), (0, 0)), ((0, 2), (0, 0))),
+                element(((0, 0), (1, 0)), ((0, 0), (0, 1))),
+            ],
+            P,
+            1,
+            certified=(),
+        )
+        assert [rho(g, P).d for g in G.elements] == [(2,), (1,)]
+        _, phi = engine._staircase_parts(G)
+        axes = [range(b, b + 3) for b in engine._base_threshold(G)]
+        for r in itertools.product(*axes):
+            _, vp, u = count_UVW(G, r)
+            assert vp > 0
+            assert phi.eval(r) == u, r
 
     def test_invariants_attached(self):
         rep = dimension_polynomial(two_term_presentation(1, 1, 2))

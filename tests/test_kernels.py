@@ -51,7 +51,8 @@ def ref_classify(V, BS, L, SL, r):
         if not divs:
             card_v += 1
         elif all(
-            any(bs[j] + int(SL[g, j]) > int(r[j]) for j in range(1, p)) for g in divs
+            any(bs[j] + int(SL[g, j - 1]) > int(r[j]) for j in range(1, p))
+            for g in divs
         ):
             card_vp += 1
     return card_v, card_vp
@@ -66,7 +67,7 @@ def random_case(rng, sizes=(2, 2), rmax=4, leaders=3, slack_hi=2):
         [[rng.randint(0, 2) for _ in range(q)] for _ in range(leaders)], dtype=np.int64
     )
     SL = np.array(
-        [[0] + [rng.randint(0, slack_hi) for _ in range(p - 1)] for _ in range(leaders)],
+        [[rng.randint(0, slack_hi) for _ in range(p - 1)] for _ in range(leaders)],
         dtype=np.int64,
     )
     return V, BS, L, SL, np.asarray(r, dtype=np.int64)
@@ -79,7 +80,7 @@ def chunk_crossing_case():
     assert V.shape[0] == comb(32, 2) * comb(17, 2) > 1 << 16
     BS = block_sum_matrix(V, sizes)
     L = np.array([[3, 1, 0, 2], [0, 5, 4, 0], [10, 0, 0, 1]], dtype=np.int64)
-    SL = np.array([[0, 3], [0, 0], [0, 9]], dtype=np.int64)
+    SL = np.array([[3], [0], [9]], dtype=np.int64)
     return V, BS, L, SL, np.asarray(r, dtype=np.int64)
 
 
@@ -163,7 +164,7 @@ def ref_grid(G, points):
     L = np.array(
         [P.pack(leader_term(g, 1, P).theta) for g in G.elements], dtype=np.int64
     )
-    SL = np.array([(0, *rho(g, P).d) for g in G.elements], dtype=np.int64)
+    SL = np.array([rho(g, P).d for g in G.elements], dtype=np.int64)
     out = []
     for (v, vp), r in zip(ref_points(sizes2, L, SL, points), points):
         free = prod(comb(b + q, q) for q, b in zip(sizes2, r)) if min(r) >= 0 else 0
@@ -279,7 +280,7 @@ class TestClassifyBox:
         V = box_vectors((2,), (2,))
         BS = block_sum_matrix(V, (2,))
         L = np.empty((0, 2), dtype=np.int64)
-        SL = np.empty((0, 1), dtype=np.int64)
+        SL = np.empty((0, 0), dtype=np.int64)
         points = [(2,), (1,), (-1,)]
         assert classify_unit(V, BS, L, SL, points) == [(6, 0), (3, 0), (0, 0)]
 
@@ -291,7 +292,8 @@ class TestClassifyBox:
             V = box_vectors(sizes, r)
             BS = block_sum_matrix(V, sizes)
             L = np.array([[1, 0, 1][: sum(sizes)], [0, 2, 0][: sum(sizes)]])
-            SL = np.array([[0, 1][: len(sizes)], [0, 0][: len(sizes)]])
+            later = len(sizes) - 1
+            SL = np.array([[1][:later], [0][:later]], dtype=np.int64)
             distinct = sub_bounds(rng, r, 3)
             points = [distinct[k % len(distinct)] for k in range(count)]
             expect = ref_points(sizes, L, SL, distinct)
@@ -315,7 +317,7 @@ class TestClassifyBox:
         rng = random.Random(41)
         V, BS, L, SL, r = random_case(rng, (1, 2), rmax=4, leaders=6, slack_hi=3)
         L = np.vstack([np.full((64, 3), 9), L])
-        SL = np.vstack([np.zeros((64, 2), dtype=np.int64), SL])
+        SL = np.vstack([np.zeros((64, 1), dtype=np.int64), SL])
         assert leader_masks(V, L).shape == (V.shape[0], 2)
         points = sub_bounds(rng, r, 3)
         expect = ref_points((1, 2), L, SL, points)

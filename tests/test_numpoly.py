@@ -17,7 +17,14 @@ from weyldim import (
     minimize,
     omega,
 )
-from weyldim.numpoly import MonoPoly, binom_int, binomial_sum, k_numerator, shift_coeffs
+from weyldim.numpoly import (
+    MonoPoly,
+    binom_int,
+    binomial_sum,
+    count_polynomial,
+    k_numerator,
+    shift_coeffs,
+)
 
 from conftest import (
     binom_product,
@@ -27,6 +34,7 @@ from conftest import (
     mp_add,
     mp_eval,
     mp_mul,
+    random_index_sets,
     ref_interpolate,
     ref_monomial_view,
     shifted_binomial,
@@ -331,6 +339,10 @@ class TestOmega:
     @given(index_sets())
     def test_matches_reference(self, A):
         assert omega(A) == ref_omega(A)
+
+    def test_omega_is_count_polynomial_on_its_own_blocks(self):
+        for A in random_index_sets(40, 5):
+            assert count_polynomial(A.points, A.blocks(), A.partition) == omega(A), A
 
     @given(index_sets())
     def test_numerator_matches_subset_sum(self, A):

@@ -118,6 +118,7 @@ NOT_RUN_BY_CLI = {
     "engine.bernstein_inequality_check",
     "oracle.RankOracle.dimension",
     "io.presentation_doc",
+    "numpoly.interpolate",
     "cli.build_parser",
     "cli._add_file",
 }
