@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ConvergenceError, InputError, VerificationError
+from .errors import InputError, VerificationError
 from .groebner import GroebnerBasis, complete_basis
 from .kernels import (
     block_classes,
@@ -38,16 +38,14 @@ from .numpoly import (
     IndexSet,
     InvariantReport,
     NumericalPolynomial,
-    count_polynomial,
+    expand_numerator,
     invariant_set,
+    k_numerator,
+    minimize,
     omega,
 )
 from .terms import Leader, ModuleElement, check_rank, leader_data
 from .weyl import Partition, _ranges, weyl_dimension
-
-# Most times `dimension_polynomial` moves its sample grid one step outwards
-# before it gives up on finding the stabilization threshold.
-MAX_ENLARGE = 8
 
 
 @dataclass(frozen=True)
@@ -135,46 +133,58 @@ def count_UVW(G: GroebnerBasis, r: Sequence[int]) -> tuple[int, int, int]:
 
 
 def _staircase_parts(
-    G: GroebnerBasis,
-) -> tuple[NumericalPolynomial, NumericalPolynomial]:
-    """The staircase polynomial omega_part and the dimension polynomial phi.
+    P: Partition, leaders: list[tuple[int, np.ndarray, np.ndarray]]
+) -> tuple[NumericalPolynomial, NumericalPolynomial, tuple[int, ...]]:
+    """The staircase polynomial omega_part, the dimension polynomial phi
+    and phi's reach.
 
     A box term survives unless some first leader g divides it with
     ord_j + s_j(g) <= r_j at every later order j.  By inclusion-exclusion
     over leader sets, per generator, that count is omega's expansion run
     on the lifted leaders, each with s_j(g) appended to its block j: the
     block degrees grow by the slacks, the binomial widths stay.  With one
-    block there is no later order, and phi is omega.
+    block there is no later order, and phi is omega.  `leaders` is
+    `_first_leaders` of the basis.
+
+    The reach is, per block, the largest degree b_j in phi's expansion, so
+    each of its binomials is exact from r_j = b_j - q_j on (see
+    `expand_numerator`).  A slack lifts it past the column maxima that
+    `_base_threshold` reads.  With one block nothing is lifted, and the
+    reach is left at zero.
     """
-    P = G.P
     omega_p = phi = NumericalPolynomial.zero(P.p)
+    reach = (0,) * P.p
     # a lifted leader: the packed exponents, then s_j after block j >= 2
     lifted = _ranges(tuple(q + (j > 0) for j, q in enumerate(P.widths)))
     after = [stop for _, stop in P.packed_blocks[1:]]
-    for weight, L, SL in _first_leaders(G):
+    for weight, L, SL in leaders:
         points = tuple(sorted(map(tuple, L.tolist())))
         part = omega(IndexSet(points, P.widths))
         if P.p > 1:
             rows = np.insert(L, after, SL, axis=1)
-            part_phi = count_polynomial(map(tuple, rows.tolist()), lifted, P.widths)
+            K = k_numerator(minimize(map(tuple, rows.tolist())), lifted)
+            part_phi = expand_numerator(K, P.widths)
+            reach = tuple(map(max, zip(reach, *K)))
         else:
             part_phi = part
         omega_p = omega_p + part.scale(weight)
         phi = phi + part_phi.scale(weight)
-    return omega_p, phi
+    return omega_p, phi, reach
 
 
-def _symbolic_applicable(G: GroebnerBasis) -> bool:
-    """True when the first leaders sit on pairwise distinct generators,
-    so no two of them have a common multiple."""
-    gens = [leader_data(g, 1, G.P).term.gen for g in G.elements]
-    return len(set(gens)) == len(gens)
+def _base_threshold(
+    G: GroebnerBasis, leaders: list[tuple[int, np.ndarray, np.ndarray]]
+) -> tuple[int, ...]:
+    """Bounds read off the basis, before phi is built.
 
-
-def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
-    """Starting bounds past which all closed-form counts are exact."""
+    Per axis j: one past the greatest ord_j of any element's j-th leader
+    and past the staircase overshoot, where a leader set's summed column
+    maxima exceed the block width.  Those sums bound every degree in
+    omega_part's expansion, so omega_part counts V from here on; phi's
+    slacks can reach further, and `dimension_polynomial` moves the bound
+    out to phi's reach.  `leaders` is `_first_leaders(G)`.
+    """
     P = G.P
-    leaders = _first_leaders(G)
     out = []
     for j, (start, stop) in enumerate(P.packed_blocks):
         # the greatest ord_j of any element's j-th leader
@@ -187,7 +197,14 @@ def _base_threshold(G: GroebnerBasis) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class DimensionReport:
-    """Everything the engine certifies about one presentation."""
+    """Everything the engine certifies about one presentation.
+
+    `threshold` is the bound past which the expansions of phi and
+    omega_part are exact counts of the box terms U that span M_r and of
+    V.  `verified_points` pairs each point of the sample grid with its
+    enumerated count cardU; phi gave each of these counts, and
+    omega_part gave cardV at each point.
+    """
 
     presentation: Presentation
     basis: GroebnerBasis
@@ -208,63 +225,66 @@ def dimension_polynomial(pres: Presentation) -> DimensionReport:
     phi and its staircase part come from `_staircase_parts`, and the
     overshoot part is their difference.  `psi_path` names the basis'
     case: "symbolic" when the first leaders sit on pairwise distinct
-    generators, "interpolation" otherwise.  The result is accepted only
-    after phi reproduces the enumerated counts on the sample grid plus
-    two extra points per axis.  The grid moves outwards at most
-    MAX_ENLARGE times.
+    generators, "interpolation" otherwise.  Both closed forms are exact
+    past `_base_threshold` moved out to phi's reach, so one sample grid
+    there, plus two extra points per axis, checks them: at each point phi
+    must give the enumerated count cardU and omega_part the count cardV
+    (so psi_part gives cardV').  A disagreement is a failed cross-check
+    and raises `VerificationError`.
     """
     P = pres.P
-    p = P.p
     G = complete_basis(pres.relations, P, m=pres.m)
-    sizes2 = P.widths
-    base = _base_threshold(G)
-    # the first grid reaches base + 2s + 2 per axis; refuse a box there
-    # past exact int64 counts, or an oversized sample grid, before omega
-    # and the grid are built
-    check_exact(sizes2, [b + q + 2 for q, b in zip(sizes2, base)])
-    check_grid(sizes2)
-    omega_p, phi = _staircase_parts(G)
-    for attempt in range(MAX_ENLARGE + 1):
-        R0 = tuple(b + attempt for b in base)
-        axes = [range(R0[j], R0[j] + sizes2[j] + 1) for j in range(p)]
-        grid = [tuple(pt) for pt in itertools.product(*axes)]
-        corner = [R0[j] + sizes2[j] for j in range(p)]
-        extras = [tuple(c + bump * (i == j) for i, c in enumerate(corner))
-                  for j in range(p) for bump in (1, 2)]
-        sample = grid + extras
-        verified = tuple((r, u) for r, (_, _, u) in zip(sample, count_grid(G, sample)))
-        if all(phi.eval(r) == u for r, u in verified):
-            break
-    else:
-        raise ConvergenceError(
-            "stabilization threshold not found within the enlargement budget "
-            f"engine.MAX_ENLARGE = {MAX_ENLARGE}"
-        )
+    leaders = _first_leaders(G)
+    base = _base_threshold(G, leaders)
+    # the grid reaches base + 2s + 2 per axis; refuse a box there past
+    # exact int64 counts, or an oversized sample grid, before omega and
+    # the grid are built (count_grid checks the corner again if phi's
+    # reach moves it)
+    check_exact(P.widths, [b + q + 2 for q, b in zip(P.widths, base)])
+    check_grid(P.widths)
+    omega_p, phi, reach = _staircase_parts(P, leaders)
+    base = tuple(max(b, t - q) for b, t, q in zip(base, reach, P.widths))
+    axes = [range(b, b + q + 1) for b, q in zip(base, P.widths)]
+    grid = list(itertools.product(*axes))
+    # the product's last point is the grid's top corner
+    extras = [tuple(c + bump * (i == j) for i, c in enumerate(grid[-1]))
+              for j in range(P.p) for bump in (1, 2)]
+    sample = grid + extras
+    counts = count_grid(G, sample)
+    for r, (v, _, u) in zip(sample, counts):
+        for name, poly, count in (("phi", phi, u), ("omega_part", omega_p, v)):
+            value = poly.eval(r)
+            if value != count:
+                raise VerificationError(
+                    f"verification: {name} gives {value} at r = {r}, "
+                    f"but enumeration counts {count}"
+                )
     zero = phi.is_zero()
     if not zero:
         d, per, _ = phi.degree_data()
-        n = P.n
-        if not (n <= d <= 2 * n) or any(
+        if not (P.n <= d <= 2 * P.n) or any(
             not (s <= e <= 2 * s) for s, e in zip(P.sizes, per)
         ):
             raise VerificationError(
                 f"degree bounds violated: total {d}, per-variable {per}"
             )
-        holonomic = d == n
+        holonomic = d == P.n
     else:
         holonomic = False
+    # no entry with two first leaders: they sit on distinct generators
+    separated = all(len(L) <= 1 for _, L, _ in leaders)
     return DimensionReport(
         presentation=pres,
         basis=G,
         phi=phi,
         omega_part=omega_p,
         psi_part=phi - omega_p,
-        psi_path="symbolic" if _symbolic_applicable(G) else "interpolation",
+        psi_path="symbolic" if separated else "interpolation",
         holonomic=holonomic,
         module_is_zero=zero,
         invariants=invariant_set(phi),
-        verified_points=verified,
-        threshold=R0,
+        verified_points=tuple((r, u) for r, (_, _, u) in zip(sample, counts)),
+        threshold=base,
     )
 
 

@@ -1,7 +1,10 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: InputError -> 1,
-VerificationError -> 2, ConvergenceError -> 3.
+VerificationError -> 2, ConvergenceError -> 3.  A polynomial that
+disagrees with enumeration past its threshold is a VerificationError;
+nothing raises ConvergenceError today, and it is kept for a work budget
+on an iterative procedure such as completion.
 """
 
 

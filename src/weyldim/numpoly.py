@@ -11,13 +11,13 @@ No floating point anywhere, and no rational arithmetic on the way.
 `count_polynomial` takes the block-graded K-polynomial numerator of a
 monomial ideal from the colon recursion
 K(I + (x^g)) = K(I) - t^deg(g) K(I : x^g) of Bayer-Stillman and Bigatti
-and expands each term t^b as prod_j C(t_j + q_j - b_j, q_j), so the
-cost grows polynomially with the number of generators.  The grading
-blocks and the binomial widths q_j are passed apart: the staircase
-polynomial `omega` grades by its own blocks, and the engine's phi grades
-leaders lifted by their slacks.  `interpolate` takes exact forward
-differences of integer samples and expands the Newton series the same
-way.
+and expands each term t^b as prod_j C(t_j + q_j - b_j, q_j)
+(`expand_numerator`), so the cost grows polynomially with the number of
+generators.  The grading blocks and the binomial widths q_j are passed
+apart: the staircase polynomial `omega` grades by its own blocks, and
+the engine's phi grades leaders lifted by their slacks.  `interpolate`
+takes exact forward differences of integer samples and expands the
+Newton series the same way.
 
 Rational monomial coefficients appear only where output asks for them:
 `monomial_view` (the `monomial` field of a report), `degree_data` and
@@ -355,7 +355,19 @@ def count_polynomial(
     blocks' widths: a block may carry extra coordinates that shift its
     degrees without adding to the binomial.
     """
-    weights = k_numerator(minimize(points), blocks)
+    return expand_numerator(k_numerator(minimize(points), blocks), widths)
+
+
+def expand_numerator(
+    weights: Mapping[Index, int], widths: Sequence[int]
+) -> NumericalPolynomial:
+    """sum_b w_b prod_j C(t_j + q_j - b_j, q_j) over a K-numerator's weights.
+
+    The term at b stands for w_b times the number of lattice points of
+    N^q_j with coordinate sum at most t_j - b_j, per axis j.  Its binomial
+    gives that number exactly when t_j >= b_j - q_j: between there and
+    t_j = b_j - 1 both are 0, and further down the binomial is not.
+    """
     return binomial_sum(
         len(widths),
         (

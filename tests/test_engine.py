@@ -23,7 +23,8 @@ from weyldim import (
     weyl_dimension,
 )
 from weyldim import engine
-from weyldim.engine import _symbolic_applicable
+from weyldim.engine import _base_threshold, _first_leaders
+from weyldim.terms import leader_data
 
 from conftest import (
     WeylElement,
@@ -147,10 +148,17 @@ class TestDimensionPolynomial:
         assert rep.invariants.total_degree == -1
 
     def test_symbolic_path_needs_separated_leaders(self):
-        pres = derivative_presentation()
-        G = complete_basis(pres.relations, pres.P, m=pres.m)
-        assert not _symbolic_applicable(G)
-        assert dimension_polynomial(pres).psi_path == "interpolation"
+        # "symbolic" exactly when no two first leaders share a generator
+        cases = [("derivative", derivative_presentation())]
+        cases += corpus_presentations()
+        paths = set()
+        for label, pres in cases:
+            rep = dimension_polynomial(pres)
+            gens = [leader_data(g, 1, pres.P).term.gen for g in rep.basis.elements]
+            separated = len(set(gens)) == len(gens)
+            assert rep.psi_path == ("symbolic" if separated else "interpolation"), label
+            paths.add(rep.psi_path)
+        assert paths == {"symbolic", "interpolation"}
 
     def test_forced_interpolation_agrees(self):
         # the closed form matches the overshoot part interpolated from V'
@@ -196,8 +204,9 @@ class TestDimensionPolynomial:
             certified=(),
         )
         assert [rho(g, P).d for g in G.elements] == [(2,), (1,)]
-        _, phi = engine._staircase_parts(G)
-        axes = [range(b, b + 3) for b in engine._base_threshold(G)]
+        leaders = _first_leaders(G)
+        _, phi, _ = engine._staircase_parts(P, leaders)
+        axes = [range(b, b + 3) for b in _base_threshold(G, leaders)]
         for r in itertools.product(*axes):
             _, vp, u = count_UVW(G, r)
             assert vp > 0
@@ -286,19 +295,37 @@ class TestThreshold:
             for off in itertools.product(range(3), repeat=pres.P.p):
                 r = tuple(a + b for a, b in zip(lo, off))
                 assert rep.phi.eval(r) == count_UVW(rep.basis, r)[2]
-
-    def test_enlargement_from_a_zero_start(self, monkeypatch):
-        # from a zero start the sample grid of dense-n2p2-1 fails to verify
-        # six times before it moves out to (6, 6); the polynomials it then
-        # verifies are the ones from the usual start
         pres = dict(corpus_presentations())["dense-n2p2-1"]
-        usual = dimension_polynomial(pres)
-        assert usual.threshold == (8, 7)
-        monkeypatch.setattr(engine, "_base_threshold", lambda G: (0,) * G.P.p)
-        rep = dimension_polynomial(pres)
-        assert rep.threshold == (6, 6)
-        assert (rep.phi, rep.omega_part, rep.psi_part) == (
-            usual.phi,
-            usual.omega_part,
-            usual.psi_part,
+        assert dimension_polynomial(pres).threshold == (8, 7)
+
+    def test_slack_moves_the_threshold(self, monkeypatch):
+        # x2^5, x3^5 and x1^3 + x2^3 on (1, 2), taken as a basis as they
+        # stand: first leaders x2^5, x3^5 and x1^3, the last with slack 3.
+        # Their lifted lcm has block-2 degree 5 + 5 + 3 = 13, so phi is
+        # exact from r_2 = 13 - 4 = 9 on, past the leaders' column maxima
+        P = Partition((1, 2))
+
+        def element(*alphas):
+            return ModuleElement(3, 1, {(1, (a, (0, 0, 0))): Fraction(1) for a in alphas})
+
+        relations = (
+            element((0, 5, 0)),
+            element((0, 0, 5)),
+            element((3, 0, 0), (0, 3, 0)),
         )
+        G = GroebnerBasis(list(relations), P, 1, certified=())
+        leaders = _first_leaders(G)
+        _, phi, reach = engine._staircase_parts(P, leaders)
+        assert reach == (3, 13)
+        assert _base_threshold(G, leaders) == (4, 7)
+        for r in ((4, 7), (4, 8), (7, 8)):
+            assert phi.eval(r) != count_UVW(G, r)[2], r
+        for r in itertools.product(range(4, 8), range(9, 13)):
+            assert phi.eval(r) == count_UVW(G, r)[2], r
+        pres = Presentation(P, 1, relations)
+        # completion adds x1^3 x2^2 and x1^6, whose lifted lcms cover it
+        assert dimension_polynomial(pres).threshold == (7, 7)
+        monkeypatch.setattr(engine, "complete_basis", lambda relations, P, m: G)
+        rep = dimension_polynomial(pres)
+        assert rep.threshold == (4, 9)
+        assert rep.phi == phi

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weyldim import InputError, Partition, RankOracle, dimension_polynomial
+from weyldim import InputError, Partition, Presentation, RankOracle, dimension_polynomial
 from weyldim import cli, engine, groebner, oracle
 from weyldim.cli import _COMMANDS, main
 from weyldim.io import (
@@ -413,19 +413,38 @@ class TestCli:
             monkeypatch.setitem(_COMMANDS, "gb", boom)
             assert main(["gb", ex_file]) == code
 
-    def test_enlargement_budget_exit(self, capsys, monkeypatch, tmp_path):
-        # from a zero start dense-n2p2-1 verifies only at the seventh grid
+    def test_phi_disagreement_exits_2(self, capsys, monkeypatch, tmp_path):
+        # from a zero start the sample grid of dense-n2p2-1, on one block
+        # where no slack moves it, lies below the bound phi is exact past;
+        # the grid is never moved, so its first point is a failed check
         pres = dict(corpus_presentations())["dense-n2p2-1"]
+        flat = Presentation(pres.P.collapse(), pres.m, pres.relations)
         path = tmp_path / "dense.json"
-        path.write_text(json.dumps(presentation_doc(pres)))
-        monkeypatch.setattr(engine, "_base_threshold", lambda G: (0,) * G.P.p)
-        monkeypatch.setattr(engine, "MAX_ENLARGE", 5)
-        assert main(["dimpoly", str(path)]) == 3
+        path.write_text(json.dumps(presentation_doc(flat)))
+        monkeypatch.setattr(engine, "_base_threshold", lambda G, leaders: (0,) * G.P.p)
+        assert main(["dimpoly", str(path)]) == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err == (
-            "not converged: stabilization threshold not found within the "
-            "enlargement budget engine.MAX_ENLARGE = 5\n"
+            "mismatch: verification: phi gives 27 at r = (0,), "
+            "but enumeration counts 2\n"
+        )
+
+    def test_omega_part_is_checked(self, capsys, monkeypatch, ex_file):
+        # one term moved from V' to V: cardU and so phi still match, and
+        # only the check of omega_part against cardV sees it
+        count_grid = engine.count_grid
+        monkeypatch.setattr(
+            engine,
+            "count_grid",
+            lambda G, points: [(v + 1, vp - 1, u) for v, vp, u in count_grid(G, points)],
+        )
+        assert main(["dimpoly", ex_file]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == (
+            "mismatch: verification: omega_part gives 51 at r = (2, 3), "
+            "but enumeration counts 52\n"
         )
 
     def test_subprocess_byte_identical(self, ex_file):
