@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: InputError -> 1,
 VerificationError -> 2, ConvergenceError -> 3.  A polynomial that
-disagrees with enumeration past its threshold is a VerificationError;
-nothing raises ConvergenceError today, and it is kept for a work budget
+disagrees with enumeration past its threshold, and a completed basis
+that fails its certificate, are VerificationErrors; nothing raises
+ConvergenceError today, and it is kept for a work budget
 on an iterative procedure such as completion.
 """
 

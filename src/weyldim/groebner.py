@@ -74,7 +74,7 @@ from math import gcd
 from operator import add, eq, le, neg, sub
 from typing import Sequence
 
-from .errors import InputError, WeylDimError, ZeroElementError
+from .errors import InputError, VerificationError, WeylDimError, ZeroElementError
 from .terms import (
     Leader,
     ModuleElement,
@@ -507,7 +507,8 @@ def complete_basis(
     the same submodule and is a basis of it, and so is every superset of
     it inside the submodule, the whole basis included.  A whole basis that
     is a basis always passes: a core element dominating g covers every
-    leader g covers.  Every element is returned, the dropped ones too.
+    leader g covers.  A failed check raises VerificationError.  Every
+    element is returned, the dropped ones too.
     """
     if m is not None:
         check_rank(m)
@@ -562,13 +563,13 @@ def complete_basis(
     certified = []
     for r in range(p, 0, -1):
         if not is_groebner(basis, r):
-            raise WeylDimError(f"completion failed certification at stage {r}")
+            raise VerificationError(f"completion failed certification at stage {r}")
         certified.append(r)
     kept = set(core)
     core_reducers = Reducers(basis.elements, P, P.n, m)
     for i, g in enumerate(G):
         if i not in kept and not multi_reduce(g, core_reducers, 1, P)[0].is_zero():
-            raise WeylDimError("completion failed certification at stage 1")
+            raise VerificationError("completion failed certification at stage 1")
     return GroebnerBasis(G, P, m, certified, relations=gens, bounds=bounds)
 
 

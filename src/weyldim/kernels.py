@@ -28,8 +28,9 @@ times width, checked from counts known before it is allocated: a full
 box, the clamped vectors of a block and their (u, s) pairs
 (`block_classes`), and the combined class table at its real width of
 p block sums, the mask words and one weight.  No simplex is built, so
-none is priced.  Exactness is checked in one place, `check_exact`: a
-box whose term count, or whose class weights' partial products, would
+none is priced.  Every integer the counting forms, a class weight or
+size, a table weight or a count, counts terms of the box, so exactness
+is checked in one place, `check_exact`: a box whose term count would
 leave int64 is refused before it is counted, and past that check every
 count is exact.  The counts are broadcast comparisons over chunks of
 rows, and a chunk shrinks as more bounds are read at once, so no
@@ -80,21 +81,16 @@ def check_exact(widths: Sequence[int], r: Sequence[int]) -> None:
     """Refuse a box at bound r >= 0 whose counts would leave int64.
 
     Block j has C(b_j + q_j, q_j) terms, and the box their product.
-    `block_classes` multiplies a partial class weight, never above its
-    block's size, by at most b_j + q_j, so that product must fit too.
     A binomial with min(b, q) >= 63 is at least 2^63, so it is never taken.
     """
     total = 1
     for q, b in zip(widths, r):
-        size = comb(b + q, q) if min(b, q) < 63 else _INT64_MAX + 1
-        total *= size
+        total *= comb(b + q, q) if min(b, q) < 63 else _INT64_MAX + 1
         if total > _INT64_MAX:
-            what = f"the box of block widths {tuple(widths)} at bound {tuple(r)}"
-        elif size * (b + q) > _INT64_MAX:
-            what = f"a class weight product of the block of width {q} at bound {b}"
-        else:
-            continue
-        raise InputError(f"box counting: {what} overflows the exact int64 counts")
+            raise InputError(
+                f"box counting: the box of block widths {tuple(widths)} at bound "
+                f"{tuple(r)} overflows the exact int64 counts"
+            )
 
 
 def check_grid(sizes: tuple[int, ...]) -> None:
@@ -219,13 +215,15 @@ def block_classes(q: int, r: int, L: np.ndarray) -> tuple[np.ndarray, ...]:
     idx = np.repeat(np.arange(U.shape[0]), spans)
     t = np.arange(idx.shape[0]) - np.repeat(np.cumsum(spans) - spans, spans)
     # C(t + k - 1, t) as C(hi + lo, lo), the shorter of its two symmetric
-    # forms, by a product of ratios: step i gives C(hi + i, i) exactly, and
-    # no product passes the block's size times r + q (`check_exact`)
+    # forms, by Pascal's rule: after pass i entry h of col is C(h + i, i),
+    # at most C(r + q - 1, q - 1) simplex rows, in int64 past `check_exact`
     kk = k[idx] - 1
     lo, hi = np.minimum(kk, t), np.maximum(kk, t)
     weights = np.ones(idx.shape[0], dtype=np.int64)
+    col = np.ones(hi.max(initial=0) + 1, dtype=np.int64)
     for i in range(1, min(q - 1, r) + 1):
-        weights = np.where(i <= lo, weights * (hi + i) // i, weights)
+        col = np.cumsum(col)
+        weights = np.where(lo == i, col[hi], weights)
     # bit g of a row's mask: the row dominates leader row g; built one
     # leader and one column at a time, so every temporary is one column
     masks = np.zeros((U.shape[0], words), dtype=np.uint64)

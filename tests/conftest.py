@@ -40,7 +40,6 @@ from weyldim import (
     term_divides,
 )
 from weyldim.groebner import _caps, _check_stage, _eligible, _term_orders
-from weyldim.kernels import box_vectors
 from weyldim.numpoly import Index, MonoPoly, binomial_sum, shift_coeffs
 from weyldim.terms import leader_data, term_key
 from weyldim.weyl import _check_vector, mono_mul
@@ -492,12 +491,37 @@ def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
     return count
 
 
+@lru_cache(maxsize=None)
+def _simplex(q: int, b: int) -> tuple[tuple[int, ...], ...]:
+    """Every v in N^q with |v| <= b, in lexicographic order."""
+    if q == 0:
+        return ((),)
+    return tuple((x, *rest) for x in range(b + 1) for rest in _simplex(q - 1, b - x))
+
+
+def ref_box(sizes: Sequence[int], r: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """The box at bound r and its rows' block sums, without `weyldim.kernels`.
+
+    Each block's rows are its compositions, listed in Python; the box
+    joins one row of each block, the first block varying slowest, so its
+    rows come in lexicographic order.  It shares no code with the
+    kernels, so the box references do not move with a defect there.
+    """
+    V = BS = np.zeros((1, 0), dtype=np.int64)
+    for q, b in zip(sizes, r):
+        block = np.array(_simplex(q, b), dtype=np.int64).reshape(-1, q)
+        sums = block.sum(axis=1, keepdims=True)
+        V = np.hstack([np.repeat(V, len(block), axis=0), np.tile(block, (len(V), 1))])
+        BS = np.hstack([np.repeat(BS, len(block), axis=0), np.tile(sums, (len(BS), 1))])
+    return V, BS
+
+
 def enum_V_A(A: IndexSet, r: Sequence[int]) -> int:
     """Count v in N^q with blockwise sums <= r dominating no point of A."""
     r = tuple(r)
     if len(r) != A.p:
         raise InputError(f"r has length {len(r)}, expected {A.p}")
-    V = box_vectors(A.partition, r)
+    V, _ = ref_box(A.partition, r)
     pts = np.array(sorted(A.points), dtype=np.int64).reshape(len(A.points), A.q)
     return count_not_dominated(V, pts)
 

@@ -15,6 +15,7 @@ from weyldim import (
     ModuleElement,
     Partition,
     RankOracle,
+    VerificationError,
     WeylDimError,
     ZeroElementError,
     complete_basis,
@@ -692,7 +693,7 @@ class TestCoreCertificate:
         # a core that misses a needed element must not certify the basis
         P, h1, h2, _ = worked_pair()
         monkeypatch.setattr(groebner, "_core", lambda G, P: [0])
-        with pytest.raises(WeylDimError, match="failed certification"):
+        with pytest.raises(VerificationError, match="failed certification at stage 1"):
             complete_basis([h1, h2], P)
 
     def test_whole_basis_passes_every_pair(self):

@@ -30,6 +30,7 @@ from conftest import (
     derivative_presentation,
     run_cli_capped,
     two_term_presentation,
+    worked_pair,
 )
 
 EX_DOC = {
@@ -430,6 +431,18 @@ class TestCli:
             "but enumeration counts 2\n"
         )
 
+    def test_failed_certificate_exits_2(self, capsys, monkeypatch, tmp_path):
+        # a core that misses a needed element fails the certificate's
+        # membership step: an internal cross-check, not bad input
+        P, h1, h2, _ = worked_pair()
+        path = tmp_path / "pair.json"
+        path.write_text(json.dumps(presentation_doc(Presentation(P, 2, [h1, h2]))))
+        monkeypatch.setattr(groebner, "_core", lambda G, P: [0])
+        assert main(["gb", str(path)]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "mismatch: completion failed certification at stage 1\n"
+
     def test_omega_part_is_checked(self, capsys, monkeypatch, ex_file):
         # one term moved from V' to V: cardU and so phi still match, and
         # only the check of omega_part against cardV sees it
@@ -614,20 +627,25 @@ class TestCli:
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout) == {"r": [1], "dim": dim}
 
-    def test_exact_counts_up_to_the_weight_headroom(self, tmp_path):
-        # a relation-free block of width 32: C(60, 32) at 28 is exact; at
-        # 33 the box, C(65, 32), fits int64 but a weight's partial product
-        # does not, so it is refused rather than wrapped
+    def test_exact_counts_up_to_int64(self, tmp_path):
+        # a relation-free block of width 32: every box through C(66, 32) at
+        # 34 fits int64 and is counted exactly; C(67, 32) at 35 does not,
+        # so it is refused rather than wrapped
         path = rank_one_file(tmp_path, [16], [])
-        out = run_cli_capped(["eval", path, "--at=28"])
-        assert out.returncode == 0, out.stderr
-        assert json.loads(out.stdout) == {"r": [28], "dim": comb(60, 32)}
-        assert comb(60, 32) == 103719945525634515
-        out = run_cli_capped(["eval", path, "--at=33"])
+        for at, dim in [
+            (28, 103719945525634515),
+            (33, 3609714217008132870),
+            (34, 7007092303604022630),
+        ]:
+            out = run_cli_capped(["eval", path, f"--at={at}"])
+            assert out.returncode == 0, out.stderr
+            assert json.loads(out.stdout) == {"r": [at], "dim": dim}
+            assert dim == comb(at + 32, 32)
+        out = run_cli_capped(["eval", path, "--at=35"])
         assert (out.returncode, out.stdout) == (1, "")
         assert out.stderr == (
-            "error: box counting: a class weight product of the block of width "
-            "32 at bound 33 overflows the exact int64 counts\n"
+            "error: box counting: the box of block widths (32,) at bound (35,) "
+            "overflows the exact int64 counts\n"
         )
 
     @pytest.mark.parametrize(

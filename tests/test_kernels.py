@@ -27,7 +27,7 @@ from weyldim.kernels import (
 )
 from weyldim.terms import leader_term, rho
 
-from conftest import count_not_dominated, grid
+from conftest import count_not_dominated, grid, ref_box
 
 def ref_not_dominated(V, A):
     points = A.tolist()
@@ -94,11 +94,7 @@ def sub_bounds(rng, r, count):
 
 def ref_points(sizes, L, SL, points):
     """ref_classify on the box at each point separately."""
-    out = []
-    for r in points:
-        V = box_vectors(sizes, r)
-        out.append(ref_classify(V, block_sum_matrix(V, sizes), L, SL, r))
-    return out
+    return [ref_classify(*ref_box(sizes, r), L, SL, r) for r in points]
 
 
 def leader_masks(V, L):
@@ -175,14 +171,13 @@ def ref_grid(G, points):
 
 class TestBoxVectors:
     def test_counts_and_bounds(self):
-        sizes = (2, 1)
-        for r in grid(2, 0, 3):
-            V = box_vectors(sizes, r)
-            assert V.tolist() == sorted(V.tolist())
-            assert V.shape[0] == len(set(map(tuple, V.tolist())))
-            assert V.shape[0] == comb(r[0] + 2, 2) * (r[1] + 1)
-            BS = block_sum_matrix(V, sizes)
-            assert (BS <= np.asarray(r)).all()
+        # against the plain enumerator of conftest, row for row
+        for sizes in ((2, 1), (1, 3, 2)):
+            for r in grid(len(sizes), 0, 3):
+                V, BS = ref_box(sizes, r)
+                assert len(V) == prod(comb(b + q, q) for q, b in zip(sizes, r))
+                assert np.array_equal(box_vectors(sizes, r), V)
+                assert np.array_equal(block_sum_matrix(V, sizes), BS)
 
     def test_empty_for_negative(self):
         assert box_vectors((2,), (-1,)).shape == (0, 2)
@@ -335,7 +330,7 @@ def class_key(v, leaders):
 
 def ref_classes(q, r, L):
     leaders = L.tolist()
-    return Counter(class_key(v, leaders) for v in _capped((r,) * q, r).tolist())
+    return Counter(class_key(v, leaders) for v in ref_box((q,), (r,))[0].tolist())
 
 
 # The first leaders of a staircase document: 18 points of {|a| = 3} in
@@ -422,6 +417,23 @@ class TestBlockClasses:
     def test_staircase_leaders(self):
         self.check(8, 8, STAIRCASE)
 
+    def test_weights_exact_up_to_int64(self):
+        # width 32 at bound 34: the last sums weigh up to C(65, 31), within
+        # int64, where products of ratios for C(t + 31, 31) would not stay
+        sums, masks, counts = block_classes(32, 34, np.empty((0, 32), dtype=np.int64))
+        assert sums.tolist() == list(range(35)) and masks.shape == (35, 0)
+        assert counts.tolist() == [comb(s + 31, 31) for s in range(35)]
+        assert int(counts.sum()) == comb(66, 32)
+        # x^(1, 0, ..., 0): the rows of sum s with v_1 = 0 have no divisor
+        L = np.zeros((1, 32), dtype=np.int64)
+        L[0, 0] = 1
+        sums, masks, counts = block_classes(32, 34, L)
+        free = masks[:, 0] == 0
+        assert sums[free].tolist() == list(range(35))
+        assert counts[free].tolist() == [comb(s + 30, 30) for s in range(35)]
+        assert sums[~free].tolist() == list(range(1, 35))
+        assert counts[~free].tolist() == [comb(s + 30, 31) for s in range(1, 35)]
+
     @given(st.data())
     def test_matches_grouping_property(self, data):
         q = data.draw(st.integers(1, 4))
@@ -490,13 +502,13 @@ class TestClassTable:
         BS, masks, weights = class_table(blocks)
         assert BS.shape == (prod(len(c) for *_, c in blocks), len(sizes))
         assert masks.shape == (BS.shape[0], -(-len(L) // 64))
-        box = box_vectors(sizes, r)
+        box, box_sums = ref_box(sizes, r)
         assert int(weights.sum()) == box.shape[0]
         # every joined row stands for its weight in box rows with the same
         # block sums and the same dividing leaders
         ref = Counter(
             zip(
-                map(tuple, block_sum_matrix(box, sizes).tolist()),
+                map(tuple, box_sums.tolist()),
                 map(tuple, leader_masks(box, L).tolist()),
             )
         )
@@ -547,13 +559,18 @@ class TestCheckExact:
         with pytest.raises(InputError, match="overflows the exact int64 counts"):
             check_exact((2, 2, 2, 2), (1000, 1000, 1000, 1000))
 
-    def test_weight_headroom(self):
-        # C(60, 32) * 60 fits int64, C(61, 32) * 61 does not, though
-        # C(61, 32) itself does
-        check_exact((32,), (28,))
-        assert comb(61, 32) < 1 << 63 < comb(61, 32) * 61
-        with pytest.raises(InputError, match="class weight product of the block of width"):
-            check_exact((32,), (29,))
+    def test_box_alone_sets_the_edge(self):
+        # C(66, 32) is the last box of width 32 in int64, however far its
+        # size times its bound passes 2^63
+        check_exact((32,), (34,))
+        assert comb(66, 32) * 66 > 1 << 63 > comb(66, 32)
+        assert comb(67, 32) > 1 << 63
+        with pytest.raises(
+            InputError,
+            match=r"^box counting: the box of block widths \(32,\) at bound \(35,\) "
+            "overflows the exact int64 counts$",
+        ):
+            check_exact((32,), (35,))
 
     @pytest.mark.parametrize("q, b", [(63, 63), (10**6, 10**6), (8000, 8000)])
     def test_huge_binomials_are_not_taken(self, monkeypatch, q, b):
@@ -564,10 +581,11 @@ class TestCheckExact:
         assert taken == []
 
     def test_small_side_binomial_is_taken(self):
-        # C(10^12 + 1, 1) is taken exactly; min(b, q) = 1
-        check_exact((10**6,), (1,))
-        with pytest.raises(InputError, match="class weight product"):
-            check_exact((10**12,), (1,))
+        # C(q + 1, 1) = q + 1 is taken exactly; min(b, q) = 1
+        check_exact((10**12,), (1,))
+        check_exact(((1 << 63) - 2,), (1,))
+        with pytest.raises(InputError, match="overflows the exact int64 counts"):
+            check_exact(((1 << 63) - 1,), (1,))
 
 
 class TestCountGrid:
