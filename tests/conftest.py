@@ -491,7 +491,7 @@ def count_not_dominated(V: np.ndarray, A: np.ndarray) -> int:
     return count
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _simplex(q: int, b: int) -> tuple[tuple[int, ...], ...]:
     """Every v in N^q with |v| <= b, in lexicographic order."""
     if q == 0:
