@@ -19,8 +19,6 @@ from .terms import (
     Term,
     leader,
     rho,
-    term_divides,
-    term_lcm,
 )
 from .groebner import (
     GroebnerBasis,
@@ -89,7 +87,5 @@ __all__ = [
     "omega",
     "rho",
     "s_element",
-    "term_divides",
-    "term_lcm",
     "weyl_dimension",
 ]

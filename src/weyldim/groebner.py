@@ -25,14 +25,20 @@ The finished basis G is certified through a core.  Element j dominates
 element i when, at every stage r, j's r-th leader divides i's (the same
 generator, componentwise smaller exponents) and j's later-order slack is
 componentwise no larger than i's; then j is eligible wherever i is, within
-any caps.  The core keeps the elements that no other element dominates,
-and of elements that dominate each other the first.  Domination is
-transitive, so every dropped element is dominated by a kept one.  The core
-is certified stage by stage with `is_groebner`, and each dropped element
-must reduce to zero modulo the core at stage 1.  This is sound: the core
-is then a basis of its own submodule at every stage, and the dropped
-elements lie in that submodule, so the core generates the same submodule
-as G.  Being a basis means that for every f in the submodule some
+any caps.  Each element has one key: at every stage, its leader's x and d
+exponents, then its slack.  Between elements whose leaders sit on the same
+generator at every stage, j dominates i exactly when j's key is
+componentwise no greater than i's, and elements whose generators differ at
+some stage never dominate one another.  So the core is, per tuple of leader
+generators, the minimal keys (`numpoly.minimize`), each kept at the first
+position that has it: the elements no other element dominates, and of
+elements that dominate each other, which have equal keys, the first.
+Domination is transitive, so every dropped element is dominated by a kept
+one.  The core is certified stage by stage with `is_groebner`, and each
+dropped element must reduce to zero modulo the core at stage 1.  This is
+sound: the core is then a basis of its own submodule at every stage, and
+the dropped elements lie in that submodule, so the core generates the same
+submodule as G.  Being a basis means that for every f in the submodule some
 element's r-th leader divides u_f, f's r-th leader, within the caps, and
 that passes to any superset inside the submodule, so G is a basis too.  It
 is also complete: if G is a basis, then every u_f is covered by some g in
@@ -75,6 +81,7 @@ from operator import add, eq, le, neg, sub
 from typing import Sequence
 
 from .errors import InputError, VerificationError, WeylDimError, ZeroElementError
+from .numpoly import minimize
 from .terms import (
     Leader,
     ModuleElement,
@@ -84,10 +91,7 @@ from .terms import (
     check_cover,
     check_rank,
     leader_data,
-    leader_term,
-    term_divides,
     term_key,
-    term_lcm,
 )
 from .weyl import ExponentPair, Partition, Vector, mono_mul
 
@@ -394,11 +398,15 @@ def s_element(
 def _lifts(f: ModuleElement, g: ModuleElement, r: int, P: Partition):
     """The monomials that lift f's and g's r-th leaders to their lcm, or
     None when the leaders sit on different generators."""
-    uf, ug = leader_term(f, r, P), leader_term(g, r, P)
-    top = term_lcm(uf, ug)
-    if top is None:
+    uf, ug = leader_data(f, r, P).term, leader_data(g, r, P).term
+    if uf.gen != ug.gen:
         return None
-    return term_divides(uf, top), term_divides(ug, top)
+    (fa, fb), (ga, gb) = uf.theta, ug.theta
+    alpha, beta = tuple(map(max, fa, ga)), tuple(map(max, fb, gb))
+    return tuple(
+        ExponentPair(tuple(map(sub, alpha, a)), tuple(map(sub, beta, b)))
+        for a, b in (uf.theta, ug.theta)
+    )
 
 
 class GroebnerBasis:
@@ -445,31 +453,19 @@ class GroebnerBasis:
         return self.certified == tuple(range(1, self.P.p + 1))
 
 
-def _dominates(lj: Sequence[Leader], li: Sequence[Leader]) -> bool:
-    """Whether the element with per-stage leaders lj dominates the one with li.
-
-    At every stage its leader divides the other's and its slack is no larger.
-    """
-    return all(
-        term_divides(a.term, b.term) is not None and all(map(le, a.slack, b.slack))
-        for a, b in zip(lj, li)
-    )
-
-
 def _core(G: Sequence[ModuleElement], P: Partition) -> list[int]:
     """Positions, ascending, of the elements of G no other element dominates.
 
-    Of elements that dominate each other only the first is kept.
+    Of elements that dominate each other, which have equal keys, only the
+    first is kept.
     """
-    lds = [[leader_data(g, r, P) for r in range(1, P.p + 1)] for g in G]
-    return [
-        i
-        for i, li in enumerate(lds)
-        if not any(
-            j != i and _dominates(lj, li) and (j < i or not _dominates(li, lj))
-            for j, lj in enumerate(lds)
-        )
-    ]
+    # per tuple of leader generators, the first position of each key
+    groups: dict[tuple, dict[tuple, int]] = {}
+    for i, g in enumerate(G):
+        lds = [leader_data(g, r, P) for r in range(1, P.p + 1)]
+        key = tuple(e for ld in lds for v in (*ld.term.theta, ld.slack) for e in v)
+        groups.setdefault(tuple(ld.term.gen for ld in lds), {}).setdefault(key, i)
+    return sorted(first[k] for first in groups.values() for k in minimize(first))
 
 
 def is_groebner(G: GroebnerBasis, r: int) -> bool:

@@ -9,7 +9,7 @@ smaller term).
 
 Every layer reads an element's leaders from one record per (element,
 partition, order), built once by `leader_data` and kept with the element;
-`leader`, `leader_term` and `rho` are views of it.
+`leader` and `rho` are views of it.
 """
 from __future__ import annotations
 
@@ -25,7 +25,6 @@ from .weyl import (
     Vector,
     _check_vector,
     block_orders,
-    vsub,
 )
 
 
@@ -60,29 +59,6 @@ def monomial_key(i: int, theta: ExponentPair, P: Partition):
 
 def term_key(i: int, t: Term, P: Partition):
     return monomial_key(i, t.theta, P) + (t.gen,)
-
-
-def term_divides(v: Term, u: Term) -> ExponentPair | None:
-    """Quotient monomial theta with theta * v = u commutatively, else None.
-
-    Terms on different generators never divide one another.
-    """
-    if v.gen != u.gen:
-        return None
-    (va, vb), (ua, ub) = v.theta, u.theta
-    if any(x > y for x, y in zip(va, ua)) or any(x > y for x, y in zip(vb, ub)):
-        return None
-    return ExponentPair(vsub(ua, va), vsub(ub, vb))
-
-
-def term_lcm(u: Term, v: Term) -> Term | None:
-    """Least common multiple; None encodes the zero lcm across generators."""
-    if u.gen != v.gen:
-        return None
-    (ua, ub), (va, vb) = u.theta, v.theta
-    alpha = tuple(max(x, y) for x, y in zip(ua, va))
-    beta = tuple(max(x, y) for x, y in zip(ub, vb))
-    return Term(u.gen, ExponentPair(alpha, beta))
 
 
 def check_rank(m) -> None:
@@ -324,10 +300,6 @@ def leader(f: ModuleElement, i: int, P: Partition) -> tuple[Term, Fraction]:
     """Greatest term of f under the i-th order, with its coefficient."""
     ld = leader_data(f, i, P)
     return ld.term, Fraction(ld.lead * f.kd, f.kn)
-
-
-def leader_term(f: ModuleElement, i: int, P: Partition) -> Term:
-    return leader_data(f, i, P).term
 
 
 def rho(f: ModuleElement, P: Partition) -> GammaTerm:

@@ -123,10 +123,6 @@ def _check_vector(v, n: int, what: str) -> Vector:
     return v
 
 
-def vsub(a: Vector, b: Vector) -> Vector:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 def monomial_orders(theta: ExponentPair, P: Partition) -> tuple[int, Vector]:
     """Total order and blockwise orders of x^alpha d^beta.
 

@@ -37,11 +37,10 @@ from weyldim import (
     complete_basis,
     count_UVW,
     minimize,
-    term_divides,
 )
 from weyldim.groebner import _caps, _check_stage, _eligible, _term_orders
 from weyldim.numpoly import Index, MonoPoly, binomial_sum, shift_coeffs
-from weyldim.terms import leader_data, term_key
+from weyldim.terms import block_orders, leader_data, term_key
 from weyldim.weyl import _check_vector, mono_mul
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -380,11 +379,73 @@ def term_compare(i: int, u: Term, v: Term, P: Partition) -> int:
     return (ku > kv) - (ku < kv)
 
 
+def ref_divides(v: Term, u: Term) -> ExponentPair | None:
+    """Quotient theta with theta * v = u commutatively, else None.
+
+    Terms on different generators never divide one another.
+    """
+    if v.gen != u.gen:
+        return None
+    (va, vb), (ua, ub) = v.theta, u.theta
+    alpha = tuple(y - x for x, y in zip(va, ua))
+    beta = tuple(y - x for x, y in zip(vb, ub))
+    if min(alpha + beta, default=0) < 0:
+        return None
+    return ExponentPair(alpha, beta)
+
+
+def ref_lcm(u: Term, v: Term) -> Term | None:
+    """Least common multiple of two terms; None across generators."""
+    if u.gen != v.gen:
+        return None
+    alpha = tuple(max(x, y) for x, y in zip(u.theta.alpha, v.theta.alpha))
+    beta = tuple(max(x, y) for x, y in zip(u.theta.beta, v.theta.beta))
+    return Term(u.gen, ExponentPair(alpha, beta))
+
+
+def ref_core(G: Sequence[ModuleElement], P: Partition) -> list[int]:
+    """Positions of the elements of G that no other element dominates, all
+    pairs compared from the definition; of elements that dominate each
+    other only the first is kept.
+
+    j dominates i when at every stage r j's r-th leader divides i's and
+    j's slack, ord_k of its k-th leader minus ord_k of its r-th leader for
+    each later order k, is componentwise no larger than i's.
+    """
+    def leaders(g):
+        return [max(g.row, key=lambda t: term_key(r, t, P)) for r in range(1, P.p + 1)]
+
+    def slacks(heads):
+        orders = [block_orders(u.theta, P) for u in heads]
+        return [
+            [orders[k][k] - orders[r][k] for k in range(r + 1, P.p)] for r in range(P.p)
+        ]
+
+    heads = [leaders(g) for g in G]
+    gaps = [slacks(h) for h in heads]
+
+    def dominates(j, i):
+        return all(
+            ref_divides(heads[j][r], heads[i][r]) is not None
+            and all(x <= y for x, y in zip(gaps[j][r], gaps[i][r]))
+            for r in range(P.p)
+        )
+
+    return [
+        i
+        for i in range(len(G))
+        if not any(
+            j != i and dominates(j, i) and (j < i or not dominates(i, j))
+            for j in range(len(G))
+        )
+    ]
+
+
 def gamma_divides(g: GammaTerm, f: GammaTerm) -> bool:
     """Divisibility of shape data: heads divide, gaps componentwise <=."""
     if len(g.d) != len(f.d):
         raise InputError("shape data from different partitions")
-    if term_divides(g.head, f.head) is None:
+    if ref_divides(g.head, f.head) is None:
         return False
     return all(x <= y for x, y in zip(g.d, f.d))
 

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given
@@ -27,14 +28,7 @@ from weyldim import (
     s_element,
 )
 from weyldim import groebner
-from weyldim.terms import (
-    Term,
-    block_orders,
-    leader_data,
-    leader_term,
-    term_divides,
-    term_key,
-)
+from weyldim.terms import Term, block_orders, leader_data, term_key
 from weyldim.weyl import ExponentPair, mono_mul
 
 from conftest import (
@@ -46,6 +40,9 @@ from conftest import (
     gamma_divides,
     is_reduced,
     random_module_element,
+    ref_core,
+    ref_divides,
+    ref_lcm,
     worked_pair,
 )
 from test_terms import module_elements
@@ -56,12 +53,12 @@ from test_terms import module_elements
 
 def ref_eligible(w, g, r, caps, P):
     """Quotient theta if g can eliminate w at stage r within the order caps."""
-    q = term_divides(leader_term(g, r, P), w)
+    q = ref_divides(leader_data(g, r, P).term, w)
     if q is None:
         return None
     qbo = block_orders(q, P)
     for i, cap in zip(range(r + 1, P.p + 1), caps):
-        gi = block_orders(leader_term(g, i, P).theta, P)[i - 1]
+        gi = block_orders(leader_data(g, i, P).term.theta, P)[i - 1]
         if qbo[i - 1] + gi > cap:
             return None
     return q
@@ -82,7 +79,7 @@ def ref_multi_reduce(f, G, r, P):
     work = f
     while not work.is_zero():
         caps = [
-            block_orders(leader_term(work, i, P).theta, P)[i - 1]
+            block_orders(leader_data(work, i, P).term.theta, P)[i - 1]
             for i in range(r + 1, P.p + 1)
         ]
         chosen = None
@@ -91,7 +88,7 @@ def ref_multi_reduce(f, G, r, P):
             for idx, g in enumerate(G):
                 q = ref_eligible(w, g, r, caps, P)
                 if q is not None:
-                    lk = term_key(r, leader_term(g, r, P), P)
+                    lk = term_key(r, leader_data(g, r, P).term, P)
                     cands.append((lk, -idx, idx, q))
             if cands:
                 _, _, idx, q = max(cands)
@@ -167,7 +164,7 @@ def reduction_cases(draw):
             g = g.scale(draw(st.sampled_from([2, -1, Fraction(1, 3), BIG])))
         elif kind == "tail":
             # same stage leader, other coefficients below it
-            head = leader_term(g, r, P)
+            head = leader_data(g, r, P).term
             others = [t for t in g.terms if t != head]
             if others:
                 t = draw(st.sampled_from(others))
@@ -610,6 +607,51 @@ class TestSElement:
             s_element(f, ModuleElement.zero(1, 1), 1, P)
 
 
+def lifted(q, u):
+    """The term q * u, exponents added."""
+    (qa, qb), (ua, ub) = q, u.theta
+    return Term(u.gen, ExponentPair(tuple(map(add, qa, ua)), tuple(map(add, qb, ub))))
+
+
+class TestLifts:
+    P = Partition((1, 1))
+
+    def lifts(self, u, v, r=1):
+        f, g = (ModuleElement.single(2, 2, gen, a, b) for gen, (a, b) in (u, v))
+        return groebner._lifts(f, g, r, self.P)
+
+    def test_divides(self):
+        lifts = self.lifts((1, ((1, 0), (0, 1))), (1, ((2, 1), (0, 1))))
+        assert lifts == (ExponentPair((1, 1), (0, 0)), ExponentPair((0, 0), (0, 0)))
+
+    def test_not_divides(self):
+        lifts = self.lifts((1, ((2, 0), (0, 0))), (1, ((1, 0), (0, 3))), r=2)
+        assert lifts == (ExponentPair((0, 0), (0, 3)), ExponentPair((1, 0), (0, 0)))
+
+    def test_cross_generator(self):
+        assert self.lifts((1, ((0, 0), (0, 0))), (2, ((1, 1), (1, 1)))) is None
+        assert self.lifts((1, ((1, 0), (0, 0))), (2, ((0, 0), (0, 1))), r=2) is None
+
+    def test_lcm(self):
+        lifts = self.lifts((1, ((2, 0), (0, 1))), (1, ((1, 1), (1, 0))))
+        assert lifts == (ExponentPair((0, 1), (1, 0)), ExponentPair((1, 0), (0, 1)))
+
+    @given(reduction_cases())
+    def test_lifted_leaders_meet_at_the_lcm(self, case):
+        # every ordered pair of drawn elements, duplicates and multiples
+        # among them, at every stage
+        _, G, _, P = case
+        for f, g in itertools.product(G, repeat=2):
+            for r in range(1, P.p + 1):
+                uf, ug = leader_data(f, r, P).term, leader_data(g, r, P).term
+                lifts = groebner._lifts(f, g, r, P)
+                top = ref_lcm(uf, ug)
+                if top is None:
+                    assert lifts is None
+                else:
+                    assert [lifted(q, u) for q, u in zip(lifts, (uf, ug))] == [top, top]
+
+
 class TestCompletion:
     def test_worked_pair(self):
         P, h1, h2, h3 = worked_pair()
@@ -662,7 +704,55 @@ class TestCompletion:
         assert G.elements == complete_basis([h1, h2], P).elements
 
 
+@st.composite
+def core_cases(draw):
+    """(G, P) with repeated elements, scalar multiples (equal keys) and
+    elements whose leaders sit on different generators at different stages."""
+    P = Partition(draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 1, 1)])))
+    n, m = P.n, draw(st.integers(1, 2))
+    small = module_elements(n, m, hi=1, terms=2).filter(lambda g: not g.is_zero())
+    G = draw(st.lists(small, min_size=1, max_size=6))
+    if P.p > 1:
+        # x_1^a on one generator plus x_n^b on the same or another: the
+        # leader is the first term at stage 1, with slack b, and the second
+        # at stage p.  Its leaders divide those of x_1^a x_n^b, which has
+        # no slack, so on one generator only the slack keeps that term
+        z = (0,) * n
+        for _ in range(draw(st.integers(1, 3))):
+            a, b = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+            first, last = draw(st.integers(1, m)), draw(st.integers(1, m))
+            x1, xn = (a,) + z[1:], z[1:] + (b,)
+            g = ModuleElement(n, m, {(first, (x1, z)): 1, (last, (xn, z)): 1})
+            G.insert(draw(st.integers(0, len(G))), g)
+            if draw(st.booleans()):
+                h = ModuleElement.single(n, m, first, (a,) + z[2:] + (b,), z)
+                G.insert(draw(st.integers(0, len(G))), h)
+    for _ in range(draw(st.integers(0, 3))):
+        g = draw(st.sampled_from(G))
+        if draw(st.booleans()):
+            g = g.scale(draw(st.sampled_from([2, -1, Fraction(1, 3)])))
+        G.insert(draw(st.integers(0, len(G))), g)
+    return G, P
+
+
 class TestCoreCertificate:
+    def test_core_matches_reference(self):
+        cases = [pres for _, pres in corpus_presentations()]
+        for seed, sizes in ((7, (1, 1, 1)), (11, (2, 1)), (13, (2, 2))):
+            cases.append(_dense_presentation(seed, sizes))
+        proper = 0
+        for pres in cases:
+            G = complete_basis(pres.relations, pres.P, m=pres.m)
+            core = groebner._core(G.elements, G.P)
+            assert core == ref_core(G.elements, G.P)
+            proper += len(core) < len(G.elements)
+        assert proper
+
+    @given(core_cases())
+    def test_core_matches_reference_on_drawn_families(self, case):
+        G, P = case
+        assert groebner._core(G, P) == ref_core(G, P)
+
     def test_slack_blocks_domination(self):
         # j's leaders divide i's at both stages, but j's stage-1 slack is 2
         # against i's 0: within i's own caps j cannot reduce i at stage 1
@@ -674,7 +764,8 @@ class TestCoreCertificate:
         assert [leader_data(j, r, P).slack for r in (1, 2)] == [(2,), ()]
         assert [leader_data(i, r, P).slack for r in (1, 2)] == [(0,), ()]
         for r in (1, 2):
-            assert term_divides(leader_term(j, r, P), leader_term(i, r, P)) is not None
+            lj, li = leader_data(j, r, P).term, leader_data(i, r, P).term
+            assert ref_divides(lj, li) is not None
         assert not multi_reduce(i, [j], 1, P)[0].is_zero()
         assert groebner._core([j, i], P) == [0, 1]
 

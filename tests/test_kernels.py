@@ -25,7 +25,7 @@ from weyldim.kernels import (
     class_table,
     classify_box,
 )
-from weyldim.terms import leader_term, rho
+from weyldim.terms import leader_data, rho
 
 from conftest import count_not_dominated, grid, ref_box
 
@@ -158,7 +158,7 @@ def ref_grid(G, points):
     P = G.P
     sizes2 = tuple(2 * s for s in P.sizes)
     L = np.array(
-        [P.pack(leader_term(g, 1, P).theta) for g in G.elements], dtype=np.int64
+        [P.pack(leader_data(g, 1, P).term.theta) for g in G.elements], dtype=np.int64
     )
     SL = np.array([rho(g, P).d for g in G.elements], dtype=np.int64)
     out = []

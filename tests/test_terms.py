@@ -1,4 +1,4 @@
-"""Term orders, leaders, divisibility, and the module action."""
+"""Term orders, leaders, shape data, and the module action."""
 from fractions import Fraction
 
 import pytest
@@ -14,10 +14,8 @@ from weyldim import (
     ZeroElementError,
     leader,
     rho,
-    term_divides,
-    term_lcm,
 )
-from weyldim.terms import leader_term, term_key
+from weyldim.terms import leader_data, term_key
 from weyldim.weyl import ExponentPair, mono_mul
 
 from conftest import WeylElement, act, gamma_divides, term_compare, worked_pair
@@ -87,23 +85,6 @@ class TestTermOrder:
         ordered = sorted(sample, key=keys.get)
         for u, v in zip(ordered, ordered[1:]):
             assert term_compare(1, u, v, self.P) == -1
-
-
-class TestDivisibility:
-    def test_divides(self):
-        q = term_divides(t(1, (1, 0), (0, 1)), t(1, (2, 1), (0, 1)))
-        assert q == ExponentPair((1, 1), (0, 0))
-
-    def test_not_divides(self):
-        assert term_divides(t(1, (2, 0), (0, 0)), t(1, (1, 0), (0, 3))) is None
-
-    def test_cross_generator(self):
-        assert term_divides(t(1, (0, 0), (0, 0)), t(2, (1, 1), (1, 1))) is None
-        assert term_lcm(t(1, (1, 0), (0, 0)), t(2, (0, 0), (0, 1))) is None
-
-    def test_lcm(self):
-        u = term_lcm(t(1, (2, 0), (0, 1)), t(1, (1, 1), (1, 0)))
-        assert u == t(1, (2, 1), (1, 1))
 
 
 class TestModuleElement:
@@ -251,8 +232,8 @@ class TestAction:
         # acting by a monomial moves the leader to the product of terms
         P, h1, _, _ = worked_pair()
         D = WeylElement.monomial(2, (0, 1), (1, 0))
-        u = leader_term(h1, 1, P)
-        v = leader_term(act(D, h1), 1, P)
+        u = leader_data(h1, 1, P).term
+        v = leader_data(act(D, h1), 1, P).term
         assert v == t(u.gen, (1, 2), (2, 1))
 
 
