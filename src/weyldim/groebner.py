@@ -19,7 +19,9 @@ basis and lets each new element into a stage's index the next time a
 reduction at that stage asks, and `is_groebner` builds one per call, so
 no reduction sorts its reducers again.  Completion runs staged from the
 last order down to the first; every nonzero reduced S-element is inserted
-and re-opens the pair queues of its stage and all later stages.
+and re-opens the pair queues of its stage and all later stages.  A pair
+of one-term elements that are both x-only, or both d-only, has a zero
+S-element (`_pure`), so neither completion nor `is_groebner` forms it.
 
 The finished basis G is certified through a core.  Element j dominates
 element i when, at every stage r, j's r-th leader divides i's (the same
@@ -395,6 +397,24 @@ def s_element(
     return ModuleElement._trusted(f.n, f.m, *_primitive(acc, lf * lg, h))
 
 
+def _pure(g: ModuleElement) -> int:
+    """1 for a one-term x-only element, 2 for a one-term d-only one, else 0.
+
+    Two elements of the same nonzero kind have an S-element that is exactly
+    zero at every stage: their lifts to the lcm are of that kind too, and
+    a product of x-only (or of d-only) monomials has no lower terms, so
+    both lifted elements are the same single term.  Kept in g's memo.
+    """
+    kind = g._memo.get("pure")
+    if kind is None:
+        kind = 0
+        if len(g.row) == 1:
+            (alpha, beta), = (t.theta for t in g.row)
+            kind = 1 if not any(beta) else 2 if not any(alpha) else 0
+        g._memo["pure"] = kind
+    return kind
+
+
 def _lifts(f: ModuleElement, g: ModuleElement, r: int, P: Partition):
     """The monomials that lift f's and g's r-th leaders to their lcm, or
     None when the leaders sit on different generators."""
@@ -475,7 +495,10 @@ def is_groebner(G: GroebnerBasis, r: int) -> bool:
     """
     _check_stage(r, G.P, G.n)
     reducers = Reducers(G.elements, G.P, G.n, G.m)
-    for f, g in combinations(G.elements, 2):
+    kinds = [_pure(g) for g in G.elements]
+    for (f, kf), (g, kg) in combinations(zip(G.elements, kinds), 2):
+        if kf and kf == kg:
+            continue  # a zero S-element (see `_pure`), never formed
         s = s_element(f, g, r, G.P)
         if s.is_zero():
             continue
@@ -521,10 +544,15 @@ def complete_basis(
     # G only grows; each stage's index lets new elements in when asked
     reducers = Reducers(G, P, P.n, m)
     bounds = [(0,) * p for _ in gens]
-    pending: dict[int, deque] = {
-        r: deque((a, b) for a in range(len(G)) for b in range(a + 1, len(G)))
-        for r in range(1, p + 1)
-    }
+    # pairs of one nonzero kind have a zero S-element (see `_pure`): never queued
+    kinds = [_pure(g) for g in G]
+    pairs = [
+        (a, b)
+        for a in range(len(G))
+        for b in range(a + 1, len(G))
+        if not kinds[a] or kinds[a] != kinds[b]
+    ]
+    pending: dict[int, deque] = {r: deque(pairs) for r in range(1, p + 1)}
     while True:
         stage = 0
         for r in range(p, 0, -1):
@@ -546,14 +574,17 @@ def complete_basis(
         shifts = (map(add, block_orders(q, P), bounds[k]) for k, q in [*lifts, *steps])
         bounds.append(tuple(map(max, *shifts)))
         G.append(_monic(rem, P))
+        kinds.append(_pure(G[-1]))
         if len(G) > MAX_ELEMENTS:
             raise WeylDimError(
                 f"completion: basis exceeded {MAX_ELEMENTS} elements "
                 "(groebner.MAX_ELEMENTS); presentation too large"
             )
         t = len(G) - 1
+        kt = kinds[t]
+        pairs = [(k, t) for k in range(t) if not kt or kinds[k] != kt]
         for r in range(1, p + 1):
-            pending[r].extend((k, t) for k in range(t))
+            pending[r].extend(pairs)
     core = _core(G, P)
     basis = GroebnerBasis([G[k] for k in core], P, m, certified=[])
     certified = []

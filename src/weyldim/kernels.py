@@ -26,16 +26,23 @@ weights are joined across blocks in another (`_join`).
 Every array counting builds is bounded by MAX_CELLS int64 cells, rows
 times width, checked from counts known before it is allocated: a full
 box, the clamped vectors of a block and their (u, s) pairs
-(`block_classes`), and the combined class table at its real width of
-p block sums, the mask words and one weight.  No simplex is built, so
-none is priced.  Every integer the counting forms, a class weight or
-size, a table weight or a count, counts terms of the box, so exactness
-is checked in one place, `check_exact`: a box whose term count would
-leave int64 is refused before it is counted, and past that check every
-count is exact.  The counts are broadcast comparisons over chunks of
-rows, and a chunk shrinks as more bounds are read at once, so no
-temporary grows with the table times the bounds.  All rational
-arithmetic lives outside this module.
+(`block_classes`), the combined class table at its real width of p
+block sums, the mask words and one weight, and the summed-area tables
+of `classify_box`.  No simplex is built, so none is priced.  Every
+integer the counting forms, a class weight or size, a table weight or
+a count, counts terms of the box, so exactness is checked in one place,
+`check_exact`: a box whose term count would leave int64 is refused
+before it is counted, and past that check every count is exact.
+
+The bounds are read off summed-area tables (Crow, SIGGRAPH 1984), not
+by comparing rows with bounds: `classify_box` adds each row's weight
+once into an int64 table with one cell per block-sum vector up to the
+largest bound, a prefix sum per axis leaves at each cell the weight of
+the rows at or below it, and one index reads every bound.  Every prefix
+sum is the weight of a set of box rows.  Only the overshoot count with
+three or more blocks still tests its divided rows per bound.  Rows are
+binned in chunks, so no temporary grows with the table times the bounds
+or the leaders.  All rational arithmetic lives outside this module.
 """
 from __future__ import annotations
 
@@ -269,6 +276,23 @@ def class_table(blocks: list[tuple]) -> tuple[np.ndarray, ...]:
     return BS, masks, _join([sizes for *_, sizes in blocks], np.multiply)
 
 
+# class rows per chunk of `classify_box`: its temporaries are a few
+# columns of this many rows, never rows times points; only the overshoot
+# test with p >= 3 forms rows times leaders, on a few times this many cells
+_CHUNK = 1 << 14
+
+
+def _slack_groups(SL: np.ndarray, words: int) -> list[tuple[int, np.ndarray]]:
+    """The slack values of SL's one column, ascending, each with the packed
+    mask of the leaders that have it (words as in a row's mask)."""
+    groups = []
+    for s in sorted(set(SL[:, 0].tolist())):
+        bits = np.zeros(64 * words, dtype=bool)
+        bits[: len(SL)] = SL[:, 0] == s
+        groups.append((s, np.packbits(bits, bitorder="little").view("<u8")))
+    return groups
+
+
 def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray]:
     """Split weighted class rows into staircase complement and overshoot counts.
 
@@ -279,28 +303,96 @@ def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray
     BS <= r are in the box.  Returns, per point, the weight of box rows
     divisible by no leader, then the weight of box rows all of whose
     dividing leaders overshoot some later order bound.
+
+    cardV, and cardV' for p <= 2, compare no row with a point.  A point
+    with a negative entry has an empty box and counts 0; top is the
+    componentwise largest of the others, and rows with a block sum past
+    top are in no box.  Each other row's weight is added once into a
+    summed-area table of prod(top_j + 1) int64 cells at its block sums,
+    one `cumsum` per axis turns cell r into the weight of the rows with
+    BS <= r, and one fancy index reads every point.  cardV bins the rows
+    with a zero mask.  For p = 2, a divided row counts in cardV' at r
+    exactly when BS_1 <= r_1 and BS_2 <= r_2 < BS_2 + s, s the least
+    slack of its dividing leaders (the first slack, ascending, whose
+    leader mask meets the row's).  So it adds w at BS and -w at
+    BS + (0, s) in a second table, and the same prefix sums count it; a
+    zero slack cancels the row.  With one order there is no overshoot.
+    For p >= 3 the overshoot region is a union of orthants, so each point
+    tests the divided rows inside top's box.  Every prefix sum of either
+    table is the weight of a set of box rows, so `check_exact` bounds it.
     """
-    points = np.asarray(points, dtype=np.int64).reshape(-1, BS.shape[1])
+    p = BS.shape[1]
+    points = np.asarray(points, dtype=np.int64).reshape(-1, p)
     card_v = np.zeros(points.shape[0], dtype=np.int64)
     card_vp = np.zeros(points.shape[0], dtype=np.int64)
-    # rows per chunk shrink with the points, so inbox stays bounded
-    chunk = max(1, (1 << 15) // max(1, points.shape[0]))
+    live = (points >= 0).all(axis=1)
+    if not live.any():
+        return card_v, card_vp
+    live_points = points[live]
+    top = live_points.max(axis=0)
+    shape = tuple((top + 1).tolist())
+    cells = prod(shape)
+    what = f"the summed-area tables up to bound {tuple(top.tolist())}"
+    _check_cells(cells, 1 + (p == 2), what)
+    # the table of cardV, and for p = 2 that of cardV'
+    sats = [np.zeros(cells, dtype=np.int64) for _ in range(1 + (p == 2))]
+    groups = _slack_groups(SL, masks.shape[1]) if p == 2 else None
+    # p >= 3 tests each point against a chunk's rows times leaders times
+    # later orders, so there a chunk also keeps that to 4 * _CHUNK cells
+    chunk = _CHUNK
+    if p > 2:
+        chunk = max(1, min(_CHUNK, 4 * _CHUNK // max(1, SL.size)))
     for lo in range(0, BS.shape[0], chunk):
         bs = BS[lo:lo + chunk]
         w = weights[lo:lo + chunk]
-        inbox = (bs[:, None, :] <= points[None, :, :]).all(axis=2)
         m = masks[lo:lo + chunk]
-        no_div = ~m.any(axis=1)
-        card_v += (w * no_div) @ inbox
-        if BS.shape[1] == 1 or no_div.all():
-            continue  # no later order to overshoot, or no divided row
-        # bit g of a divided row's mask, as column g: leader g divides it
-        bits = m[~no_div].astype("<u8", copy=False).view(np.uint8)
-        div = np.unpackbits(bits, axis=1, count=len(SL), bitorder="little").view(bool)
-        inbox, w = inbox[~no_div], w[~no_div]
-        # a dividing leader fits at r when no later order bound is exceeded
-        need = bs[~no_div, None, 1:] + SL
-        for i, r in enumerate(points):
-            fits = (need <= r[1:]).all(axis=2) & div
-            card_vp[i] += w[inbox[:, i] & ~fits.any(axis=1)].sum()
+        inside = (bs <= top).all(axis=1)
+        divided = m.any(axis=1)
+        free = inside & ~divided
+        np.add.at(sats[0], np.ravel_multi_index(bs[free].T, shape), w[free])
+        if p == 1:
+            continue  # no later order to overshoot
+        inside &= divided
+        if not inside.any():
+            continue
+        bs, w, m = bs[inside], w[inside], m[inside]
+        if p > 2:
+            _overshoot_loop(bs, w, m, SL, points, live, card_vp)
+            continue
+        least = np.zeros(bs.shape[0], dtype=np.int64)
+        open_ = np.ones(bs.shape[0], dtype=bool)
+        for s, group in groups:
+            hit = open_ & (m & group).any(axis=1)
+            least[hit] = s
+            open_ &= ~hit
+            if not open_.any():
+                break
+        keep = least > 0
+        flat = np.ravel_multi_index(bs[keep].T, shape)
+        w, least = w[keep], least[keep]
+        np.add.at(sats[1], flat, w)
+        # the cut at BS_2 + s: the last axis, stride 1
+        cut = bs[keep, 1] + least <= top[1]
+        np.add.at(sats[1], flat[cut] + least[cut], -w[cut])
+    at = np.ravel_multi_index(live_points.T, shape)
+    for sat, out in zip(sats, (card_v, card_vp)):
+        grid = sat.reshape(shape)
+        for axis in range(p):
+            np.cumsum(grid, axis=axis, out=grid)
+        out[live] = sat[at]
     return card_v, card_vp
+
+
+def _overshoot_loop(bs, w, m, SL, points, live, card_vp) -> None:
+    """Add, per live point, the weight of the divided rows in its box whose
+    every dividing leader overshoots some later order bound (p >= 3)."""
+    # bit g of a divided row's mask, as column g: leader g divides it
+    bits = m.astype("<u8", copy=False).view(np.uint8)
+    div = np.unpackbits(bits, axis=1, count=len(SL), bitorder="little").view(bool)
+    # a dividing leader fits at r when no later order bound is exceeded
+    need = bs[:, None, 1:] + SL
+    for i in np.flatnonzero(live):
+        r = points[i]
+        fits = (need <= r[1:]).all(axis=2) & div
+        inbox = (bs <= r).all(axis=1)
+        card_vp[i] += w[inbox & ~fits.any(axis=1)].sum()

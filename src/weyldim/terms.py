@@ -88,7 +88,8 @@ class ModuleElement:
     """
 
     # _memo holds data derived from the row on demand: the leader records
-    # per (partition, order), and the reduction module's shifted rows
+    # per (partition, order), and the reduction module's shifted rows and
+    # pure kind
     __slots__ = ("n", "m", "row", "kn", "kd", "_memo")
 
     def __init__(self, n: int, m: int, terms: Mapping[Term, Fraction] | Iterable):

@@ -607,6 +607,67 @@ class TestSElement:
             s_element(f, ModuleElement.zero(1, 1), 1, P)
 
 
+@st.composite
+def pure_pairs(draw):
+    """Two one-term elements of one kind (x-only or d-only), any partition."""
+    P = Partition(draw(st.sampled_from([(1,), (2,), (1, 1), (2, 1), (1, 1, 1)])))
+    n, m = P.n, draw(st.integers(1, 2))
+    kind = draw(st.sampled_from([1, 2]))
+    exps = st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple)
+    coeffs = st.sampled_from([1, -2, Fraction(3, 5), 10**20])
+    pair = []
+    for _ in range(2):
+        e, z = draw(exps), (0,) * n
+        alpha, beta = (e, z) if kind == 1 else (z, e)
+        gen = draw(st.integers(1, m))
+        pair.append(ModuleElement.single(n, m, gen, alpha, beta, draw(coeffs)))
+    return P, kind, pair
+
+
+class TestPure:
+    @given(pure_pairs())
+    def test_same_kind_pairs_are_zero(self, case):
+        # the pairs completion and certification never form; a one-term
+        # element with no exponent is both, and counts as x-only
+        P, kind, (f, g) = case
+        assert {groebner._pure(f), groebner._pure(g)} <= {1, kind}
+        for r in range(1, P.p + 1):
+            assert s_element(f, g, r, P).is_zero()
+            assert ref_s_element(f, g, r, P).is_zero()
+
+    def test_kinds(self):
+        z = (0, 0)
+        x = ModuleElement.single(2, 1, 1, (1, 2), z)
+        d = ModuleElement.single(2, 1, 1, z, (0, 1))
+        assert [groebner._pure(g) for g in (x, d, x + d)] == [1, 2, 0]
+        assert groebner._pure(ModuleElement.single(2, 1, 1, (1, 0), (0, 1))) == 0
+        assert groebner._pure(ModuleElement.basis_vector(2, 1, 1)) == 1
+
+    @staticmethod
+    def count_s_elements(monkeypatch, relations, P):
+        calls = []
+        s_el = groebner.s_element
+
+        def counted(*args):
+            calls.append(args)
+            return s_el(*args)
+
+        monkeypatch.setattr(groebner, "s_element", counted)
+        G = complete_basis(relations, P)
+        assert G.fully_certified()
+        return len(calls)
+
+    def test_antichain_forms_no_pair(self, monkeypatch):
+        # x^a e1 for the 15 points of {|a| = 2} in N^4 on (2,2): all x-only
+        P = Partition((2, 2))
+        level = [a for a in itertools.product(range(3), repeat=4) if sum(a) == 2]
+        rels = [ModuleElement.single(4, 1, 1, a, (0,) * 4) for a in level]
+        assert self.count_s_elements(monkeypatch, rels, P) == 0
+        # one relation mixing x and d: its pairs are formed again
+        mixed = rels[0] + ModuleElement.single(4, 1, 1, (0,) * 4, (1, 0, 0, 0))
+        assert self.count_s_elements(monkeypatch, [mixed, *rels[1:]], P) > 0
+
+
 def lifted(q, u):
     """The term q * u, exponents added."""
     (qa, qb), (ua, ub) = q, u.theta

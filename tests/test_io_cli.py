@@ -467,6 +467,20 @@ class TestCli:
         assert a.returncode == b.returncode == 0
         assert a.stdout == b.stdout
 
+    def test_start_up_skips_numpy_ma(self, ex_file):
+        # one fresh process per command: importing numpy.ma (np.unique does
+        # on its first call) would add about 12 ms to every run
+        code = (
+            "import sys\n"
+            "from weyldim.cli import main\n"
+            "for args in (['dimpoly', sys.argv[1]], ['eval', sys.argv[1], '--at=3,3'],"
+            " ['check', sys.argv[1], '--rmax', '1']):\n"
+            "    assert main(args) == 0, args\n"
+            "sys.exit('numpy.ma' in sys.modules)\n"
+        )
+        out = subprocess.run([sys.executable, "-c", code, ex_file], capture_output=True)
+        assert out.returncode == 0, out.stderr
+
     @pytest.mark.parametrize("args", [["--help"], ["dimpoly", "{file}"]])
     def test_module_entry_point(self, ex_file, args):
         args = [a.format(file=ex_file) for a in args]

@@ -319,6 +319,60 @@ class TestClassifyBox:
         assert any(v for v, _ in expect) and any(vp for _, vp in expect)
         assert classify_unit(V, BS, L, SL, points) == expect
 
+    def test_table_cell_budget(self):
+        # the tables are priced at the points' top, before any row is read
+        BS = np.zeros((1, 2), dtype=np.int64)
+        masks = np.zeros((1, 0), dtype=np.uint64)
+        SL = np.empty((0, 1), dtype=np.int64)
+        ones = np.ones(1, dtype=np.int64)
+        assert classify_box(BS, masks, SL, ones, [(3, 2)])[0].tolist() == [1]
+        # two tables of 4096 x 2049 cells; the negative point is not priced
+        with pytest.raises(InputError, match=r"up to bound \(4095, 2048\) would have"):
+            classify_box(BS, masks, SL, ones, [(4095, 2048), (-1, 1 << 40)])
+
+    def test_int64_edge_weights(self):
+        # weights summing to 2^63 - 1: a float64 sum rounds that up to 2^63
+        big = np.array([1 << 62, (1 << 62) - 1], dtype=np.int64)
+        BS = np.array([[0, 0], [1, 1]], dtype=np.int64)
+        points = [(1, 1), (0, 0), (1, 0), (0, 5), (-1, 3), (1, 5)]
+        free = np.zeros((2, 1), dtype=np.uint64)
+        v, vp = classify_box(BS, free, np.empty((0, 1), dtype=np.int64), big, points)
+        assert v.tolist() == [(1 << 63) - 1, 1 << 62, 1 << 62, 1 << 62, 0, (1 << 63) - 1]
+        assert vp.tolist() == [0] * len(points)
+        # both rows divided by leader 0 of slack 5: V' until r_2 reaches BS_2 + 5
+        divided = np.ones((2, 1), dtype=np.uint64)
+        v, vp = classify_box(BS, divided, np.array([[5]]), big, points)
+        assert v.tolist() == [0] * len(points)
+        assert vp.tolist() == [(1 << 63) - 1, 1 << 62, 1 << 62, 0, 0, (1 << 62) - 1]
+
+    def test_points_below_the_bound(self):
+        # every point strictly below the rows' bound: rows past the points'
+        # top are dropped, and large slacks cut past the top
+        rng = random.Random(43)
+        V = box_vectors((2, 2), (6, 6))
+        BS = block_sum_matrix(V, (2, 2))
+        for _ in range(10):
+            _, _, L, SL, _ = random_case(rng, (2, 2), leaders=4, slack_hi=8)
+            below = [tuple(rng.randint(0, 5) for _ in range(2)) for _ in range(4)]
+            top = np.max(below, axis=0)
+            expect = ref_points((2, 2), L, SL, below)
+            assert (BS > top).any(axis=1).any()
+            assert classify_unit(V, BS, L, SL, below) == expect
+
+    def test_many_leaders_and_negative_points(self):
+        # 70 leaders over two mask words with slacks 1..5, and points
+        # negative on either axis
+        rng = random.Random(47)
+        _, _, L, SL, _ = random_case(rng, (2, 1), leaders=70, slack_hi=4)
+        SL = SL + 1
+        V = box_vectors((2, 1), (5, 5))
+        BS = block_sum_matrix(V, (2, 1))
+        points = sub_bounds(rng, (5, 5), 5) + [(-1, -1), (3, -2), (-4, 2)]
+        rng.shuffle(points)
+        expect = ref_points((2, 1), L, SL, points)
+        assert any(vp for _, vp in expect)
+        assert classify_unit(V, BS, L, SL, points) == expect
+
 
 def class_key(v, leaders):
     """Coordinate sum and the set of leader rows that v dominates."""
