@@ -10,18 +10,18 @@ term, since no greater leader divides it.  The caps move as the remainder
 changes, but only downwards, so a term found ineligible never needs a
 second look (see `multi_reduce`).  Work that repeats across steps is done
 once: each element's leader record per stage (`terms.leader_data`), which
-S-elements and the core read too; each product q * g of a reducer's
-integer row with a monomial q, kept with the element (`_shifted`); and
-each term's order data per stage and partition, in a bounded cache shared
-by every call (`_term_orders`).  The reducers' leaders are looked up in
-one index per stage (`Reducers`): completion keeps one over its growing
-basis and lets each new element into a stage's index the next time a
-reduction at that stage asks, and `is_groebner` builds one per call, so
-no reduction sorts its reducers again.  Completion runs staged from the
-last order down to the first; every nonzero reduced S-element is inserted
-and re-opens the pair queues of its stage and all later stages.  A pair
-of one-term elements that are both x-only, or both d-only, has a zero
-S-element (`_pure`), so neither completion nor `is_groebner` forms it.
+S-elements and the core read too; each element's row packed at a stage
+(`_packed`), and each product q * g of that row with a monomial q, both
+kept with the element (`_products`).  The reducers' leaders are looked up
+in one index per stage (`Reducers`): completion keeps one over its
+growing basis and lets each new element into a stage's index the next
+time a reduction at that stage asks, and `is_groebner` builds one per
+call, so no reduction sorts its reducers again.  Completion runs staged
+from the last order down to the first; every nonzero reduced S-element is
+inserted and re-opens the pair queues of its stage and all later stages.
+A pair of one-term elements that are both x-only, or both d-only, has a
+zero S-element (`_pure`), so neither completion nor `is_groebner` forms
+it.
 
 The finished basis G is certified through a core.  Element j dominates
 element i when, at every stage r, j's r-th leader divides i's (the same
@@ -58,6 +58,28 @@ not one per term.  Both divide their dict by its content once, at return
 terms a step may eliminate depends only on the support, so the steps,
 and with them the exact results, are those of reduction over `Fraction`s.
 
+The terms are ints too.  At stage r a term is one int whose fields are
+those of `terms.term_key(r, .)`, most significant first: ord_r, the other
+block orders, the exponents in stage order, then the generator (`_Layout`).
+Each field is `width` bits wide and its top bit is a guard that stays
+clear, so comparing two ints compares the two keys, and equal ints are
+equal terms.  The key is linear in the exponents, so the product of a
+monomial q with a term t is key(q) + key(t), less one correction per
+term of the normal-order expansion (`_corrections`), and a leader u
+divides w exactly when the guarded difference (w | guard) - u keeps every
+guard bit.  The later-order caps are one more guarded difference on the
+order fields of the later orders.  Every value stored stays below a
+quarter of its field (`_Layout.limit`), so no sum or difference these
+tests form crosses a field.  A term, slack or product that might reach
+that limit raises `_Overflow` (a term is checked by its total order, a
+product q * row by q plus the bitwise or of the row's keys), and the call
+that met it starts over at twice the width: `_WIDTH` is where every call starts, and a `Reducers`
+keeps the width its last reduction needed.  Each width orders and divides
+the same terms the same way, so the steps, and with them the output
+bytes, do not depend on it.  Only what leaves a call is decoded back to
+`Term`s, through a bounded cache (`_decode`): the remainder, the
+S-element and the thetas of the steps.
+
 Each element also carries a multiplier-order bound B: a vector with
 ord_j(D) <= B_j for every coefficient D of some way of writing the element
 as sum_i D_i * g_i over the input relations g_i.  Inputs start at zero.
@@ -75,17 +97,16 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import deque
-from functools import lru_cache
+from functools import lru_cache, reduce
 from heapq import heapify, heappop, heappush
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from math import gcd
-from operator import add, eq, le, neg, sub
+from operator import add, mul, or_, sub
 from typing import Sequence
 
 from .errors import InputError, VerificationError, WeylDimError, ZeroElementError
 from .numpoly import minimize
 from .terms import (
-    Leader,
     ModuleElement,
     Term,
     _primitive,
@@ -93,13 +114,17 @@ from .terms import (
     check_cover,
     check_rank,
     leader_data,
-    term_key,
+    share_leaders,
 )
-from .weyl import ExponentPair, Partition, Vector, mono_mul
+from .weyl import ExponentPair, Partition, Vector, _normal_order
 
 
 # Most elements a completion may hold before it gives up.
 MAX_ELEMENTS = 500
+
+# Bits per field of a packed term, its guard bit included, at which every
+# call starts (see `_Layout`).
+_WIDTH = 16
 
 
 def _check_stage(r, P: Partition, n: int) -> None:
@@ -110,70 +135,177 @@ def _check_stage(r, P: Partition, n: int) -> None:
     check_cover(n, P)
 
 
-# one Term object per term of the memoised products, however many hold it
-_term = lru_cache(maxsize=65536)(Term)
+class _Overflow(Exception):
+    """A packed value reached its field's limit: start over, twice as wide."""
 
 
-def _shifted(g: ModuleElement, q: ExponentPair) -> tuple[tuple[Term, int], ...]:
-    """q * row for g's primitive integer row, expanded as (Term, int) pairs.
+class _Layout:
+    """How the terms of A_n^m pack into ints at stage r of P.
+
+    The fields, most significant first, are those of `terms.term_key(r, .)`:
+    ord_r, the other block orders by ascending block index, block r's x
+    then d exponents, every other block's by ascending block index, and
+    the generator.  Each field is `width` bits; its top bit is a guard,
+    clear in every packed term, and every value stays below `limit`, a
+    quarter of the field.  A monomial packs with generator 0, so the
+    exponents of w / u are w - u.  The later orders r+1..p have their
+    block orders in the `tail` fields, and a slack or a cap sits there.
+    """
+
+    __slots__ = (
+        "r", "limit", "mask", "guard", "high", "coef", "kc", "places",
+        "d_mask", "tail", "tail_mask", "tail_guard", "tail_ones",
+    )
+
+    def __init__(self, P: Partition, r: int, width: int):
+        p, n = P.p, P.n
+        fields = p + 2 * n + 1
+        shifts = [(fields - 1 - f) * width for f in range(fields)]
+        # order field f holds block blocks[f]; later order k sits at k - 1
+        blocks = [r - 1, *range(r - 1), *range(r, p)]
+        ord_shift = {j: shifts[f] for f, j in enumerate(blocks)}
+        a, b = P.packed_blocks[r - 1]
+        order = P.packed_order
+        # position in alpha + beta of each exponent field, in field order
+        exps = order[a:b] + order[:a] + order[b:]
+        block_of = [0] * (2 * n)
+        for j, (lo, hi) in enumerate(P.blocks):
+            for i in range(lo, hi):
+                block_of[i] = block_of[n + i] = j
+        coef = [0] * (2 * n)
+        for sh, pos in zip(shifts[p:], exps):
+            coef[pos] = (1 << sh) + (1 << ord_shift[block_of[pos]])
+        self.r = r
+        self.limit = 1 << (width - 2)
+        self.mask = (1 << (width - 1)) - 1
+        self.guard = sum(1 << (sh + width - 1) for sh in shifts)
+        self.high = sum(1 << (sh + width - 2) for sh in shifts)
+        # a packed monomial is sum(v * coef) over v = alpha + beta; kc[i]
+        # packs x_i d_i, the pair each normal-order swap removes
+        self.coef = tuple(coef)
+        self.kc = tuple(map(add, coef[:n], coef[n:]))
+        # (position in alpha + beta, shift) of every exponent field
+        self.places = tuple(zip(exps, shifts[p:]))
+        self.d_mask = sum(self.mask << sh for pos, sh in self.places if pos >= n)
+        self.tail = tuple(shifts[r:p])
+        self.tail_mask = sum(self.mask << sh for sh in self.tail)
+        self.tail_guard = sum(1 << (sh + width - 1) for sh in self.tail)
+        self.tail_ones = sum(1 << sh for sh in self.tail)
+
+    def encode(self, v: Vector, gen: int = 0) -> int:
+        """The packed key of x^alpha d^beta e_gen for v = alpha + beta; a
+        monomial packs with gen 0."""
+        # the total order bounds every field but the generator
+        if sum(v) >= self.limit or gen >= self.limit:
+            raise _Overflow
+        return sum(map(mul, v, self.coef)) + gen
+
+    def slack(self, s: Vector) -> int:
+        """A later-order slack, one value per tail field."""
+        if any(x >= self.limit for x in s):
+            raise _Overflow
+        return sum(x << sh for x, sh in zip(s, self.tail))
+
+    def caps(self, keys) -> int:
+        """The greatest later-order fields over keys, with the tail guards set."""
+        m = self.mask
+        return self.tail_guard + sum(
+            max((k >> sh & m for k in keys), default=0) << sh for sh in self.tail
+        )
+
+
+@lru_cache(maxsize=1024)
+def _layout(sizes: tuple[int, ...], r: int, width: int) -> _Layout:
+    """The layout at stage r of Partition(sizes), shared by every call."""
+    return _Layout(Partition(sizes), r, width)
+
+
+@lru_cache(maxsize=65536)
+def _decode(L: _Layout, key: int) -> Term:
+    """The term packed as key under L (generator 0 for a monomial)."""
+    m = L.mask
+    v = [0] * len(L.coef)
+    for pos, sh in L.places:
+        v[pos] = key >> sh & m
+    n = len(v) // 2
+    return Term(key & m, ExponentPair(tuple(v[:n]), tuple(v[n:])))
+
+
+def _unpack(row: dict[int, int], L: _Layout) -> dict[Term, int]:
+    """A packed row keyed by `Term`s, in the same order."""
+    return dict(zip(map(_decode, repeat(L), row), row.values()))
+
+
+@lru_cache(maxsize=65536)
+def _corrections(L: _Layout, beta: Vector, alpha: Vector) -> tuple[tuple[int, int], ...]:
+    """(key correction, weight) per term of d^beta x^alpha in normal order.
+
+    The term that removes k_i pairs x_i d_i packs as the plain product less
+    sum k_i * kc_i, so x^a d^beta times x^alpha d^b expands to the keys
+    key(x^a d^beta) + key(x^alpha d^b) - correction.
+    """
+    return tuple((sum(map(mul, k, L.kc)), wt) for k, wt in _normal_order(beta, alpha))
+
+
+def _packed(g: ModuleElement, L: _Layout) -> tuple[dict[int, int], dict, int, int]:
+    """g's primitive row keyed under L, in row order, g's product memo under
+    L, the key of g's leader at L's stage, and the bitwise or of the keys;
+    kept in g's memo."""
+    hit = g._memo.get(L)
+    if hit is None:
+        row = {L.encode(a + b, gen): v for (gen, (a, b)), v in g.row.items()}
+        hit = g._memo[L] = _memo_entry(row)
+    return hit
+
+
+def _memo_entry(row: dict[int, int]) -> tuple[dict[int, int], dict, int, int]:
+    """What `_packed` keeps for a packed row."""
+    # ints compare as the stage keys do, so the greatest is the leader; the
+    # or bounds every field of every key by less than twice its max
+    return row, {}, max(row, default=0), reduce(or_, row, 0)
+
+
+def _products(g: ModuleElement, q: int, L: _Layout) -> tuple[tuple[int, int], ...]:
+    """q * row for g's primitive row and the monomial packed as q, as
+    (key, int) pairs under L.
 
     The pairs follow the row, each term's normal-order expansion in turn,
     unmerged.  Kept in g's memo per q, so each product is built once.
     """
-    memo = g._memo.get("shifted")
-    if memo is None:
-        memo = g._memo["shifted"] = {}
+    row, memo, _, bound = g._memo.get(L) or _packed(g, L)
     hit = memo.get(q)
     if hit is None:
-        hit = memo[q] = tuple(
-            (_term(gen, key), cg * wt)
-            for (gen, theta), cg in g.row.items()
-            for key, wt in mono_mul(q, theta)
-        )
+        # every product key is at most q + t <= q + bound, field by field
+        if (q + bound) & L.high:
+            raise _Overflow
+        if q & L.d_mask:
+            beta = _decode(L, q).theta.beta
+            out = []
+            add_term = out.append
+            for (_, (alpha, _)), (t, c) in zip(g.row, row.items()):
+                t += q
+                for k, wt in _corrections(L, beta, alpha):
+                    add_term((t - k, c * wt))
+            hit = tuple(out)
+        else:
+            # q has no d to meet the row's x: one product term per term
+            hit = tuple([(q + t, c) for t, c in row.items()])
+        memo[q] = hit
     return hit
 
 
 def _monic(g: ModuleElement, P: Partition) -> ModuleElement:
-    """g scaled to leading coefficient 1 under the first order, keeping its row."""
+    """g scaled to leading coefficient 1 under the first order, keeping its
+    row up to sign, and its leader records."""
     # row = k * g = (k * c) * out for g's leading coefficient c, and k * c
     # is row's coefficient at the head
     row, lead = g.row, leader_data(g, 1, P).lead
+    sign = 1
     if lead < 0:
-        row, lead = {t: -v for t, v in row.items()}, -lead
-    return ModuleElement._trusted(g.n, g.m, row, lead, 1)
-
-
-@lru_cache(maxsize=65536)
-def _term_orders(t: Term, r: int, P: Partition) -> tuple[tuple, tuple]:
-    """The negated order-r key of t, and ord_i(t) for each later order i.
-
-    Cached across calls: reductions at one stage meet the same terms again.
-    """
-    key = term_key(r, t, P)
-    # an order-r key starts with ord_r, then the other blockwise orders by
-    # ascending block index (see `terms.monomial_key`), so ord_{r+1}, ...,
-    # ord_p sit at positions r, ..., p-1
-    return tuple(map(neg, key)), key[r:P.p]
-
-
-def _caps(tails) -> list[int]:
-    """Greatest ord_i over the given terms, per later order: the order caps."""
-    return [max(col) for col in zip(*tails)]
-
-
-def _eligible(w: Term, tail: tuple, ld: Leader, caps: Sequence[int]) -> bool:
-    """Whether the reducer whose stage-order leader record is ld may
-    eliminate w: its leader divides w, and theta times it fits the caps.
-
-    tail holds ord_i(w) for each later order i.
-    """
-    (gen, (alpha, beta)), _, _, _, slack = ld
-    return (
-        w.gen == gen
-        and all(map(le, alpha, w.theta.alpha))
-        and all(map(le, beta, w.theta.beta))
-        and all(b + s <= cap for b, s, cap in zip(tail, slack, caps))
-    )
+        row, lead, sign = {t: -v for t, v in row.items()}, -lead, -1
+    out = ModuleElement._trusted(g.n, g.m, row, lead, 1)
+    share_leaders(g, out, P, sign)
+    return out
 
 
 class Reducers:
@@ -182,17 +314,20 @@ class Reducers:
     `elements` is the caller's sequence, read and never changed here;
     completion appends to it, and `stage(r)` lets the new tail in the
     next time a reduction at stage r asks.  The stage-r index lists, for
-    each generator, the stage-r leader records in ascending negated key,
-    beside the keys; `bisect_right` puts a leader after the equal ones
-    already there, so equal leaders stay in position order.  That is the
-    order a stable sort of all of G by negated key gives.  Every reducer
-    must be nonzero and of shape (n, m), checked as it enters an index.
+    each generator, the reducers as (position, packed stage-r leader,
+    packed slack, lead) in ascending negated leader, beside those negated
+    leaders; `bisect_right` puts a leader after the equal ones already
+    there, so equal leaders stay in position order.  That is the order a
+    stable sort of all of G by negated key gives.  Every reducer must be
+    nonzero and of shape (n, m), checked as it enters an index.  The
+    indexes pack at `width`, which a reduction that overflows doubles,
+    dropping every index.
 
     Not a `typing.Sequence`: that class's `__iter__` goes through
     `__getitem__`, one Python call per element.
     """
 
-    __slots__ = ("elements", "P", "shape", "_stages")
+    __slots__ = ("elements", "P", "shape", "width", "_stages")
 
     def __init__(
         self, elements: Sequence[ModuleElement], P: Partition, n: int, m: int
@@ -200,7 +335,8 @@ class Reducers:
         self.elements = elements
         self.P = P
         self.shape = (n, m)
-        # stage r -> [elements indexed so far, {gen: (negated keys, (i, leader))}]
+        self.width = _WIDTH
+        # stage r -> [elements indexed so far, {gen: (negated leaders, entries)}]
         self._stages: dict[int, list] = {}
 
     def __len__(self) -> int:
@@ -228,12 +364,15 @@ class Reducers:
         for g in new:
             if (g.n, g.m) != (n, m):
                 raise InputError(f"mixed module shapes: ({n},{m}) vs ({g.n},{g.m})")
+        L = _layout(self.P.sizes, r, self.width)
         for i, g in enumerate(new, done):
             red = leader_data(g, r, self.P)
-            negs, reds = by_gen.setdefault(red.term.gen, ([], []))
-            at = bisect_right(negs, red.neg_key)
-            negs.insert(at, red.neg_key)
-            reds.insert(at, (i, red))
+            gen, (alpha, beta) = red.term
+            u = L.encode(alpha + beta, gen)
+            negs, reds = by_gen.setdefault(gen, ([], []))
+            at = bisect_right(negs, -u)
+            negs.insert(at, -u)
+            reds.insert(at, (i, u, L.slack(red.slack), red.lead))
         index[0] = len(els)
         return by_gen
 
@@ -269,30 +408,37 @@ def multi_reduce(
     once, at return: work is a positive multiple of the row that dividing
     at every step would hold, and the primitive form is unique.
 
-    Eligibility depends on the caps, the greatest ord_i over the current
-    remainder for each later order i, and the caps move as terms are
-    removed, so each step looks again from the greatest remaining term.
-    The caps only fall, though: every term of theta * g has ord_i <=
-    ord_i(theta) + ord_i of g's i-th leader, which an eligible step keeps
-    within cap_i.  And every term a step adds lies below the eliminated
-    term under the r-th order.  So a term once found ineligible stays so
-    and is never touched again; each step takes the greatest term not yet
-    found ineligible, which is the term a full rescan would pick.
+    `work` is keyed by the terms packed at stage r (see the module
+    docstring and `_Layout`), so ints compare as the stage-r keys do.  A
+    leader u may eliminate w when the guarded difference (w | guard) - u
+    keeps every guard bit, which is divisibility, and when, on the fields
+    of the later orders i, caps - w - slack keeps its guard bits, which is
+    ord_i(w) + slack_i <= cap_i.  The caps are the greatest ord_i over the
+    current remainder, and they move as terms are removed, so each step
+    looks again from the greatest remaining term.  The caps only fall,
+    though: every term of theta * g has ord_i <= ord_i(theta) + ord_i of
+    g's i-th leader, which an eligible step keeps within cap_i.  And every
+    term a step adds lies below the eliminated term under the r-th order.
+    So a term once found ineligible stays so and is never touched again;
+    each step takes the greatest term not yet found ineligible, which is
+    the term a full rescan would pick.  A cancelled term lowers the caps
+    only if one of its later-order fields equals its cap, one more
+    guarded difference.
 
-    Those terms wait in a heap keyed on the negated order-r key.  A term
-    enters it when it enters `work`, and a cancelled term is dropped only
-    when popped: entries for terms no longer in `work` are skipped.  A
-    cancelled term can come back, below the eliminated term, with a second
-    entry; equal keys mean equal terms, so the two pop one after the
-    other, and the second is skipped as well.
+    Those terms wait in a heap of negated keys.  A term enters it when it
+    enters `work`, and a cancelled term is dropped only when popped:
+    entries for terms no longer in `work` are skipped.  A cancelled term
+    can come back, below the eliminated term, with a second entry; equal
+    keys mean equal terms, so the two pop one after the other, and the
+    second is skipped as well.
 
     The reducers are read from their stage-r index (`Reducers`): per
     generator, by descending r-th leader, equal leaders in list order,
-    beside their negated keys.  A `Reducers` over P and f's shape is
-    reused, so completion, which appends to one, and `is_groebner`, which
-    builds one per call, index each element once per stage; any other G
-    gets a one-call index built the same way, with the same zero and shape
-    checks.
+    beside their negated packed leaders.  A `Reducers` over P and f's
+    shape is reused, so completion, which appends to one, and
+    `is_groebner`, which builds one per call, index each element once per
+    stage; any other G gets a one-call index built the same way, with the
+    same zero and shape checks.
 
     A step starts its scan at the first leader whose key is no greater
     than w's (`bisect_left`).  The ones it passes over cannot divide w: if
@@ -300,71 +446,103 @@ def multi_reduce(
     where they are all equal so are the exponents, so key(u) <= key(w),
     with equality only when u == w.  The pick stays the greatest eligible
     leader, the smallest position on ties.  Each multiple theta * row of a
-    reducer's row is expanded once and kept with the reducer (`_shifted`).
+    reducer's row is expanded once and kept with the reducer (`_products`).
+
+    A call that packs a value past its field's limit starts over with the
+    index at twice the width, which the index keeps.  The packed keys
+    order and divide at every width as the terms do, so the steps and the
+    result are those of any other width.  Only the remainder and the
+    thetas of the steps are decoded back to `Term`s.
     """
     _check_stage(r, P, f.n)
     if not (isinstance(G, Reducers) and G.P == P and G.shape == (f.n, f.m)):
         G = Reducers(G, P, f.n, f.m)
-    by_gen = G.stage(r)
+    while True:
+        L = _layout(P.sizes, r, G.width)
+        try:
+            work, sn, steps = _reduce(f, G, L)
+            break
+        except _Overflow:
+            G.width *= 2
+            G._stages.clear()
+    row, kn, kd = _primitive(work, sn, f.kd)
+    return ModuleElement._trusted(f.n, f.m, _unpack(row, L), kn, kd), steps
+
+
+def _first_eligible(entries, w: int, caps: int, L: _Layout) -> tuple | None:
+    """The first index entry (i, u, slack, lead) whose leader u may
+    eliminate the term packed as w, or None.
+
+    u divides w when (w | guard) - u keeps every guard bit, and the step
+    keeps ord_i(w) + slack_i <= cap_i for each later order i when
+    caps - w - slack keeps the guard bits of the later-order fields; caps
+    holds the caps there, with those guard bits set.
+    """
+    guard, tail_guard = L.guard, L.tail_guard
+    above, room = w | guard, caps - (w & L.tail_mask)
+    for entry in entries:
+        _, u, slack, _ = entry
+        if (above - u) & guard == guard and (room - slack) & tail_guard == tail_guard:
+            return entry
+    return None
+
+
+def _reduce(f: ModuleElement, G: Reducers, L: _Layout) -> tuple[dict, int, list]:
+    """`multi_reduce`'s loop under L: the packed work dict, the scale's
+    numerator and the steps."""
+    by_gen = G.stage(L.r)
     elements = G.elements
+    gen_mask = L.mask
+    tail_mask, tail_guard, tail_ones = L.tail_mask, L.tail_guard, L.tail_ones
     steps: list[tuple[int, ExponentPair]] = []
-    # the remainder is work / scale, scale = sn / sd > 0
-    work, sn, sd = dict(f.row), f.kn, f.kd
-    orders = {t: _term_orders(t, r, P) for t in work}
-    caps = _caps(tail for _, tail in orders.values())
-    # terms not yet found ineligible, least negated key first; cancelled
-    # terms leave lazily, and one that came back has a second entry
-    heap = [(nk, t) for t, (nk, _) in orders.items()]
+    # the remainder is work / scale, scale = sn / f.kd > 0
+    work, sn = dict(_packed(f, L)[0]), f.kn
+    caps = L.caps(work)
+    # terms not yet found ineligible, greatest first; cancelled terms
+    # leave lazily, and one that came back has a second entry
+    heap = [-t for t in work]
     heapify(heap)
     last = None
     while heap:
-        w = heappop(heap)[1]
+        w = -heappop(heap)
         if w == last or w not in work:
             continue
         last = w
-        nk, tail = orders[w]
         # a leader dividing w has a key no greater than w's
-        negs, reds = by_gen.get(w.gen, ((), ()))
-        for idx, red in islice(reds, bisect_left(negs, nk), None):
-            if _eligible(w, tail, red, caps):
-                break
-        else:
+        negs, reds = by_gen.get(w & gen_mask, ((), ()))
+        pick = _first_eligible(islice(reds, bisect_left(negs, -w), None), w, caps, L)
+        if pick is None:
             continue  # stays in the remainder for good
-        u = red.term.theta
-        q = ExponentPair(
-            tuple(map(sub, w.theta.alpha, u.alpha)),
-            tuple(map(sub, w.theta.beta, u.beta)),
-        )
+        idx, u, _, lead = pick
+        q = w - u
+        theta = _decode(L, q).theta
         # work <- mult * work - e * theta * row, with the lead of theta * row
-        # being red.lead, cancels w; mult > 0 keeps the scale positive
-        h = gcd(work[w], red.lead)
-        mult, e = red.lead // h, work[w] // h
+        # being lead, cancels w; mult > 0 keeps the scale positive
+        h = gcd(work[w], lead)
+        mult, e = lead // h, work[w] // h
         if mult < 0:
             mult, e = -mult, -e
         if mult != 1:
             work = {t: v * mult for t, v in work.items()}
             sn *= mult
-        steps.append((idx, q))
+        steps.append((idx, theta))
         lowered = False
-        for t, v in _shifted(elements[idx], q):
-            d = -e * v
-            s = work.get(t)
+        get = work.get
+        for t, v in _products(elements[idx], q, L):
+            s = get(t)
             if s is None:
-                work[t] = d
-                o = orders.get(t)
-                if o is None:
-                    o = orders[t] = _term_orders(t, r, P)
-                heappush(heap, (o[0], t))
-                continue
-            s += d
-            if s:
+                work[t] = -e * v
+                heappush(heap, -t)
+            elif s := s - e * v:
                 work[t] = s
             else:
                 del work[t]
-                lowered = lowered or any(map(eq, orders[t][1], caps))
+                # a later-order field at its cap: the caps may fall
+                if tail_guard and not lowered:
+                    lowered = (caps - (t & tail_mask) - tail_ones) & tail_guard != tail_guard
         if lowered and work:
-            caps = _caps(orders[t][1] for t in work)
-    return ModuleElement._trusted(f.n, f.m, *_primitive(work, sn, sd)), steps
+            caps = L.caps(work)
+    return work, sn, steps
 
 
 def s_element(
@@ -372,29 +550,47 @@ def s_element(
 ) -> ModuleElement:
     """The critical difference of f and g with respect to the r-th order.
 
-    Zero when the r-th leaders sit on different generators.
+    Zero when the r-th leaders sit on different generators.  Formed on
+    packed keys, starting over at twice the width on overflow; the result
+    keeps its packed row in its memo for `multi_reduce`.
     """
     _check_stage(r, P, f.n)
     f._check_compat(g)
     if f.is_zero() or g.is_zero():
         raise ZeroElementError("critical pair with a zero element")
-    lifts = _lifts(f, g, r, P)
-    if lifts is None:
+    ldf, ldg = leader_data(f, r, P), leader_data(g, r, P)
+    if ldf.term.gen != ldg.term.gen:
         return ModuleElement.zero(f.n, f.m)
+    (fa, fb), (ga, gb) = ldf.term.theta, ldg.term.theta
+    # the lcm of the two leaders, as alpha + beta
+    top = tuple(map(max, fa + fb, ga + gb))
     # with rows row = k * f, lead l = k * (f's leader coefficient), the
     # S-element is q_f * row_f / l_f - q_g * row_g / l_g; acc holds it
     # times l_f * l_g / h
-    lf, lg = leader_data(f, r, P).lead, leader_data(g, r, P).lead
+    lf, lg = ldf.lead, ldg.lead
     h = gcd(lf, lg)
-    acc: dict[Term, int] = {}
-    for el, q, mult in zip((f, g), lifts, (lg // h, -(lf // h))):
-        for t, v in _shifted(el, q):
-            s = acc.get(t, 0) + mult * v
-            if s:
-                acc[t] = s
-            else:
-                del acc[t]
-    return ModuleElement._trusted(f.n, f.m, *_primitive(acc, lf * lg, h))
+    width = _WIDTH
+    while True:
+        L = _layout(P.sizes, r, width)
+        try:
+            lcm = L.encode(top, ldf.term.gen)
+            acc: dict[int, int] = {}
+            for el, mult in ((f, lg // h), (g, -(lf // h))):
+                # q lifts el's leader to the lcm
+                for t, v in _products(el, lcm - _packed(el, L)[2], L):
+                    s = acc.get(t, 0) + mult * v
+                    if s:
+                        acc[t] = s
+                    else:
+                        del acc[t]
+            break
+        except _Overflow:
+            width *= 2
+    row, kn, kd = _primitive(acc, lf * lg, h)
+    out = ModuleElement._trusted(f.n, f.m, _unpack(row, L), kn, kd)
+    if row:
+        out._memo[L] = _memo_entry(row)
+    return out
 
 
 def _pure(g: ModuleElement) -> int:

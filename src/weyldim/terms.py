@@ -297,6 +297,14 @@ def leader_data(f: ModuleElement, i: int, P: Partition) -> Leader:
     return out
 
 
+def share_leaders(src: ModuleElement, dst: ModuleElement, P: Partition, sign: int) -> None:
+    """Give dst, whose row is sign * src's row (sign = 1 or -1), src's
+    leader records under every order of P, leads times sign."""
+    for i in range(1, P.p + 1):
+        ld = leader_data(src, i, P)
+        dst._memo[P.sizes, i] = ld._replace(lead=sign * ld.lead)
+
+
 def leader(f: ModuleElement, i: int, P: Partition) -> tuple[Term, Fraction]:
     """Greatest term of f under the i-th order, with its coefficient."""
     ld = leader_data(f, i, P)

@@ -2,8 +2,10 @@
 
 A normal monomial x^alpha d^beta writes the x factors before the d
 factors.  `mono_mul` expands the product of two of them in that normal
-form, with integer weights; every product the package forms goes
-through it.  A Partition groups the n variables into p consecutive
+form, with integer weights, from the table of d^beta x^gamma
+(`_normal_order`); every product the package forms reads that table,
+the rank oracle's through `mono_mul` and completion's on packed terms.
+A Partition groups the n variables into p consecutive
 blocks; every grading in the package is taken blockwise with x_i and d_i
 weighted equally, and `weyl_dimension` counts the monomials within
 blockwise bounds.  The Partition also owns the packed layout that the

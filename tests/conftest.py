@@ -38,7 +38,7 @@ from weyldim import (
     count_UVW,
     minimize,
 )
-from weyldim.groebner import _caps, _check_stage, _eligible, _term_orders
+from weyldim.groebner import _check_stage
 from weyldim.numpoly import Index, MonoPoly, binomial_sum, shift_coeffs
 from weyldim.terms import block_orders, leader_data, term_key
 from weyldim.weyl import _check_vector, mono_mul
@@ -450,6 +450,22 @@ def gamma_divides(g: GammaTerm, f: GammaTerm) -> bool:
     return all(x <= y for x, y in zip(g.d, f.d))
 
 
+def ref_eligible(w, g, r, caps, P):
+    """Quotient theta if g can eliminate w at stage r within the order caps.
+
+    caps lists the caps of the later orders r+1..p, in turn.
+    """
+    q = ref_divides(leader_data(g, r, P).term, w)
+    if q is None:
+        return None
+    qbo = block_orders(q, P)
+    for i, cap in zip(range(r + 1, P.p + 1), caps):
+        gi = block_orders(leader_data(g, i, P).term.theta, P)[i - 1]
+        if qbo[i - 1] + gi > cap:
+            return None
+    return q
+
+
 def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool:
     """True when no term of f is eliminable by g at stage r."""
     _check_stage(r, P, f.n)
@@ -458,10 +474,11 @@ def is_reduced(f: ModuleElement, g: ModuleElement, r: int, P: Partition) -> bool
         return True
     if g.is_zero():
         raise ZeroElementError("reduction against the zero element")
-    ld = leader_data(g, r, P)
-    tails = {w: _term_orders(w, r, P)[1] for w in f.terms}
-    caps = _caps(tails.values())
-    return not any(_eligible(w, tail, ld, caps) for w, tail in tails.items())
+    caps = [
+        max(block_orders(w.theta, P)[i - 1] for w in f.terms)
+        for i in range(r + 1, P.p + 1)
+    ]
+    return not any(ref_eligible(w, g, r, caps, P) is not None for w in f.terms)
 
 
 _NAIVE_BUDGET = 8

@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add
+from operator import add, eq
 
 import pytest
 from hypothesis import given
@@ -42,6 +42,7 @@ from conftest import (
     random_module_element,
     ref_core,
     ref_divides,
+    ref_eligible,
     ref_lcm,
     worked_pair,
 )
@@ -49,19 +50,6 @@ from test_terms import module_elements
 
 
 # --------------------------------------------------------- reference reduction
-
-
-def ref_eligible(w, g, r, caps, P):
-    """Quotient theta if g can eliminate w at stage r within the order caps."""
-    q = ref_divides(leader_data(g, r, P).term, w)
-    if q is None:
-        return None
-    qbo = block_orders(q, P)
-    for i, cap in zip(range(r + 1, P.p + 1), caps):
-        gi = block_orders(leader_data(g, i, P).term.theta, P)[i - 1]
-        if qbo[i - 1] + gi > cap:
-            return None
-    return q
 
 
 def ref_multi_reduce(f, G, r, P):
@@ -330,7 +318,8 @@ class TestAgainstReference:
         pushed = []
 
         def spy(heap, item):
-            pushed.append(item[1])
+            # heap items are negated stage-1 keys at the starting width
+            pushed.append(groebner._decode(groebner._layout(P.sizes, 1, groebner._WIDTH), -item))
             push(heap, item)
 
         push = groebner.heappush
@@ -444,15 +433,28 @@ class TestAgainstReference:
 
 
 def sorted_index(G, r, P):
-    """A stage-r reducer index by one stable sort of all of G by negated key."""
+    """A stage-r reducer index by one stable sort of all of G by negated key,
+    as (position, leader, slack, lead) per generator."""
     by_gen = {}
     for idx, red in sorted(
         enumerate(leader_data(g, r, P) for g in G), key=lambda ir: ir[1].neg_key
     ):
-        negs, reds = by_gen.setdefault(red.term.gen, ([], []))
-        negs.append(red.neg_key)
-        reds.append((idx, red))
+        by_gen.setdefault(red.term.gen, []).append((idx, red.term, red.slack, red.lead))
     return by_gen
+
+
+def index_view(by_gen, L):
+    """A packed stage index read back as `sorted_index` lists it, after
+    checking that each generator's negated leaders are its entries' own,
+    in ascending order."""
+    out = {}
+    for gen, (negs, reds) in by_gen.items():
+        assert negs == [-u for _, u, _, _ in reds] == sorted(negs)
+        out[gen] = [
+            (i, groebner._decode(L, u), tuple(s >> sh & L.mask for sh in L.tail), lead)
+            for i, u, s, lead in reds
+        ]
+    return out
 
 
 class TestReducers:
@@ -465,12 +467,14 @@ class TestReducers:
         def checked(f, G, r, P):
             assert isinstance(G, groebner.Reducers)
             for k, (count, by_gen) in G._stages.items():
-                assert by_gen == sorted_index(G.elements[:count], k, P)
+                L = groebner._layout(P.sizes, k, G.width)
+                assert index_view(by_gen, L) == sorted_index(G.elements[:count], k, P)
                 lagged.append(count < len(G))
             out = fast(f, G, r, P)
             count, by_gen = G._stages[r]
             assert count == len(G)
-            assert by_gen == sorted_index(G.elements, r, P)
+            L = groebner._layout(P.sizes, r, G.width)
+            assert index_view(by_gen, L) == sorted_index(G.elements, r, P)
             return out
 
         fast = groebner.multi_reduce
@@ -493,8 +497,9 @@ class TestReducers:
         reducers.stage(1)
         G += [xd_tail, x2d2]
         _, reds = reducers.stage(1)[1]
-        assert [i for i, _ in reds] == [3, 0, 2, 1]
-        assert reducers.stage(1) == sorted_index(G, 1, P)
+        assert [i for i, *_ in reds] == [3, 0, 2, 1]
+        L = groebner._layout(P.sizes, 1, reducers.width)
+        assert index_view(reducers.stage(1), L) == sorted_index(G, 1, P)
         # of the equal leaders the first position reduces
         f = ModuleElement(1, 1, {(1, ((2,), (1,))): 1})
         assert multi_reduce(f, reducers, 1, P)[1][0][0] == 0
@@ -530,6 +535,8 @@ class TestReducers:
 
 
 class TestShifted:
+    """The product memo: q * row per stage, packed, kept with the element."""
+
     def fresh(self, g, q):
         return [
             (Term(gen, key), cg * wt)
@@ -537,27 +544,39 @@ class TestShifted:
             for key, wt in mono_mul(q, theta)
         ]
 
+    def products(self, g, q, L):
+        return groebner._products(g, L.encode(q.alpha + q.beta), L)
+
+    def decoded(self, out, L):
+        return [(groebner._decode(L, t), v) for t, v in out]
+
     def test_memo_is_the_expansion(self):
         P, h1, h2, _ = worked_pair()
         g = (h1 + h2).scale(BIG)
-        for q in (((0, 0), (0, 0)), ((1, 0), (0, 2)), ((2, 1), (1, 1))):
-            q = ExponentPair(*q)
-            out = groebner._shifted(g, q)
-            assert list(out) == self.fresh(g, q)
-            assert groebner._shifted(g, q) is out
+        for r in range(1, P.p + 1):
+            L = groebner._layout(P.sizes, r, groebner._WIDTH)
+            for q in (((0, 0), (0, 0)), ((1, 0), (0, 2)), ((2, 1), (1, 1))):
+                q = ExponentPair(*q)
+                out = self.products(g, q, L)
+                assert self.decoded(out, L) == self.fresh(g, q)
+                assert self.products(g, q, L) is out
+                # each packed product term is its own key at L
+                fresh = [t for t, _ in self.fresh(g, q)]
+                assert [t for t, _ in out] == [L.encode(a + b, gen) for gen, (a, b) in fresh]
 
     def test_monic_copy_has_its_own_memo(self):
         # the copy's row is the parent's with every sign flipped
         P, h1, h2, _ = worked_pair()
         g = (h1 + h2).scale(-3)
         q = ExponentPair((1, 1), (1, 0))
-        parent = groebner._shifted(g, q)
+        L = groebner._layout(P.sizes, 1, groebner._WIDTH)
+        parent = self.products(g, q, L)
         copy = groebner._monic(g, P)
         assert list(copy.row.items()) == [(t, -v) for t, v in g.row.items()]
-        out = groebner._shifted(copy, q)
+        out = self.products(copy, q, L)
         assert out == tuple((t, -v) for t, v in parent)
-        assert list(out) == self.fresh(copy, q)
-        assert copy._memo["shifted"] is not g._memo["shifted"]
+        assert self.decoded(out, L) == self.fresh(copy, q)
+        assert copy._memo[L] is not g._memo[L]
 
 
 def ref_s_element(f, g, r, P):
@@ -605,6 +624,151 @@ class TestSElement:
         f = ModuleElement.basis_vector(1, 1, 1)
         with pytest.raises(ZeroElementError):
             s_element(f, ModuleElement.zero(1, 1), 1, P)
+
+
+@st.composite
+def layout_cases(draw, hi=5):
+    """(P, r, L, terms): a drawn partition, a stage, its layout at the
+    starting width and terms on P's variables, some with equal exponents."""
+    P = Partition(tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))))
+    r = draw(st.integers(1, P.p))
+    vec = st.tuples(*([st.integers(0, hi)] * P.n))
+    term = st.builds(Term, st.integers(1, 3), st.builds(ExponentPair, vec, vec))
+    terms = draw(st.lists(term, min_size=1, max_size=6))
+    return P, r, groebner._layout(P.sizes, r, groebner._WIDTH), terms
+
+
+def packed(L, t):
+    """The key of the term t under L."""
+    return L.encode(t.theta.alpha + t.theta.beta, t.gen)
+
+
+def later_orders(t, r, P):
+    """ord_i(t) for each later order i = r+1..p."""
+    return block_orders(t.theta, P)[r:]
+
+
+def packed_caps(L, caps):
+    """Later-order caps as `multi_reduce` holds them: guard bits set."""
+    return L.tail_guard + sum(c << sh for c, sh in zip(caps, L.tail))
+
+
+# an exponent past the starting width's field limit: packing it widens twice
+HUGE = 2**40
+
+
+def lift_exponents(g, shift):
+    """g with shift added to x_1's exponent in every term: x_1^shift * g."""
+    return ModuleElement(
+        g.n, g.m,
+        {(gen, ((a[0] + shift, *a[1:]), b)): c for (gen, (a, b)), c in g.terms.items()},
+    )
+
+
+class TestKeyLayout:
+    """The packed stage keys against `terms.term_key` and the references."""
+
+    @given(layout_cases())
+    def test_int_order_is_key_order(self, case):
+        P, r, L, terms = case
+        for t1, t2 in itertools.product(terms, repeat=2):
+            k1, k2 = term_key(r, t1, P), term_key(r, t2, P)
+            p1, p2 = packed(L, t1), packed(L, t2)
+            assert (p1 < p2, p1 == p2) == (k1 < k2, k1 == k2)
+
+    @given(layout_cases())
+    def test_decode_inverts_encode(self, case):
+        P, r, L, terms = case
+        for t in terms:
+            assert groebner._decode(L, packed(L, t)) == t
+            q = t.theta.alpha + t.theta.beta
+            assert groebner._decode(L, L.encode(q)) == Term(0, t.theta)
+
+    @given(layout_cases(), st.data())
+    def test_guarded_tests_agree_with_ref_eligible(self, case, data):
+        P, r, L, terms = case
+        g = ModuleElement(P.n, 3, {t: 1 for t in terms})
+        ld = leader_data(g, r, P)
+        entry = (0, packed(L, ld.term), L.slack(ld.slack), ld.lead)
+        for w in terms:
+            # the same generator: the index lists only those; caps from the
+            # remainder, so at least w's own later orders
+            w = Term(ld.term.gen, w.theta)
+            extra = data.draw(st.lists(st.integers(0, 4), min_size=P.p - r, max_size=P.p - r))
+            caps = [o + e for o, e in zip(later_orders(w, r, P), extra)]
+            ref = ref_eligible(w, g, r, caps, P)
+            pick = groebner._first_eligible([entry], packed(L, w), packed_caps(L, caps), L)
+            assert (pick is not None) == (ref is not None)
+            if ref is not None:
+                assert groebner._decode(L, packed(L, w) - entry[1]) == Term(0, ref)
+
+    @given(layout_cases())
+    def test_caps_and_their_fall(self, case):
+        P, r, L, terms = case
+        keys = [packed(L, t) for t in terms]
+        caps = [max(col) for col in zip(*(later_orders(t, r, P) for t in terms))]
+        assert L.caps(keys) == packed_caps(L, caps)
+        # the test for a cancelled term at a cap, as `multi_reduce` makes it
+        for t, k in zip(terms, keys):
+            at_cap = (L.caps(keys) - (k & L.tail_mask) - L.tail_ones) & L.tail_guard
+            assert (at_cap != L.tail_guard) == any(map(eq, later_orders(t, r, P), caps))
+
+    @given(reduction_cases())
+    def test_widening_keeps_the_reference_steps(self, case):
+        # x_1^HUGE times every element: the keys need 64-bit fields, so the
+        # reduction and the S-elements start over twice
+        f, G, r, P = case
+        f = lift_exponents(f, HUGE)
+        G = [lift_exponents(g, HUGE) for g in G]
+        reducers = groebner.Reducers(G, P, f.n, f.m)
+        out = multi_reduce(f, reducers, r, P)
+        assert out == ref_steps(f, G, r, P)
+        assert reducers.width == 4 * groebner._WIDTH
+        for g, h in itertools.combinations(G, 2):
+            assert s_element(g, h, r, P) == ref_s_element(g, h, r, P)
+
+    def test_overflow_restarts_at_twice_the_width(self):
+        # x^HUGE d e1 reduced by (x^HUGE + d) e1 leaves -HUGE x^(HUGE-1) -
+        # d^2: the steps and remainder match the reference, and the index
+        # ends at 64 bits a field
+        P = Partition((1,))
+        f = on_e1({((HUGE,), (1,)): 1})
+        g = on_e1({((HUGE,), (0,)): 1, ((0,), (1,)): 1})
+        reducers = groebner.Reducers([g], P, 1, 1)
+        rem, steps = multi_reduce(f, reducers, 1, P)
+        assert rem == on_e1({((HUGE - 1,), (0,)): -HUGE, ((0,), (2,)): -1})
+        assert (rem, steps) == ref_steps(f, [g], 1, P)
+        assert reducers.width == 64
+        for width in (16, 32):
+            with pytest.raises(groebner._Overflow):
+                groebner._layout(P.sizes, 1, width).encode((HUGE, 1))
+
+    def test_widening_rebuilds_a_built_index(self):
+        # the index over d e1 is built at the starting width; x^HUGE d e1
+        # then widens it, and every stage index is built again
+        P = Partition((1,))
+        d = on_e1({((0,), (1,)): 1})
+        reducers = groebner.Reducers([d], P, 1, 1)
+        small, big = on_e1({((1,), (1,)): 1}), on_e1({((HUGE,), (1,)): 1})
+        assert multi_reduce(small, reducers, 1, P) == ref_steps(small, [d], 1, P)
+        assert reducers.width == groebner._WIDTH
+        assert multi_reduce(big, reducers, 1, P) == ref_steps(big, [d], 1, P)
+        assert reducers.width == 4 * groebner._WIDTH
+
+    def test_product_past_the_limit_widens(self):
+        # at stage 2 of (1,1), x1^K x2 e1 and (x2 + x1^K) e1 pack at the
+        # starting width, but their product term x1^(2K) reaches its limit
+        P = Partition((1, 1))
+        K = 1 << (groebner._WIDTH - 3)
+        w = ModuleElement.single(2, 1, 1, (K, 1), (0, 0))
+        g = ModuleElement.single(2, 1, 1, (0, 1), (0, 0)) + ModuleElement.single(
+            2, 1, 1, (K, 0), (0, 0)
+        )
+        reducers = groebner.Reducers([g], P, 2, 1)
+        rem, steps = multi_reduce(w, reducers, 2, P)
+        assert rem == ModuleElement.single(2, 1, 1, (2 * K, 0), (0, 0), -1)
+        assert (rem, steps) == ref_steps(w, [g], 2, P)
+        assert reducers.width == 2 * groebner._WIDTH
 
 
 @st.composite

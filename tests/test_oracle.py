@@ -26,7 +26,9 @@ from weyldim import (
     omega,
     weyl_dimension,
 )
+from weyldim import groebner as groebner_module
 from weyldim import oracle as oracle_module
+from weyldim import terms as terms_module
 from weyldim.terms import term_key
 
 from conftest import (
@@ -519,8 +521,24 @@ class TestRowBudget:
                     RankOracle(G).dimension(r)
 
 
-# completion's reduction internals, which the rank oracle must not reach
-REDUCTION_INTERNALS = {"multi_reduce", "_shifted", "_term_orders", "leader_data", "s_element"}
+# completion's reduction internals, which the rank oracle must not reach:
+# the reduction and the S-element, the leader records, the packed key
+# layout, the packed rows with their product memo, the guarded
+# eligibility test, and the decode caches
+REDUCTION_INTERNALS = {
+    "multi_reduce",
+    "s_element",
+    "leader_data",
+    "_Layout",
+    "_layout",
+    "_packed",
+    "_memo_entry",
+    "_products",
+    "_first_eligible",
+    "_corrections",
+    "_decode",
+    "_unpack",
+}
 
 
 def _code_names(code):
@@ -546,6 +564,11 @@ def _own_functions(module):
 
 
 class TestIndependence:
+    def test_internals_are_defined(self):
+        # a renamed internal fails here instead of leaving the guard empty
+        defined = set(vars(groebner_module)) | set(vars(terms_module))
+        assert REDUCTION_INTERNALS <= defined, sorted(REDUCTION_INTERNALS - defined)
+
     def test_no_reduction_internals(self):
         assert not REDUCTION_INTERNALS & set(vars(oracle_module))
         funcs = list(_own_functions(oracle_module))
