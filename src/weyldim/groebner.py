@@ -73,10 +73,11 @@ quarter of its field (`_Layout.limit`), so no sum or difference these
 tests form crosses a field.  A term, slack or product that might reach
 that limit raises `_Overflow` (a term is checked by its total order, a
 product q * row by q plus the bitwise or of the row's keys), and the call
-that met it starts over at twice the width: `_WIDTH` is where every call starts, and a `Reducers`
-keeps the width its last reduction needed.  Each width orders and divides
-the same terms the same way, so the steps, and with them the output
-bytes, do not depend on it.  Only what leaves a call is decoded back to
+that met it starts over at twice the width.  Every `s_element` starts at
+`_WIDTH`; a `Reducers` keeps the width its last reduction needed, so the
+reductions over it do not widen again.  Each width orders and divides the
+same terms the same way, so the steps, and with them the output bytes,
+do not depend on it.  Only what leaves a call is decoded back to
 `Term`s, through a bounded cache (`_decode`): the remainder, the
 S-element and the thetas of the steps.
 

@@ -316,10 +316,11 @@ class TestAgainstReference:
         f = on_e1({((1,), (2,)): 1, ((0,), (1,)): 1, ((1,), (1,)): 1, ((0,), (0,)): 1})
         g1 = on_e1({((1,), (1,)): 1, ((1,), (0,)): 1, ((0,), (0,)): 1})
         pushed = []
+        # heap items are negated stage-1 keys at the starting width
+        L = groebner._layout(P.sizes, 1, groebner._WIDTH)
 
         def spy(heap, item):
-            # heap items are negated stage-1 keys at the starting width
-            pushed.append(groebner._decode(groebner._layout(P.sizes, 1, groebner._WIDTH), -item))
+            pushed.append(groebner._decode(L, -item))
             push(heap, item)
 
         push = groebner.heappush
