@@ -38,11 +38,14 @@ The bounds are read off summed-area tables (Crow, SIGGRAPH 1984), not
 by comparing rows with bounds: `classify_box` adds each row's weight
 once into an int64 table with one cell per block-sum vector up to the
 largest bound, a prefix sum per axis leaves at each cell the weight of
-the rows at or below it, and one index reads every bound.  Every prefix
-sum is the weight of a set of box rows.  Only the overshoot count with
-three or more blocks still tests its divided rows per bound.  Rows are
-binned in chunks, so no temporary grows with the table times the bounds
-or the leaders.  All rational arithmetic lives outside this module.
+the rows at or below it, and one index reads every bound.  The overshoot
+count uses a second such table for any number of blocks: a divided row
+adds its weight at the signed corners of the K-numerator of its dividing
+leaders' slack vectors (Bigatti, JPAA 119, 1997), so its prefix sums
+count the row exactly at the bounds it overshoots.  Every prefix sum
+that is read is the weight of a set of box rows.  Rows are binned in
+chunks, so no temporary grows with the table times the bounds.  All
+rational arithmetic lives outside this module.
 """
 from __future__ import annotations
 
@@ -53,6 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputError
+from .numpoly import k_numerator, minimize
 
 # no compiled backend: result stamps in the benchmark harness read this
 USING_NUMBA = False
@@ -277,20 +281,31 @@ def class_table(blocks: list[tuple]) -> tuple[np.ndarray, ...]:
 
 
 # class rows per chunk of `classify_box`: its temporaries are a few
-# columns of this many rows, never rows times points; only the overshoot
-# test with p >= 3 forms rows times leaders, on a few times this many cells
+# columns of this many rows, plus one bool column per distinct slack
+# vector, never rows times points
 _CHUNK = 1 << 14
 
 
-def _slack_groups(SL: np.ndarray, words: int) -> list[tuple[int, np.ndarray]]:
-    """The slack values of SL's one column, ascending, each with the packed
-    mask of the leaders that have it (words as in a row's mask)."""
-    groups = []
-    for s in sorted(set(SL[:, 0].tolist())):
-        bits = np.zeros(64 * words, dtype=bool)
-        bits[: len(SL)] = SL[:, 0] == s
-        groups.append((s, np.packbits(bits, bitorder="little").view("<u8")))
-    return groups
+def _slack_groups(SL: np.ndarray, words: int) -> tuple[list, np.ndarray]:
+    """The distinct rows of SL, sorted, and per row the packed mask of the
+    leaders that have it (words as in a row's mask)."""
+    vectors = sorted(set(map(tuple, SL.tolist())))
+    bits = np.zeros((len(vectors), 64 * words), dtype=bool)
+    bits[:, : len(SL)] = (np.array(vectors)[:, None] == SL).all(axis=2)
+    return vectors, np.packbits(bits, axis=1, bitorder="little").view("<u8")
+
+
+@lru_cache(maxsize=1024)
+def _corners(slacks: tuple[tuple[int, ...], ...]) -> tuple[tuple[tuple, int], ...]:
+    """The signed corners of the points t outside the ideal (t^s : s in slacks).
+
+    Its K-numerator sum_b c_b t^b (`numpoly.k_numerator`, graded by each
+    coordinate) makes the indicator of those t the sum of c_b times that
+    of the orthant t >= b.  Returns each corner as (0, *b) and c_b, the
+    zero standing for the first order.
+    """
+    K = k_numerator(minimize(slacks), [(j, j + 1) for j in range(len(slacks[0]))])
+    return tuple(((0, *b), c) for b, c in K.items())
 
 
 def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray]:
@@ -304,22 +319,25 @@ def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray
     divisible by no leader, then the weight of box rows all of whose
     dividing leaders overshoot some later order bound.
 
-    cardV, and cardV' for p <= 2, compare no row with a point.  A point
-    with a negative entry has an empty box and counts 0; top is the
-    componentwise largest of the others, and rows with a block sum past
-    top are in no box.  Each other row's weight is added once into a
+    No row is compared with a point.  A point with a negative entry has
+    an empty box and counts 0; top is the componentwise largest of the
+    others, and rows with a block sum past top are in no box.  cardV adds
+    the weight w of each other row with a zero mask once into a
     summed-area table of prod(top_j + 1) int64 cells at its block sums,
     one `cumsum` per axis turns cell r into the weight of the rows with
-    BS <= r, and one fancy index reads every point.  cardV bins the rows
-    with a zero mask.  For p = 2, a divided row counts in cardV' at r
-    exactly when BS_1 <= r_1 and BS_2 <= r_2 < BS_2 + s, s the least
-    slack of its dividing leaders (the first slack, ascending, whose
-    leader mask meets the row's).  So it adds w at BS and -w at
-    BS + (0, s) in a second table, and the same prefix sums count it; a
-    zero slack cancels the row.  With one order there is no overshoot.
-    For p >= 3 the overshoot region is a union of orthants, so each point
-    tests the divided rows inside top's box.  Every prefix sum of either
-    table is the weight of a set of box rows, so `check_exact` bounds it.
+    BS <= r, and one fancy index reads every point.  A divided row counts
+    in cardV' at r exactly when BS <= r and r' - BS', r' the later order
+    bounds, lies outside the ideal that its dividing leaders' slack
+    vectors S generate.  That region is a signed sum of orthants at the
+    corners of the ideal's K-numerator (`_corners`), so the row adds c*w
+    at BS + (0, b) in a second table for each corner b of coefficient c,
+    and the same prefix sums count it.  A chunk's rows are sorted by
+    their set S, so each set's corners are looked up once.  For p = 2
+    that is w at BS and -w at BS + (0, s), s the least slack; a zero
+    slack cancels the row, and with one order there is no overshoot.  A
+    coefficient may be 2 or more and c*w may wrap, but the arithmetic is
+    exact mod 2^64, and every full prefix sum that is read is the weight
+    of a set of box rows, which `check_exact` keeps inside int64.
     """
     p = BS.shape[1]
     points = np.asarray(points, dtype=np.int64).reshape(-1, p)
@@ -333,47 +351,36 @@ def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray
     shape = tuple((top + 1).tolist())
     cells = prod(shape)
     what = f"the summed-area tables up to bound {tuple(top.tolist())}"
-    _check_cells(cells, 1 + (p == 2), what)
-    # the table of cardV, and for p = 2 that of cardV'
-    sats = [np.zeros(cells, dtype=np.int64) for _ in range(1 + (p == 2))]
-    groups = _slack_groups(SL, masks.shape[1]) if p == 2 else None
-    # p >= 3 tests each point against a chunk's rows times leaders times
-    # later orders, so there a chunk also keeps that to 4 * _CHUNK cells
-    chunk = _CHUNK
-    if p > 2:
-        chunk = max(1, min(_CHUNK, 4 * _CHUNK // max(1, SL.size)))
-    for lo in range(0, BS.shape[0], chunk):
-        bs = BS[lo:lo + chunk]
-        w = weights[lo:lo + chunk]
-        m = masks[lo:lo + chunk]
+    _check_cells(cells, 1 + (p > 1), what)
+    # the table of cardV, and that of cardV' when a leader has a later order
+    sats = [np.zeros(cells, dtype=np.int64) for _ in range(1 + (p > 1 and len(SL) > 0))]
+    if len(sats) > 1:
+        vectors, groups = _slack_groups(SL, masks.shape[1])
+    for lo in range(0, BS.shape[0], _CHUNK):
+        bs = BS[lo:lo + _CHUNK]
+        w = weights[lo:lo + _CHUNK]
+        m = masks[lo:lo + _CHUNK]
         inside = (bs <= top).all(axis=1)
         divided = m.any(axis=1)
         free = inside & ~divided
         np.add.at(sats[0], np.ravel_multi_index(bs[free].T, shape), w[free])
-        if p == 1:
-            continue  # no later order to overshoot
         inside &= divided
-        if not inside.any():
+        if len(sats) == 1 or not inside.any():
             continue
         bs, w, m = bs[inside], w[inside], m[inside]
-        if p > 2:
-            _overshoot_loop(bs, w, m, SL, points, live, card_vp)
-            continue
-        least = np.zeros(bs.shape[0], dtype=np.int64)
-        open_ = np.ones(bs.shape[0], dtype=bool)
-        for s, group in groups:
-            hit = open_ & (m & group).any(axis=1)
-            least[hit] = s
-            open_ &= ~hit
-            if not open_.any():
-                break
-        keep = least > 0
-        flat = np.ravel_multi_index(bs[keep].T, shape)
-        w, least = w[keep], least[keep]
-        np.add.at(sats[1], flat, w)
-        # the cut at BS_2 + s: the last axis, stride 1
-        cut = bs[keep, 1] + least <= top[1]
-        np.add.at(sats[1], flat[cut] + least[cut], -w[cut])
+        # column i: a leader of slack vectors[i] divides the row
+        hits = np.stack([(m & group).any(axis=1) for group in groups], axis=1)
+        # rows with the same set S sorted together, one run per set
+        order = np.lexsort(hits.T)
+        bs, w, hits = bs[order], w[order], hits[order]
+        cuts = np.flatnonzero((hits[1:] != hits[:-1]).any(axis=1)) + 1
+        ends = [0, *cuts.tolist(), len(order)]
+        for start, stop in zip(ends[:-1], ends[1:]):
+            for b, c in _corners(tuple(vectors[i] for i in np.flatnonzero(hits[start]))):
+                at = bs[start:stop] + b
+                cut = (at <= top).all(axis=1)
+                flat = np.ravel_multi_index(at[cut].T, shape)
+                np.add.at(sats[1], flat, c * w[start:stop][cut])
     at = np.ravel_multi_index(live_points.T, shape)
     for sat, out in zip(sats, (card_v, card_vp)):
         grid = sat.reshape(shape)
@@ -381,18 +388,3 @@ def classify_box(BS, masks, SL, weights, points) -> tuple[np.ndarray, np.ndarray
             np.cumsum(grid, axis=axis, out=grid)
         out[live] = sat[at]
     return card_v, card_vp
-
-
-def _overshoot_loop(bs, w, m, SL, points, live, card_vp) -> None:
-    """Add, per live point, the weight of the divided rows in its box whose
-    every dividing leader overshoots some later order bound (p >= 3)."""
-    # bit g of a divided row's mask, as column g: leader g divides it
-    bits = m.astype("<u8", copy=False).view(np.uint8)
-    div = np.unpackbits(bits, axis=1, count=len(SL), bitorder="little").view(bool)
-    # a dividing leader fits at r when no later order bound is exceeded
-    need = bs[:, None, 1:] + SL
-    for i in np.flatnonzero(live):
-        r = points[i]
-        fits = (need <= r[1:]).all(axis=2) & div
-        inbox = (bs <= r).all(axis=1)
-        card_vp[i] += w[inbox & ~fits.any(axis=1)].sum()

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import neg
 from typing import Iterable, Mapping, NamedTuple
 
 from .errors import InputError, ZeroElementError
@@ -261,7 +260,6 @@ class Leader(NamedTuple):
     term: Term
     lead: int  # term's coefficient in the element's primitive row
     orders: Vector  # the block orders of term
-    neg_key: tuple  # term's key under this order, negated
     # per later order k, ord_k of the k-th leader minus ord_k of this one:
     # the shape gaps under the first order; at a reduction stage, theta * f
     # stays within cap_k exactly when theta * term has ord_k + slack_k <= cap_k
@@ -285,15 +283,13 @@ def leader_data(f: ModuleElement, i: int, P: Partition) -> Leader:
         raise ZeroElementError("leader of the zero element is undefined")
     _check_order(i, P)
     check_cover(f.n, P)
-    key, term = max((term_key(i, t, P), t) for t in f.row)
+    _, term = max((term_key(i, t, P), t) for t in f.row)
     orders = block_orders(term.theta, P)
     slack = tuple(
         leader_data(f, k, P).orders[k - 1] - orders[k - 1]
         for k in range(i + 1, P.p + 1)
     )
-    out = f._memo[P.sizes, i] = Leader(
-        term, f.row[term], orders, tuple(map(neg, key)), slack
-    )
+    out = f._memo[P.sizes, i] = Leader(term, f.row[term], orders, slack)
     return out
 
 

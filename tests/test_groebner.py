@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from operator import add, eq
+from operator import add, eq, neg
 
 import pytest
 from hypothesis import given
@@ -438,7 +438,8 @@ def sorted_index(G, r, P):
     as (position, leader, slack, lead) per generator."""
     by_gen = {}
     for idx, red in sorted(
-        enumerate(leader_data(g, r, P) for g in G), key=lambda ir: ir[1].neg_key
+        enumerate(leader_data(g, r, P) for g in G),
+        key=lambda ir: tuple(map(neg, term_key(r, ir[1].term, P))),
     ):
         by_gen.setdefault(red.term.gen, []).append((idx, red.term, red.slack, red.lead))
     return by_gen

@@ -238,7 +238,7 @@ class TestCountNotDominated:
 class TestClassifyBox:
     def test_paths_agree(self):
         rng = random.Random(11)
-        for sizes in ((2, 2), (1, 1, 2)):
+        for sizes in ((2, 2), (1, 1, 2), (1, 1, 1, 1)):
             for _ in range(20):
                 V, BS, L, SL, r = random_case(rng, sizes)
                 points = sub_bounds(rng, r, 3)
@@ -256,7 +256,7 @@ class TestClassifyBox:
     def test_zero_slack(self):
         # a box row never overshoots by itself, so nothing lands in V'
         rng = random.Random(17)
-        for sizes in ((2, 2), (1, 1, 2)):
+        for sizes in ((2, 2), (1, 1, 2), (1, 1, 1, 1)):
             for _ in range(10):
                 V, BS, L, SL, r = random_case(rng, sizes, slack_hi=0)
                 points = sub_bounds(rng, r, 3)
@@ -280,7 +280,8 @@ class TestClassifyBox:
         assert classify_unit(V, BS, L, SL, points) == [(6, 0), (3, 0), (0, 0)]
 
     def test_more_points_than_chunk_rows(self):
-        # many points shrink a chunk to a few rows, down to a single row
+        # more points than a chunk has rows: every point is read off the
+        # same tables, and no temporary has rows times points
         rng = random.Random(23)
         for sizes, count in (((2,), (1 << 15) + 3), ((1, 2), 5000)):
             r = (3,) * len(sizes)
@@ -344,6 +345,15 @@ class TestClassifyBox:
         v, vp = classify_box(BS, divided, np.array([[5]]), big, points)
         assert v.tolist() == [0] * len(points)
         assert vp.tolist() == [(1 << 63) - 1, 1 << 62, 1 << 62, 0, 0, (1 << 62) - 1]
+        # p = 4, both rows divided by leaders of slack (1,1,0), (1,0,1) and
+        # (0,1,1): the corner (1,1,1) has coefficient 2, so 2w wraps
+        BS = np.array([[0, 0, 0, 0], [1, 0, 0, 1]], dtype=np.int64)
+        SL = np.array([[1, 1, 0], [1, 0, 1], [0, 1, 1]], dtype=np.int64)
+        points = [(1, 1, 1, 1), (0, 0, 0, 0), (1, 0, 0, 1), (0, 5, 0, 0), (-1, 3, 0, 0),
+                  (1, 2, 2, 1), (1, 0, 3, 1)]
+        v, vp = classify_box(BS, np.full((2, 1), 7, dtype=np.uint64), SL, big, points)
+        assert v.tolist() == [0] * len(points)
+        assert vp.tolist() == [0, 1 << 62, (1 << 63) - 1, 1 << 62, 0, 0, (1 << 62) - 1]
 
     def test_points_below_the_bound(self):
         # every point strictly below the rows' bound: rows past the points'
@@ -360,18 +370,25 @@ class TestClassifyBox:
             assert classify_unit(V, BS, L, SL, below) == expect
 
     def test_many_leaders_and_negative_points(self):
-        # 70 leaders over two mask words with slacks 1..5, and points
-        # negative on either axis
+        # 70 leaders over two mask words, and points negative on some
+        # axis; on (2,1) the slacks are 1..5, on (1,1,1) they are 70
+        # distinct vectors, and all 70 divide every row from (2,2,2) up
         rng = random.Random(47)
-        _, _, L, SL, _ = random_case(rng, (2, 1), leaders=70, slack_hi=4)
-        SL = SL + 1
-        V = box_vectors((2, 1), (5, 5))
-        BS = block_sum_matrix(V, (2, 1))
-        points = sub_bounds(rng, (5, 5), 5) + [(-1, -1), (3, -2), (-4, 2)]
-        rng.shuffle(points)
-        expect = ref_points((2, 1), L, SL, points)
-        assert any(vp for _, vp in expect)
-        assert classify_unit(V, BS, L, SL, points) == expect
+        for sizes in ((2, 1), (1, 1, 1)):
+            p = len(sizes)
+            _, _, L, SL, _ = random_case(rng, sizes, leaders=70, slack_hi=4)
+            SL = SL + 1
+            if p > 2:
+                SL = np.array(rng.sample(list(itertools.product(range(10), repeat=2)), 70))
+                assert len(set(map(tuple, SL.tolist()))) > 64
+            V = box_vectors(sizes, (5,) * p)
+            BS = block_sum_matrix(V, sizes)
+            negative = [(-1, -1), (3, -2), (-4, 2)]
+            points = sub_bounds(rng, (5,) * p, 5) + [(*a, *(2,) * (p - 2)) for a in negative]
+            rng.shuffle(points)
+            expect = ref_points(sizes, L, SL, points)
+            assert any(vp for _, vp in expect)
+            assert classify_unit(V, BS, L, SL, points) == expect
 
 
 def class_key(v, leaders):
